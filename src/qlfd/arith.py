@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 # 2**62 - 57, the default modulus for all randomized checks.  62 bits keeps
 # single Schwartz-Zippel error bounds below 2**-40 for every fixture degree
@@ -23,12 +24,15 @@ DEFAULT_PRIME = 4611686018427387847
 
 _MASK64 = (1 << 64) - 1
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
+# Witnesses making Miller-Rabin deterministic below _MR_BOUND (about
+# 3.3 * 10**24, between 2**81 and 2**82).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all moduli used here (< 2**78)."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981
+    (about 3.3 * 10**24); above that a composite may pass."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -53,9 +57,14 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """A prime field F_p; primality of the modulus is checked on construction."""
+    """A prime field F_p; primality of the modulus is checked on construction,
+    so the modulus must lie in the range where ``is_prime`` is exact."""
 
     def __init__(self, p: int):
+        if p >= _MR_BOUND:
+            raise ValueError(
+                f"modulus {p} is too large: primality is proven only below {_MR_BOUND}"
+            )
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
@@ -87,12 +96,20 @@ class Rng:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection to avoid modulo bias."""
+        """Uniform integer in [0, n), by rejection to avoid modulo bias.
+
+        Each draw joins as many 64-bit outputs as ``n - 1`` needs, most
+        significant first; for n <= 2**64 that is a single output.
+        """
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        limit = _MASK64 - (_MASK64 + 1) % n
+        words = max(1, ((n - 1).bit_length() + 63) // 64)
+        span = 1 << (64 * words)
+        limit = span - 1 - span % n
         while True:
-            x = self.u64()
+            x = 0
+            for _ in range(words):
+                x = (x << 64) | self.u64()
             if x <= limit:
                 return x % n
 
@@ -118,23 +135,6 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 def mat_copy(m):
     return [row[:] for row in m]
-
-
-def mat_mul_mod(a, b, p):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        arow = a[i]
-        row = [0] * cols
-        for t in range(k):
-            f = arow[t]
-            if f:
-                brow = b[t]
-                for j in range(cols):
-                    row[j] = (row[j] + f * brow[j]) % p
-        out.append(row)
-    return out
 
 
 def det_mod(mat, p: int) -> int:
@@ -187,25 +187,6 @@ def rank_mod(mat, p: int) -> int:
         if rank == rows:
             break
     return rank
-
-
-def inverse_mod(mat, p: int):
-    """Matrix inverse over F_p, or None if singular."""
-    n = len(mat)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] % p), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        inv = pow(a[k][k], -1, p)
-        a[k] = [x * inv % p for x in a[k]]
-        rowk = a[k]
-        for i in range(n):
-            if i != k and a[i][k] % p:
-                f = a[i][k] % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], rowk)]
-    return [row[n:] for row in a]
 
 
 def det_exact(mat):
@@ -419,8 +400,12 @@ def interpolate(points, p=None):
 def charpoly_mod(mat, p: int):
     """Coefficients of det(t*I - A) over F_p, via Hessenberg reduction.
 
-    One O(n^3) pass; used to read off det(M0 + t*M1) for an entire line in
-    a single elimination instead of deg+1 separate determinants.
+    One O(n^3) pass (Cohen, *A Course in Computational Algebraic Number
+    Theory*, section 2.2): the similarity that clears column k below the
+    subdiagonal subtracts multiples of row k+1 from the rows below it and
+    adds the same multiples of those columns to column k+1, one dot product
+    per row.  The characteristic polynomials of the leading principal
+    minors then follow by a recurrence on coefficient lists.
     """
     n = len(mat)
     h = mat_copy(mat)
@@ -432,71 +417,177 @@ def charpoly_mod(mat, p: int):
             h[k + 1], h[piv] = h[piv], h[k + 1]
             for row in h:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-        inv = pow(h[k + 1][k], -1, p)
+        # rows below k+1 are zero left of column k, so only columns >= k change
+        pivot_tail = h[k + 1][k:]
+        inv = pow(pivot_tail[0], -1, p)
+        fs = []
         for i in range(k + 2, n):
-            f = h[i][k] * inv % p
+            row = h[i]
+            f = row[k] * inv % p
+            fs.append(f)
             if f:
-                rowk1 = h[k + 1]
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], rowk1)]
-                for row in h:
-                    row[k + 1] = (row[k + 1] + f * row[i]) % p
+                row[k:] = [(x - f * y) % p for x, y in zip(row[k:], pivot_tail)]
+        if any(fs):
+            for row in h:
+                row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
     # char polys of leading principal minors of the Hessenberg form
     polys = [[1]]
     for k in range(1, n + 1):
-        term = poly_mul(polys[k - 1], [(-h[k - 1][k - 1]) % p, 1], p)
+        prev = polys[k - 1]
+        diag = h[k - 1][k - 1]
+        term = [-diag * c for c in prev]
+        term.append(0)
+        for j, c in enumerate(prev):
+            term[j + 1] += c
         prod = 1
         for m in range(1, k):
             prod = prod * h[k - m][k - m - 1] % p
+            if not prod:
+                break
             coeff = h[k - 1 - m][k - 1] * prod % p
             if coeff:
-                term = poly_add(term, poly_scale(polys[k - 1 - m], -coeff, p), p)
-        polys.append(term)
+                minor = polys[k - 1 - m]
+                term[: len(minor)] = [x - coeff * y for x, y in zip(term, minor)]
+        polys.append([x % p for x in term])
     return polys[n]
+
+
+def _solve_mod(a, b, p: int):
+    """(det A, A^{-1} B) over F_p by one sparse elimination, or None when A
+    is singular.
+
+    The rows of A are held as {column: value} dicts, the rows of B as dense
+    lists riding along.  Each pivot is the entry of least Markowitz cost
+    (r - 1)(c - 1), with r and c the nonzero counts of its row and column,
+    among the entries that are nonzero at the actual values (Markowitz
+    1957).  Choosing on values matters: the action matrix repeats
+    coordinates, so entries cancel and an order fixed from the sparsity
+    pattern alone can meet a zero pivot.  Back substitution through the
+    pivot rows then gives the solution rows.
+    """
+    n = len(a)
+    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
+    rhs = [row[:] for row in b]
+    cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def col_count(j):
+        return len(cols[j])
+
+    active = set(range(n))
+    pivots = []
+    det = 1
+    for _ in range(n):
+        best = None
+        for i in active:
+            row = rows[i]
+            if not row:
+                return None
+            j = min(row, key=col_count)
+            cost = (len(row) - 1) * (len(cols[j]) - 1)
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+                if not cost:
+                    break
+        _, r, c = best
+        prow = rows[r]
+        active.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        inv = pow(prow[c], -1, p)
+        det = det * prow[c] % p
+        pivots.append((r, c, inv))
+        # B's rows are reduced only when they become pivot rows
+        prhs = rhs[r] = [y % p for y in rhs[r]]
+        for i in list(cols[c]):
+            row = rows[i]
+            f = row.pop(c) * inv % p
+            cols[c].discard(i)
+            for j, y in prow.items():
+                if j == c:
+                    continue
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
+    # sign of the permutation row r -> column c
+    perm = [0] * n
+    for r, c, _ in pivots:
+        perm[r] = c
+    seen = [False] * n
+    for i in range(n):
+        if not seen[i]:
+            j = i
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                det = -det
+    x = [None] * n
+    for r, c, inv in reversed(pivots):
+        acc = rhs[r]
+        for j, u in rows[r].items():
+            if j != c:
+                acc = [s - u * y for s, y in zip(acc, x[j])]
+        x[c] = [s % p * inv % p for s in acc]
+    return det % p, x
 
 
 def det_pencil_poly(m0, m1, p: int):
     """Coefficients of f(t) = det(M0 + t*M1) over F_p, or None.
 
-    Uses the characteristic polynomial of -M1^{-1} M0 when M1 is invertible,
-    the reversed trick through M0 when only M0 is, and random diagonal shifts
-    t -> t + c otherwise.  Returns None when no invertible member is found
-    (callers fall back to pointwise interpolation).
+    One invertible member A of the pencil is solved against the other
+    member B by ``_solve_mod``, and f is read off the characteristic
+    polynomial of -A^{-1} B.  A is M1 when M1 is invertible
+    (det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0)); otherwise M0, with
+    the coefficients reversed; otherwise M0 + c*M1 for a few random shifts
+    c, followed by the substitution t -> t - c.  Returns None when no
+    invertible member is found (callers fall back to pointwise
+    interpolation).
     """
     n = len(m0)
     if n == 0:
         return [1]
-    inv1 = inverse_mod(m1, p)
-    if inv1 is not None:
-        b = mat_mul_mod(inv1, m0, p)
-        chi = charpoly_mod([[(-x) % p for x in row] for row in b], p)
-        d1 = det_mod(m1, p)
-        return poly_trim([c * d1 % p for c in chi])
-    inv0 = inverse_mod(m0, p)
-    if inv0 is not None:
-        c = mat_mul_mod(inv0, m1, p)
-        chi = charpoly_mod([[(-x) % p for x in row] for row in c], p)
-        d0 = det_mod(m0, p)
-        coeffs = [0] * (n + 1)
-        for k, ck in enumerate(chi):
-            coeffs[n - k] = ck * d0 % p
-        return poly_trim(coeffs)
-    # shift t -> t + c so that M0 + c*M1 becomes invertible
-    rng = Rng(0xC0FFEE)
-    for _ in range(4):
-        c = rng.below(p)
-        shifted = [
-            [(x + c * y) % p for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)
-        ]
-        if det_mod(shifted, p):
-            g = det_pencil_poly(shifted, m1, p)
-            if g is None:
-                return None
-            # substitute t -> t - c
-            out = []
-            for k, gk in enumerate(reversed(g)):
-                out = poly_add(poly_mul(out, [(-c) % p, 1], p), [gk], p)
-            return out
-    return None
+    solved = _solve_mod(m1, m0, p)
+    reverse = solved is None
+    shift = 0
+    if reverse:
+        # M1 is singular: solve A = M0 + shift*M1 against M1, for shift 0 and
+        # then up to four random shifts.  det(A + t*M1) = det A * det(I + t X)
+        # with X = A^{-1} M1 has the coefficients of det A * det(t I + X)
+        # in reverse order.
+        shifts = Rng(0xC0FFEE)
+        for _ in range(5):
+            a = m0 if not shift else [
+                [(x + shift * y) % p for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)
+            ]
+            solved = _solve_mod(a, m1, p)
+            if solved is not None:
+                break
+            shift = shifts.below(p)
+        else:
+            return None
+    det_a, x = solved
+    chi = charpoly_mod([[(-v) % p for v in row] for row in x], p)
+    out = [c * det_a % p for c in chi]
+    if not reverse:
+        return out
+    out = poly_trim(out[::-1])
+    if shift:
+        # substitute t -> t - shift
+        g, out = out, []
+        for gk in reversed(g):
+            out = poly_add(poly_mul(out, [(-shift) % p, 1], p), [gk], p)
+    return out
 
 
 # ---------------------------------------------------------------------------

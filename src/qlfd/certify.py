@@ -82,6 +82,15 @@ class CertifyOptions:
     # a second prime and require agreement
     cross_check_prime: int | None = None
 
+    def __post_init__(self):
+        for name in ("ratio_trials", "squarefree_lines", "weight_trials", "witness_retries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # the random streams use the seed modulo 2**64; a seed outside that
+        # range would be reported as given but behave as another seed
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+
 
 @dataclass
 class Component:
@@ -200,8 +209,15 @@ def discriminant_degree(
     q: Quiver, d, prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED, exact: bool = False
 ) -> int:
     """Degree of the discriminant's equation: sum over arrows of
-    d(tail) * d(head), cross-checked by interpolating the determinant along a
-    random affine line."""
+    d(tail) * d(head), cross-checked by one determinant.
+
+    Every cell of the action matrix A is a signed coordinate, so det A is
+    homogeneous of degree ``size``; along a line vec0 + t*vec1 its
+    coefficient of t^size is det A(vec1).  One nonzero det A(vec1) at a
+    random point therefore proves that the degree equals the formula value.
+    Each attempt draws the pair (vec0, vec1) of a random line and evaluates
+    at vec1.
+    """
     d = tuple(int(x) for x in d)
     formula = sum(d[t] * d[h] for t, h in zip(q.tails, q.heads))
     lfm = action_matrix(q, d)
@@ -210,32 +226,23 @@ def discriminant_degree(
     if formula == 0:
         return 0
     rng = Rng(seed)
-    saw_poly = False
     for attempt in range(6):
         r = rng.split(attempt)
+        # a random line vec0 + t*vec1; its leading coefficient det A(vec1) decides
         if exact:
             vec0 = [r.randint(-99, 99) for _ in range(lfm.coords.total)]
             vec1 = [r.randint(-99, 99) for _ in range(lfm.coords.total)]
-            points = []
-            for t in range(formula + 1):
-                vec = [a + t * b for a, b in zip(vec0, vec1)]
-                points.append((t, det_exact(lfm.evaluate(vec, None))))
-            poly = interpolate(points) or None
+            lead = det_exact(lfm.evaluate(vec1, None))
         else:
-            poly = _line_restriction_poly(lfm, prime, r)
-        if poly is not None:
-            saw_poly = True
-            if poly_degree(poly) == formula:
-                return formula
-    if not saw_poly:
-        raise CertifyError(
-            "discriminant-degree",
-            "determinant vanishes along every sampled line; "
-            "the dimension vector is likely not a Schur root",
-        )
+            vec0 = _random_coordinate_vector(lfm, prime, r)
+            vec1 = _random_coordinate_vector(lfm, prime, r)
+            lead = det_mod(lfm.evaluate(vec1, prime), prime)
+        if lead:
+            return formula
     raise CertifyError(
         "discriminant-degree",
-        f"interpolated degree never reached the formula value {formula}",
+        "determinant vanishes at every sampled point; "
+        "the dimension vector is likely not a Schur root",
     )
 
 

@@ -14,16 +14,12 @@ from qlfd.repmatrix import action_matrix, hom_ext_dims, random_representation
 from qlfd.roots import brick_probe, positive_roots
 from qlfd.semiinv import SchofieldHandle, sample_generic_witness
 
+from conftest import certified
+
 P = DEFAULT_PRIME
 
-_reports = {}
-
-
 def fixture_report(name):
-    if name not in _reports:
-        q, d = builtin(name)
-        _reports[name] = certify(q, d)
-    return _reports[name]
+    return certified(name)
 
 
 def _passed(criterion, label, t0):

@@ -26,6 +26,8 @@ from qlfd.arith import (
     rank_exact,
     rank_mod,
 )
+from qlfd.fixtures import builtin
+from qlfd.repmatrix import action_matrix
 
 P = DEFAULT_PRIME
 
@@ -53,6 +55,14 @@ def test_prime_field_rejects_composite():
     assert PrimeField(P).inv(7) * 7 % P == 1
 
 
+def test_prime_field_rejects_moduli_beyond_proven_range():
+    # is_prime is exact only below 3317044064679887385961981 (about 3.3e24)
+    assert PrimeField(2**80 - 65).p == 2**80 - 65
+    for p in (2**89 - 1, 3317044064679887385961981):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
+
+
 def test_rng_deterministic_and_distinct():
     a = Rng(42)
     b = Rng(42)
@@ -66,6 +76,25 @@ def test_rng_below_range():
     vals = [rng.below(10) for _ in range(1000)]
     assert set(vals) <= set(range(10))
     assert len(set(vals)) == 10
+
+
+def test_rng_below_stream_pinned():
+    # bounds up to 2**64 take one 64-bit output per draw, as they always have
+    rng = Rng(2024)
+    bounds = (1, 2, 7, 10**9, P, 2**63 + 5, 2**64)
+    assert [rng.below(n) for n in bounds] == [
+        0, 0, 3, 397966425, 1486400518253593637, 2522659877027852951, 11000608607208515474,
+    ]
+    rng = Rng(99)
+    assert [rng.randint(-99, 99) for _ in range(5)] == [58, 64, -77, -42, 25]
+
+
+def test_rng_below_beyond_64_bits():
+    rng = Rng(5)
+    n = 2**89 - 1
+    vals = [rng.below(n) for _ in range(200)]
+    assert all(0 <= v < n for v in vals)
+    assert max(vals) >= 2**80
 
 
 def test_derived_seeds_injective_over_trial_index():
@@ -228,6 +257,67 @@ def test_det_pencil_poly_matches_pointwise():
 def test_det_pencil_poly_identically_singular():
     z = [[0, 0], [0, 0]]
     assert det_pencil_poly(z, z, P) is None
+
+
+def test_det_pencil_poly_both_members_singular():
+    # neither M0 nor M1 is invertible, but the pencil is: the random-shift path
+    rng = Rng(654)
+    for n in (2, 3, 5):
+        m0 = rand_matrix(rng, n)
+        m1 = rand_matrix(rng, n)
+        m0[0] = [0] * n
+        m1[n - 1] = [0] * n
+        assert det_mod(m0, P) == 0 and det_mod(m1, P) == 0
+        f = det_pencil_poly(m0, m1, P)
+        assert f is not None
+        for t in range(n + 2):
+            mt = [[(m0[i][j] + t * m1[i][j]) % P for j in range(n)] for i in range(n)]
+            assert poly_eval(f, t, P) == det_mod(mt, P)
+
+
+def _action_pencils(name, seed):
+    """Pencils (M0, M1) of a fixture's action matrix along three lines: a
+    generic one, one whose direction A(vec1) is singular (vec1 vanishes off
+    the first arrow), and one with both members singular (the coordinates
+    split between vec0 and vec1 at the second arrow)."""
+    q, d = builtin(name)
+    lfm = action_matrix(q, d)
+    rng = Rng(seed)
+    total = lfm.coords.total
+    v = [rng.below(P) for _ in range(total)]
+    w = [rng.below(P) for _ in range(total)]
+    cut = lfm.coords.offsets[1]
+    head = [x if i < cut else 0 for i, x in enumerate(w)]
+    tail = [x if i >= cut else 0 for i, x in enumerate(v)]
+    return lfm, [lfm.pencil(v, w, P), lfm.pencil(v, head, P), lfm.pencil(tail, head, P)]
+
+
+def _pencil_at(m0, m1, t):
+    return [[(a + t * b) % P for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+
+
+def test_det_pencil_poly_action_matrices_match_interpolation():
+    for name in ("e7-highroot", "star7"):
+        lfm, pencils = _action_pencils(name, 77)
+        n = lfm.size
+        generic, m1_singular, both_singular = pencils
+        assert det_mod(m1_singular[1], P) == 0 and det_mod(m1_singular[0], P) != 0
+        assert det_mod(both_singular[0], P) == 0 and det_mod(both_singular[1], P) == 0
+        for m0, m1 in pencils:
+            f = det_pencil_poly(m0, m1, P)
+            points = [(t, det_mod(_pencil_at(m0, m1, t), P)) for t in range(n + 1)]
+            assert f == interpolate(points, P), name
+
+
+def test_det_pencil_poly_e8_pointwise():
+    lfm, pencils = _action_pencils("e8-central-sink", 78)
+    m0, m1 = pencils[0]
+    f = det_pencil_poly(m0, m1, P)
+    assert poly_degree(f) == lfm.size == 118
+    rng = Rng(79)
+    for _ in range(3):
+        t = rng.below(P)
+        assert poly_eval(f, t, P) == det_mod(_pencil_at(m0, m1, t), P)
 
 
 def test_mpoly_det_matches_exact_on_constants():

@@ -30,6 +30,31 @@ def test_discriminant_degree_detects_non_schur():
         discriminant_degree(q, d)
 
 
+def test_discriminant_degree_exact_mode_agrees():
+    q, d = builtin("d7-prop")
+    assert discriminant_degree(q, d, exact=True) == discriminant_degree(q, d) == 18
+
+
+@pytest.mark.parametrize(
+    "field", ["ratio_trials", "squarefree_lines", "weight_trials", "witness_retries"]
+)
+@pytest.mark.parametrize("value", [0, -3])
+def test_certify_options_reject_counts_below_one(field, value):
+    with pytest.raises(ValueError, match=field):
+        CertifyOptions(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
+def test_certify_options_reject_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        CertifyOptions(seed=seed)
+
+
+def test_certify_options_accept_seed_range_ends():
+    assert CertifyOptions(seed=0).seed == 0
+    assert CertifyOptions(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_multiplicity_vector_tilde_d4_ii():
     q, d = builtin("tilde-d4-ii")
     # components: the three degree-2 compositions and the degree-3 minor

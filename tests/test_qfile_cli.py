@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qlfd
+from qlfd import cli
 from qlfd.cli import main
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.qfile import QuiverFileError, parse, serialize
+
+from conftest import cached_certify
 
 
 def test_parse_a3_file():
@@ -111,7 +118,9 @@ def test_cli_table_degree_column_sums_to_dim_rep(capsys):
         assert total == doc["dim_rep"], name
 
 
-def test_cli_table_e8_degree_column(capsys):
+def test_cli_table_e8_degree_column(capsys, monkeypatch):
+    # the acceptance suite certifies E8 with the same options; share that run
+    monkeypatch.setattr(cli, "certify", cached_certify)
     code, out, _ = run_cli(
         capsys, "table", "--builtin", "e8-central-sink", "--format", "json"
     )
@@ -160,6 +169,55 @@ def test_cli_dump_round_trip(capsys):
     assert out.startswith("quiver e8-central-sink\n")
     q, d = builtin("e8-central-sink")
     assert serialize(q, d) in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trials", "0"],
+        ["--trials", "-5"],
+        ["--seed", "-5"],
+        ["--seed", str(2**64)],
+    ],
+)
+def test_cli_rejects_bad_options(capsys, argv):
+    code, out, err = run_cli(capsys, "certify", "--builtin", "a3", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_seed_env_negative_is_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("QLFD_SEED", "-5")
+    code, _, err = run_cli(capsys, "certify", "--builtin", "a3")
+    assert code == 1 and "seed" in err
+
+
+@pytest.mark.parametrize(
+    "prime, code",
+    [
+        (2**89 - 1, 1),  # above the proven range of the primality test
+        (2**80 - 65, 0),  # a prime above 2**64 that random draws must reach
+    ],
+)
+def test_cli_large_prime_finishes_cleanly(prime, code):
+    # a subprocess with a timeout, so that a hanging random stream fails the
+    # test instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlfd.__file__)))
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlfd.cli", "certify", "--builtin", "a3",
+         "--prime", str(prime), "--format", "json"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: modulus") and proc.stdout == ""
+    else:
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "linear-free-divisor"
+        assert doc["stats"]["prime"] == prime
 
 
 def test_cli_bad_prime(capsys):
