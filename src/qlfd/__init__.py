@@ -53,7 +53,6 @@ from .semiinv import (
     SchofieldHandle,
     degree_of,
     discriminant_weight,
-    evaluate,
     root_from_weight,
     sample_generic_witness,
     verify_weight,

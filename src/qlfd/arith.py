@@ -9,12 +9,16 @@ Conventions used throughout the package:
 * over a prime field of modulus ``p`` entries are ints in ``[0, p)``;
   exact matrices hold ints or :class:`fractions.Fraction`;
 * a univariate polynomial is a coefficient list, constant term first,
-  with trailing zeros trimmed (the zero polynomial is ``[]``).
+  with trailing zeros trimmed (the zero polynomial is ``[]``);
+* a field argument ``p`` is a prime for F_p or None for Q; ``det``,
+  ``rank``, ``reduce``, ``power`` and ``random_scalar`` make that choice
+  once, so that callers keep one code path for both fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 # 2**62 - 57, the default modulus for all randomized checks.  62 bits keeps
@@ -208,7 +212,7 @@ def det_exact(mat):
         mult = 1
         for x in fr:
             if x.denominator != 1:
-                mult = mult * x.denominator // _gcd(mult, x.denominator)
+                mult = mult * x.denominator // gcd(mult, x.denominator)
         scale *= mult
         a.append([int(x * mult) for x in fr])
     sign = 1
@@ -230,12 +234,6 @@ def det_exact(mat):
             rowi[k] = 0
         prev = pk
     return Fraction(sign * a[n - 1][n - 1], 1) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_exact(mat) -> int:
@@ -260,6 +258,34 @@ def rank_exact(mat) -> int:
         if rank == rows:
             break
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Field dispatch: ``p`` a prime for F_p, or None for the rationals Q
+
+
+def det(mat, p: int | None):
+    return det_exact(mat) if p is None else det_mod(mat, p)
+
+
+def rank(mat, p: int | None) -> int:
+    return rank_exact(mat) if p is None else rank_mod(mat, p)
+
+
+def reduce(x, p: int | None):
+    """x as an element of the field: its residue mod p, or x itself."""
+    return x if p is None else x % p
+
+
+def power(x, k: int, p: int | None):
+    """x**k in the field; a negative k inverts x."""
+    return Fraction(x) ** k if p is None else pow(x, k, p)
+
+
+def random_scalar(rng: Rng, p: int | None) -> int:
+    """A random scalar outside {0, 1, -1}: uniform on [2, p - 2] over F_p,
+    on [2, 19] over Q."""
+    return rng.randint(2, 19) if p is None else 2 + rng.below(p - 3)
 
 
 # ---------------------------------------------------------------------------

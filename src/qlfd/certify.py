@@ -20,13 +20,15 @@ from .arith import (
     PrimeField,
     Rng,
     derive_seed,
-    det_exact,
+    det,
     det_mod,
     det_pencil_poly,
     interpolate,
     poly_degree,
     poly_deriv,
     poly_gcd,
+    power,
+    reduce,
 )
 from .quiver import (
     Quiver,
@@ -59,6 +61,10 @@ VERDICT_LFD = "linear-free-divisor"
 VERDICT_NOT_REDUCED = "not-reduced"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# A modular verdict is definitive only when a false factorization identity
+# survives a ratio-check point with probability below 2**-40.
+MAX_POINT_BOUND_LOG2 = -40
+
 
 class CertifyError(RuntimeError):
     """Hard failure of a pipeline stage (inputs the pipeline cannot accept,
@@ -75,15 +81,13 @@ class CertifyOptions:
     seed: int = DEFAULT_SEED
     ratio_trials: int = 20
     squarefree_lines: int = 5
-    weight_trials: int = 1
-    witness_retries: int = 8
     exact: bool = False  # exact rational evaluations; small Dynkin fixtures only
     # optional paranoia: repeat the factorization and squarefree checks under
     # a second prime and require agreement
     cross_check_prime: int | None = None
 
     def __post_init__(self):
-        for name in ("ratio_trials", "squarefree_lines", "weight_trials", "witness_retries"):
+        for name in ("ratio_trials", "squarefree_lines"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # the random streams use the seed modulo 2**64; a seed outside that
@@ -185,23 +189,32 @@ class LfdReport:
 # Stage operations (usable standalone)
 
 
-def _random_coordinate_vector(lfm, prime: int, rng: Rng):
-    return [rng.below(prime) for _ in range(lfm.coords.total)]
+def _random_coordinate_vector(lfm, modulus: int | None, rng: Rng):
+    """Uniform over F_p, or in [-99, 99] over Q."""
+    if modulus is None:
+        return [rng.randint(-99, 99) for _ in range(lfm.coords.total)]
+    return [rng.below(modulus) for _ in range(lfm.coords.total)]
 
 
-def _line_restriction_poly(lfm, prime: int, rng: Rng):
-    """det of the action matrix along a random affine line, as a univariate
-    polynomial mod prime; None if identically zero along this line."""
-    vec0 = _random_coordinate_vector(lfm, prime, rng)
-    vec1 = _random_coordinate_vector(lfm, prime, rng)
-    m0, m1 = lfm.pencil(vec0, vec1, prime)
-    poly = det_pencil_poly(m0, m1, prime)
+def _line_restriction_poly(lfm, modulus: int | None, rng: Rng):
+    """det of the action matrix along a random affine line vec0 + t*vec1, as
+    a univariate polynomial over F_p or Q; None if identically zero along
+    this line.
+
+    Over F_p the pencil kernel computes it; over Q, or when no member of
+    the pencil is invertible, it is interpolated from size + 1 values.
+    """
+    vec0 = _random_coordinate_vector(lfm, modulus, rng)
+    vec1 = _random_coordinate_vector(lfm, modulus, rng)
+    poly = None
+    if modulus is not None:
+        poly = det_pencil_poly(*lfm.pencil(vec0, vec1, modulus), modulus)
     if poly is None:
         points = []
         for t in range(lfm.size + 1):
-            vec = [(a + t * b) % prime for a, b in zip(vec0, vec1)]
-            points.append((t, det_mod(lfm.evaluate(vec, prime), prime)))
-        poly = interpolate(points, prime)
+            vec = [a + t * b for a, b in zip(vec0, vec1)]
+            points.append((t, det(lfm.evaluate(vec, modulus), modulus)))
+        poly = interpolate(points, modulus)
     return poly if poly else None
 
 
@@ -225,19 +238,13 @@ def discriminant_degree(
         raise CertifyError("discriminant-degree", "action matrix size mismatch")
     if formula == 0:
         return 0
+    modulus = None if exact else prime
     rng = Rng(seed)
     for attempt in range(6):
         r = rng.split(attempt)
-        # a random line vec0 + t*vec1; its leading coefficient det A(vec1) decides
-        if exact:
-            vec0 = [r.randint(-99, 99) for _ in range(lfm.coords.total)]
-            vec1 = [r.randint(-99, 99) for _ in range(lfm.coords.total)]
-            lead = det_exact(lfm.evaluate(vec1, None))
-        else:
-            vec0 = _random_coordinate_vector(lfm, prime, r)
-            vec1 = _random_coordinate_vector(lfm, prime, r)
-            lead = det_mod(lfm.evaluate(vec1, prime), prime)
-        if lead:
+        _random_coordinate_vector(lfm, modulus, r)  # vec0, drawn to keep the stream
+        vec1 = _random_coordinate_vector(lfm, modulus, r)
+        if det(lfm.evaluate(vec1, modulus), modulus):
             return formula
     raise CertifyError(
         "discriminant-degree",
@@ -313,18 +320,11 @@ def verify_factorization(
         vals = [h.evaluate(v) for h in handles]
         if any(val == 0 for val in vals):
             continue
-        mat = lfm.evaluate(lfm.coords.flatten(v), modulus)
-        delta = det_mod(mat, prime) if not exact else det_exact(mat)
-        if exact:
-            prod = Fraction(1)
-            for val, a in zip(vals, mults):
-                prod *= Fraction(val) ** a
-            ratios.append(Fraction(delta) / prod)
-        else:
-            prod = 1
-            for val, a in zip(vals, mults):
-                prod = prod * pow(val, a, prime) % prime
-            ratios.append(delta * pow(prod, -1, prime) % prime)
+        delta = det(lfm.evaluate(lfm.coords.flatten(v), modulus), modulus)
+        prod = 1
+        for val, a in zip(vals, mults):
+            prod = reduce(prod * power(val, a, modulus), modulus)
+        ratios.append(reduce(delta * power(prod, -1, modulus), modulus))
     if len(ratios) < trials:
         raise CertifyError("factorization", "all sampled points degenerate")
     deviations = sum(1 for r in ratios if r != ratios[0])
@@ -345,7 +345,8 @@ def squarefree_probe(
     d = tuple(int(x) for x in d)
     lfm = action_matrix(q, d)
     n = lfm.size
-    if not exact and prime <= 2 * max(n, 1):
+    modulus = None if exact else prime
+    if modulus is not None and modulus <= 2 * max(n, 1):
         raise ValueError("squarefree_probe needs a prime above twice the degree")
     if n == 0:
         return True, [True] * trials
@@ -354,17 +355,7 @@ def squarefree_probe(
     for trial in range(trials):
         best = None
         for attempt in range(8):
-            r = rng.split(trial, attempt)
-            if exact:
-                vec0 = [r.randint(-99, 99) for _ in range(lfm.coords.total)]
-                vec1 = [r.randint(-99, 99) for _ in range(lfm.coords.total)]
-                points = []
-                for t in range(n + 1):
-                    vec = [a + t * b for a, b in zip(vec0, vec1)]
-                    points.append((t, det_exact(lfm.evaluate(vec, None))))
-                poly = interpolate(points) or None
-            else:
-                poly = _line_restriction_poly(lfm, prime, r)
+            poly = _line_restriction_poly(lfm, modulus, rng.split(trial, attempt))
             if poly is not None and poly_degree(poly) == n:
                 best = poly
                 break
@@ -372,8 +363,7 @@ def squarefree_probe(
                 best = poly
         if best is None:
             raise CertifyError("squarefree", "identically-zero line restrictions")
-        deriv = poly_deriv(best, None if exact else prime)
-        g = poly_gcd(best, deriv, None if exact else prime)
+        g = poly_gcd(best, poly_deriv(best, modulus), modulus)
         votes.append(poly_degree(g) == 0)
     ok = 2 * sum(votes) > len(votes)
     return ok, votes
@@ -557,7 +547,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         for e in basis:
             try:
                 w, deg = sample_generic_witness(
-                    q0, e, d0, modulus, derive_seed(seed, 10, *e), opts.witness_retries
+                    q0, e, d0, modulus, derive_seed(seed, 10, *e)
                 )
             except DegenerateWitnessError:
                 failed = e
@@ -592,8 +582,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         h.degree = deg
         w0 = weight_of_schofield(q0, e)
         if not verify_weight(
-            h, w0, prime, derive_seed(seed, 20, i), trials=opts.weight_trials,
-            exact=opts.exact,
+            h, w0, prime, derive_seed(seed, 20, i), trials=1, exact=opts.exact
         ):
             raise CertifyError("weights", f"weight check failed for root {e}")
         handles.append(h)
@@ -640,9 +629,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         PrimeField(p2)
         handles2 = []
         for e, _, deg in picked:
-            w2, deg2 = sample_generic_witness(
-                q0, e, d0, p2, derive_seed(seed, 50, *e), opts.witness_retries
-            )
+            w2, deg2 = sample_generic_witness(q0, e, d0, p2, derive_seed(seed, 50, *e))
             h2 = SchofieldHandle(e, w2, d0)
             h2.degree = deg2
             handles2.append((h2, deg, deg2))
@@ -691,22 +678,28 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             dim_rep,
             disc_w,
         )
-    if all_ones and sqf:
-        return report(VERDICT_LFD, None, components, dim_rep, disc_w)
-    if not all_ones and not sqf:
-        mult_desc = ",".join(str(a) for a in mults)
+    if all_ones != sqf:
         return report(
-            VERDICT_NOT_REDUCED,
-            f"multiplicities ({mult_desc})",
+            VERDICT_INCONCLUSIVE,
+            f"reducedness signals disagree: multiplicities all 1 = {all_ones}, "
+            f"squarefree probe = {sqf}",
             components,
             dim_rep,
             disc_w,
         )
+    point_bound = stats.ratio_point_bound_log2
+    if not opts.exact and point_bound is not None and point_bound >= MAX_POINT_BOUND_LOG2:
+        return report(
+            VERDICT_INCONCLUSIVE,
+            f"per-point false-accept bound 2^{point_bound:.1f} is not below "
+            f"2^{MAX_POINT_BOUND_LOG2}; use a larger prime",
+            components,
+            dim_rep,
+            disc_w,
+        )
+    if all_ones:
+        return report(VERDICT_LFD, None, components, dim_rep, disc_w)
+    mult_desc = ",".join(str(a) for a in mults)
     return report(
-        VERDICT_INCONCLUSIVE,
-        f"reducedness signals disagree: multiplicities all 1 = {all_ones}, "
-        f"squarefree probe = {sqf}",
-        components,
-        dim_rep,
-        disc_w,
+        VERDICT_NOT_REDUCED, f"multiplicities ({mult_desc})", components, dim_rep, disc_w
     )

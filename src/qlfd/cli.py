@@ -149,7 +149,9 @@ def _cmd_roots(q, d, args) -> int:
 
 
 def _cmd_discriminant(q, d, args) -> int:
-    deg = discriminant_degree(q, d, args.prime, args.seed, exact=args.exact)
+    # CertifyOptions rejects a seed outside [0, 2**64), as for certify
+    opts = CertifyOptions(prime=args.prime, seed=args.seed, exact=args.exact)
+    deg = discriminant_degree(q, d, opts.prime, opts.seed, exact=opts.exact)
     w = discriminant_weight(q, d)
     payload = {
         "command": "discriminant",

@@ -386,11 +386,6 @@ def classify_underlying_graph(q: Quiver):
     return results
 
 
-def is_dynkin(q: Quiver) -> bool:
-    c = classify_underlying_graph(q)
-    return isinstance(c, Classification) and c.kind == "dynkin"
-
-
 def kac_criterion_applicable(q: Quiver) -> bool:
     """Whether every proper full subquiver is of finite or tame type.
 

@@ -10,9 +10,7 @@ rationals (``modulus`` None, entries int/Fraction).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arith import Rng, det_exact, det_mod, mp_var, mp_zero, rank_exact, rank_mod
+from .arith import Rng, det, mp_var, mp_zero, power, rank, reduce
 from .quiver import Quiver, is_acyclic, support, tits_form
 
 
@@ -50,16 +48,16 @@ class Representation:
         and the identity elsewhere: V(a) -> g_head V(a) g_tail^{-1}."""
         x = self.quiver.index[node]
         p = self.modulus
-        inv = pow(lam, -1, p) if p is not None else Fraction(1) / Fraction(lam)
+        inv = power(lam, -1, p)
         out = self.copy()
         for a in range(self.quiver.arrow_count):
             m = out.mats[a]
             if self.quiver.heads[a] == x and m:
-                m[0] = [v * lam % p if p is not None else v * lam for v in m[0]]
+                m[0] = [reduce(v * lam, p) for v in m[0]]
             if self.quiver.tails[a] == x:
                 for row in m:
                     if row:
-                        row[0] = row[0] * inv % p if p is not None else row[0] * inv
+                        row[0] = reduce(row[0] * inv, p)
         return out
 
     def __repr__(self) -> str:
@@ -67,27 +65,14 @@ class Representation:
         return f"Representation(d={self.dims}, {field})"
 
 
-def zero_representation(q: Quiver, d, modulus: int | None) -> Representation:
-    d = tuple(d)
-    mats = [_zeros(d[q.heads[a]], d[q.tails[a]]) for a in range(q.arrow_count)]
-    return Representation(q, d, modulus, mats)
-
-
-def random_representation(
-    q: Quiver, d, modulus: int | None, seed: int, avoid_zero: bool = False
-) -> Representation:
+def random_representation(q: Quiver, d, modulus: int | None, seed: int) -> Representation:
     """Entries uniform over the field (or in [-9, 9] in exact mode), from the
-    deterministic stream for ``seed``; ``avoid_zero`` excludes 0 entrywise."""
+    deterministic stream for ``seed``."""
     rng = Rng(seed)
     d = tuple(d)
 
     def entry():
-        if modulus is not None:
-            return 1 + rng.below(modulus - 1) if avoid_zero else rng.below(modulus)
-        while True:
-            v = rng.randint(-9, 9)
-            if v or not avoid_zero:
-                return v
+        return rng.randint(-9, 9) if modulus is None else rng.below(modulus)
 
     mats = []
     for a in range(q.arrow_count):
@@ -150,7 +135,7 @@ def hom_ext_dims(w: Representation, v: Representation) -> tuple[int, int]:
     m = defect_matrix(w, v)
     cols = sum(a * b for a, b in zip(w.dims, v.dims))
     rows = sum(w.dims[t] * v.dims[h] for t, h in zip(q.tails, q.heads))
-    r = rank_mod(m, w.modulus) if w.modulus is not None else rank_exact(m)
+    r = rank(m, w.modulus)
     return cols - r, rows - r
 
 
@@ -172,7 +157,7 @@ def apply_defect(w: Representation, v: Representation, psi):
                     acc += psi[h][r][j] * wa[j][s]
                 for i in range(d[t]):
                     acc -= va[r][i] * psi[t][i][s]
-                block[r][s] = acc % w.modulus if w.modulus is not None else acc
+                block[r][s] = reduce(acc, w.modulus)
         out.append(block)
     return out
 
@@ -348,15 +333,10 @@ def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatri
     return LinearFormMatrix(size, cells, coords, (q.nodes[drop], 0, 0))
 
 
-def evaluate_action_matrix(q: Quiver, d, v: Representation, drop_node: str | None = None):
-    if v.quiver != q or v.dims != tuple(d):
-        raise ValueError("representation does not live in this space")
-    lfm = action_matrix(q, d, drop_node)
-    return lfm.evaluate(lfm.coords.flatten(v), v.modulus)
-
-
 def discriminant_value(q: Quiver, d, v: Representation, drop_node: str | None = None):
     """Value of the discriminant's equation at V (up to the fixed scalar
     determined by the dropped direction)."""
-    m = evaluate_action_matrix(q, d, v, drop_node)
-    return det_mod(m, v.modulus) if v.modulus is not None else det_exact(m)
+    if v.quiver != q or v.dims != tuple(d):
+        raise ValueError("representation does not live in this space")
+    lfm = action_matrix(q, d, drop_node)
+    return det(lfm.evaluate(lfm.coords.flatten(v), v.modulus), v.modulus)

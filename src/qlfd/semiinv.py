@@ -1,13 +1,11 @@
 """Determinantal semi-invariants of a representation space: weight formulas,
 handles built from a generic witness representation, hard-coded block-matrix
-recipes, degree recovery by interpolation, and operational weight checks.
+recipes, degrees read off one scaled value, and operational weight checks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arith import Rng, det_exact, det_mod, interpolate, poly_degree
+from .arith import Rng, det, power, random_scalar, reduce
 from .quiver import (
     Classification,
     Quiver,
@@ -73,8 +71,7 @@ class SchofieldHandle:
         self.degree_bound = sum(a * b for a, b in zip(self.root, self.dims))
 
     def evaluate(self, v: Representation):
-        m = defect_matrix(self.witness, v)
-        return det_mod(m, v.modulus) if v.modulus is not None else det_exact(m)
+        return det(defect_matrix(self.witness, v), v.modulus)
 
     def describe(self) -> str:
         return f"schofield(root={self.root})"
@@ -145,9 +142,7 @@ class BlockRecipe:
                         row = out[i]
                         for j in range(cols):
                             row[j] += f * mk[j]
-            if p is not None:
-                out = [[x % p for x in row] for row in out]
-            m = out
+            m = [[reduce(x, p) for x in row] for row in out]
         return m
 
     def assemble(self, v: Representation):
@@ -160,7 +155,7 @@ class BlockRecipe:
                 h, w = self.row_sizes[i], self.col_sizes[j]
                 if cell is not None:
                     if cell[0] == "ident":
-                        sign = cell[1] % v.modulus if v.modulus is not None else cell[1]
+                        sign = reduce(cell[1], v.modulus)
                         for t in range(min(h, w)):
                             out[r0 + t][c0 + t] = sign
                     else:
@@ -168,10 +163,7 @@ class BlockRecipe:
                         block = self.path_matrix(v, path)
                         for r in range(h):
                             for c in range(w):
-                                val = sign * block[r][c]
-                                if v.modulus is not None:
-                                    val %= v.modulus
-                                out[r0 + r][c0 + c] = val
+                                out[r0 + r][c0 + c] = reduce(sign * block[r][c], v.modulus)
                 c0 += w
             r0 += h
         return out
@@ -218,15 +210,10 @@ class BlockHandle:
         self.degree_bound = recipe.degree_bound()
 
     def evaluate(self, v: Representation):
-        m = self.recipe.assemble(v)
-        return det_mod(m, v.modulus) if v.modulus is not None else det_exact(m)
+        return det(self.recipe.assemble(v), v.modulus)
 
     def describe(self) -> str:
         return f"block({self.recipe.to_dict()['cells']})"
-
-
-def evaluate(handle, v: Representation):
-    return handle.evaluate(v)
 
 
 # ---------------------------------------------------------------------------
@@ -237,50 +224,41 @@ class DegenerateWitnessError(RuntimeError):
     pass
 
 
-def _scaled_representation(handle, v: Representation, t: int):
-    p = v.modulus
-    mats = []
-    for m in v.mats:
-        if p is not None:
-            mats.append([[x * t % p for x in row] for row in m])
-        else:
-            mats.append([[x * t for x in row] for row in m])
-    return Representation(v.quiver, v.dims, p, mats)
+def _scaled_representation(v: Representation, lam) -> Representation:
+    mats = [[[reduce(x * lam, v.modulus) for x in row] for row in m] for m in v.mats]
+    return Representation(v.quiver, v.dims, v.modulus, mats)
 
 
 def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
-    """Total degree of the handle's polynomial, by Lagrange interpolation of
-    t -> evaluate(t * V1) at degree_bound + 1 points for a random V1.
+    """Total degree of the handle's polynomial f, read off one scaled value.
 
-    Equals the degree of the restriction because the polynomial is
-    homogeneous; the interpolant is asserted to be a monomial in t.  With
-    ``prime`` None the interpolation runs over exact rationals.
+    f is homogeneous (Schofield 1991), so f(lam V) = lam**k f(V) with k its
+    degree.  At a random V with f(V) != 0 and a random scalar lam whose
+    powers lam**0, ..., lam**degree_bound are distinct, k is the unique
+    exponent up to the bound that matches; a value that matches none means
+    f is not homogeneous.  With ``prime`` None the check runs over Q.
     """
     bound = handle.degree_bound
     if prime is not None and prime <= 2 * max(bound, 1):
-        raise ValueError("prime too small for degree interpolation")
+        raise ValueError("prime too small for the degree check")
     rng = Rng(seed)
     for attempt in range(retries):
         v1 = random_representation(
             handle.quiver, handle.dims, prime, rng.split(attempt).seed
         )
-        # one-point rejection before paying for the full interpolation
-        at_one = handle.evaluate(v1)
-        if at_one == 0:
+        base = handle.evaluate(v1)
+        if base == 0:
             continue
-        points = [(1, at_one)]
-        for t in range(bound + 1):
-            if t == 1:
-                continue
-            val = handle.evaluate(_scaled_representation(handle, v1, t))
-            points.append((t, val))
-        poly = interpolate(points, prime)
-        if poly:
-            deg = poly_degree(poly)
-            if any(c for c in poly[:-1]):
-                raise AssertionError("restriction of a homogeneous handle is not a monomial")
-            handle.degree = deg
-            return deg
+        lam = random_scalar(rng.split(attempt, 1), prime)
+        powers = [power(lam, k, prime) for k in range(bound + 1)]
+        if len(set(powers)) <= bound:
+            continue  # lam has order at most the bound in F_p^*
+        scaled = handle.evaluate(_scaled_representation(v1, lam))
+        for k, lam_k in enumerate(powers):
+            if scaled == reduce(base * lam_k, prime):
+                handle.degree = k
+                return k
+        raise AssertionError("restriction of a homogeneous handle is not a monomial")
     raise DegenerateWitnessError("handle evaluates to zero along every sampled ray")
 
 
@@ -329,18 +307,10 @@ def verify_weight(
         for x, node in enumerate(q.nodes):
             if d[x] == 0:
                 continue
-            if exact:
-                lam = rng.split(trial, 1, x).randint(2, 19)
-                scaled = v.scale_first_coordinate(node, lam)
-                expect = Fraction(base) * Fraction(lam) ** declared[x]
-                if Fraction(handle.evaluate(scaled)) != expect:
-                    return False
-            else:
-                lam = 2 + rng.split(trial, 1, x).below(prime - 3)
-                scaled = v.scale_first_coordinate(node, lam)
-                expect = base * pow(lam, declared[x], prime) % prime
-                if handle.evaluate(scaled) != expect:
-                    return False
+            lam = random_scalar(rng.split(trial, 1, x), modulus)
+            expect = reduce(base * power(lam, declared[x], modulus), modulus)
+            if handle.evaluate(v.scale_first_coordinate(node, lam)) != expect:
+                return False
     return True
 
 

@@ -35,9 +35,7 @@ def test_discriminant_degree_exact_mode_agrees():
     assert discriminant_degree(q, d, exact=True) == discriminant_degree(q, d) == 18
 
 
-@pytest.mark.parametrize(
-    "field", ["ratio_trials", "squarefree_lines", "weight_trials", "witness_retries"]
-)
+@pytest.mark.parametrize("field", ["ratio_trials", "squarefree_lines"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_certify_options_reject_counts_below_one(field, value):
     with pytest.raises(ValueError, match=field):
@@ -323,3 +321,50 @@ def test_component_weights_orthogonal_to_d(report_for):
         rep = report_for(name)
         for c in rep.components:
             assert sum(w * x for w, x in zip(c.weight, rep.dims)) == 0, name
+
+
+def test_certify_unbalanced_cycle_not_reduced():
+    # non-tree support: 1->2, 2->3, 1->3 with d = (1,1,2)
+    q = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    rep = certify(q, (1, 1, 2))
+    assert rep.verdict == "not-reduced"
+    assert rep.reason == "multiplicities (1,2)"
+    assert [(c.degree, c.multiplicity) for c in rep.components] == [(1, 1), (2, 2)]
+
+
+def _potential(q):
+    """phi with phi(head) - phi(tail) = 1 on every arrow of a tree quiver."""
+    phi = {q.nodes[0]: 0}
+    while len(phi) < q.node_count:
+        for a in q.arrows:
+            if a.tail in phi and a.head not in phi:
+                phi[a.head] = phi[a.tail] + 1
+            elif a.head in phi and a.tail not in phi:
+                phi[a.tail] = phi[a.head] - 1
+    return [phi[x] for x in q.nodes]
+
+
+def test_reported_degrees_match_tree_potential_formula(report_for):
+    from qlfd.fixtures import builtin_names
+
+    checked = 0
+    for name in builtin_names():
+        q, d = builtin(name)
+        assert q.arrow_count == q.node_count - 1  # every builtin is a tree
+        phi = _potential(q)
+        for c in report_for(name).components:
+            assert c.degree == sum(f * x * w for f, x, w in zip(phi, d, c.weight)), name
+            checked += 1
+    assert checked >= 100
+
+
+def test_small_prime_verdict_is_inconclusive(report_for):
+    q, d = builtin("a4")
+    rep = certify(q, d, CertifyOptions(prime=7))
+    assert rep.verdict == "inconclusive"
+    assert rep.stats.ratio_point_bound_log2 > -40
+    assert "2^-0.2" in rep.reason and "2^-40" in rep.reason
+    assert len(rep.components) == 3  # the table is still reported
+    default = report_for("a4")
+    assert default.verdict == "linear-free-divisor"
+    assert default.stats.ratio_point_bound_log2 < -40

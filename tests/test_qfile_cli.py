@@ -223,3 +223,15 @@ def test_cli_large_prime_finishes_cleanly(prime, code):
 def test_cli_bad_prime(capsys):
     code, _, err = run_cli(capsys, "certify", "--builtin", "a3", "--prime", "91")
     assert code == 1 and "not prime" in err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_cli_discriminant_rejects_seed_outside_64_bits(capsys, seed):
+    code, out, err = run_cli(capsys, "discriminant", "--builtin", "a3", "--seed", seed)
+    assert code == 1 and out == ""
+    assert err.startswith("error: seed must lie in [0, 2**64)") and err.count("\n") == 1
+
+
+def test_cli_small_prime_certify_is_inconclusive(capsys):
+    assert main(["certify", "--builtin", "a4", "--prime", "7"]) == 2
+    assert "per-point false-accept bound 2^-0.2" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME, Rng
+from qlfd.arith import DEFAULT_PRIME, Rng, interpolate
 from qlfd.fixtures import block_handles, builtin
 from qlfd.quiver import build_quiver
 from qlfd.repmatrix import Representation, random_representation
@@ -78,14 +78,11 @@ def test_schofield_handle_requires_orthogonal_root():
 
 
 def test_schofield_evaluate_simple_root():
-    from qlfd.semiinv import evaluate
-
     q, _ = builtin("a3")
     w = random_representation(q, (1, 0, 0), P, seed=2)
     h = SchofieldHandle((1, 0, 0), w, (1, 1, 1))
     v = Representation(q, (1, 1, 1), P, [[[5]], [[7]]])
     assert h.evaluate(v) in (5, P - 5)
-    assert evaluate(h, v) == h.evaluate(v)
 
 
 def test_degree_of_e7_roots():
@@ -231,3 +228,105 @@ def test_exact_mode_witness_and_weight():
     assert deg == 1
     h = SchofieldHandle(root, w, d)
     assert verify_weight(h, weight_of_schofield(q, root), P, seed=24, exact=True)
+
+
+# ---------------------------------------------------------------------------
+# degree_of against a Lagrange oracle of t -> f(tV)
+
+# the unbalanced cycle 1->2, 2->3, 1->3 with d = (1,1,2): a non-tree support
+# whose two components have degrees 1 and 2
+CYCLE_QUIVER = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+CYCLE_DIMS = (1, 1, 2)
+CYCLE_DEGREES = {(1, 0, 1): 1, (1, 2, 2): 2}
+
+
+def _scaled(v, t):
+    p = v.modulus
+    mats = [[[x * t if p is None else x * t % p for x in row] for row in m] for m in v.mats]
+    return Representation(v.quiver, v.dims, p, mats)
+
+
+def lagrange_degree(handle, prime, v):
+    """Degree of t -> f(tV) by interpolation at degree_bound + 1 points,
+    asserted to be a monomial."""
+    points = [(t, handle.evaluate(_scaled(v, t))) for t in range(handle.degree_bound + 1)]
+    poly = interpolate(points, prime)
+    assert poly and not any(poly[:-1])
+    return len(poly) - 1
+
+
+def _assert_degree_matches_oracle(q, d, root, prime, seed):
+    w, _ = sample_generic_witness(q, root, d, prime, seed=seed)
+    h = SchofieldHandle(root, w, d)
+    v = random_representation(q, d, prime, seed=seed + 1)
+    assert h.evaluate(v) != 0
+    deg = degree_of(h, prime, seed=seed + 2)
+    assert deg == lagrange_degree(h, prime, v)
+    return deg
+
+
+def test_degree_of_matches_lagrange_e7():
+    q, d = builtin("e7-highroot")
+    for i, (root, (deg, _, _)) in enumerate(E7_TABLE.items()):
+        assert _assert_degree_matches_oracle(q, d, root, P, seed=100 + 10 * i) == deg
+
+
+def test_degree_of_matches_lagrange_cycle_quiver():
+    for i, (root, deg) in enumerate(CYCLE_DEGREES.items()):
+        got = _assert_degree_matches_oracle(CYCLE_QUIVER, CYCLE_DIMS, root, P, seed=200 + 10 * i)
+        assert got == deg
+
+
+def test_degree_of_matches_lagrange_d5_exact():
+    from qlfd.roots import orthogonal_roots, semigroup_basis
+
+    q, d = builtin("d5-prop")
+    roots = semigroup_basis(orthogonal_roots(q, d))
+    assert roots
+    for i, root in enumerate(roots):
+        _assert_degree_matches_oracle(q, d, root, None, seed=300 + 10 * i)
+
+
+def test_degree_of_evaluates_twice_at_a_nonzero_point():
+    q, d = builtin("e7-highroot")
+    root = next(iter(E7_TABLE))
+    w, _ = sample_generic_witness(q, root, d, P, seed=5)
+    h = SchofieldHandle(root, w, d)
+    values = []
+    evaluate = h.evaluate
+    h.evaluate = lambda v: values.append(evaluate(v)) or values[-1]
+    assert degree_of(h, P, seed=6) == E7_TABLE[root][0]
+    assert len(values) == 2 and values[0] != 0
+
+
+class _PolyHandle:
+    """Handle on a2 with d = (1, 1) whose value is a polynomial in the
+    single coordinate x."""
+
+    def __init__(self, coeffs, degree_bound):
+        self.quiver, self.dims = builtin("a2")
+        self.coeffs = coeffs
+        self.degree_bound = degree_bound
+        self.degree = None
+
+    def evaluate(self, v):
+        x = v.mats[0][0][0]
+        val = sum(c * x**k for k, c in enumerate(self.coeffs))
+        return val if v.modulus is None else val % v.modulus
+
+
+def test_degree_of_rejects_non_homogeneous_handle():
+    with pytest.raises(AssertionError, match="not a monomial"):
+        degree_of(_PolyHandle([0, 1, 1], 2), P, seed=1)
+    with pytest.raises(AssertionError, match="not a monomial"):
+        degree_of(_PolyHandle([0, 1, 1], 2), None, seed=1)
+
+
+def test_degree_of_skips_scalars_with_colliding_powers():
+    # over F_7, lam = 2 and lam = 4 have order 3, so lam**3 == lam**0: a
+    # degree-3 value would also match exponent 0 without the collision check
+    for seed in range(20):
+        try:
+            assert degree_of(_PolyHandle([0, 0, 0, 1], 3), 7, seed=seed) == 3
+        except DegenerateWitnessError:
+            pass
