@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 
 # 2**62 - 57, the default modulus for all randomized checks.  62 bits keeps
@@ -142,122 +142,171 @@ def mat_copy(m):
 
 
 def det_mod(mat, p: int) -> int:
-    """Determinant over F_p by Gaussian elimination with pivoting."""
+    """Determinant over F_p, by the sparse elimination of ``_solve_mod``."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    a = mat_copy(mat)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] % p), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        pk = a[k][k] % p
-        det = det * pk % p
-        inv = pow(pk, -1, p)
-        rowk = a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] % p
-            if f:
-                f = f * inv % p
-                rowi = a[i]
-                a[i] = [(x - f * y) % p for x, y in zip(rowi, rowk)]
-    return det % p
+    return _solve_mod(mat, p)[1]
 
 
 def rank_mod(mat, p: int) -> int:
-    rows = len(mat)
-    if rows == 0:
-        return 0
-    cols = len(mat[0])
-    a = mat_copy(mat)
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][c], -1, p)
-        rowr = [x * inv % p for x in a[rank]]
-        a[rank] = rowr
-        for i in range(rank + 1, rows):
-            f = a[i][c] % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], rowr)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over F_p, by the sparse elimination of ``_solve_mod``."""
+    return _solve_mod(mat, p)[0]
+
+
+def _solve_mod(a, p: int, b=None):
+    """(rank A, det A, A^{-1} B) over F_p by one sparse elimination.
+
+    A may be rectangular.  The determinant is 0 unless A is square and
+    invertible; the solution is None unless, in addition, B is given.
+
+    The rows of A are held as {column: value} dicts, the rows of B as dense
+    lists riding along.  Each pivot is the entry of least Markowitz cost
+    (r - 1)(c - 1), with r and c the nonzero counts of its row and column,
+    among the entries that are nonzero at the actual values (Markowitz
+    1957).  Choosing on values matters: the action matrix repeats
+    coordinates, so entries cancel and an order fixed from the sparsity
+    pattern alone can meet a zero pivot.  Rows that cancel to zero leave
+    the elimination, so the pivot count is the rank.  Back substitution
+    through the pivot rows then gives the solution rows.
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
+    # without B every row of B is empty, so its updates cost nothing
+    rhs = [row[:] for row in b] if b is not None else [[] for _ in range(m)]
+    cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def col_count(j):
+        return len(cols[j])
+
+    active = {i for i, row in enumerate(rows) if row}
+    pivots = []
+    det = 1
+    while active:
+        best = None
+        for i in active:
+            row = rows[i]
+            j = min(row, key=col_count)
+            cost = (len(row) - 1) * (len(cols[j]) - 1)
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+                if not cost:
+                    break
+        _, r, c = best
+        prow = rows[r]
+        active.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        pv = prow.pop(c)  # the pivot row keeps only its off-pivot entries
+        inv = pow(pv, -1, p)
+        det = det * pv % p
+        pivots.append((r, c, inv))
+        # B's rows are reduced only when they become pivot rows
+        prhs = rhs[r] = [y % p for y in rhs[r]]
+        for i in list(cols[c]):
+            row = rows[i]
+            f = row.pop(c) * inv % p
+            cols[c].discard(i)
+            for j, y in prow.items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                active.discard(i)
+            rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
+    rank = len(pivots)
+    if not rank == m == n:
+        return rank, 0, None
+    # sign of the permutation row r -> column c
+    perm = [0] * n
+    for r, c, _ in pivots:
+        perm[r] = c
+    seen = [False] * n
+    for i in range(n):
+        if not seen[i]:
+            j = i
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                det = -det
+    if b is None:
+        return rank, det % p, None
+    x = [None] * n
+    for r, c, inv in reversed(pivots):
+        acc = rhs[r]
+        for j, u in rows[r].items():
+            acc = [s - u * y for s, y in zip(acc, x[j])]
+        x[c] = [s % p * inv % p for s in acc]
+    return rank, det % p, x
 
 
 def det_exact(mat):
-    """Exact determinant for int/Fraction entries.
-
-    Rows are scaled to integers, then a fraction-free Bareiss elimination
-    runs entirely in int arithmetic; the tracked scale is divided out at
-    the end.
-    """
+    """Exact determinant for int/Fraction entries, by ``_bareiss``."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    a = []
-    scale = Fraction(1)
-    for row in mat:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            if x.denominator != 1:
-                mult = mult * x.denominator // gcd(mult, x.denominator)
-        scale *= mult
-        a.append([int(x * mult) for x in fr])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            rowk = a[k]
-            f = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pk - f * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pk
-    return Fraction(sign * a[n - 1][n - 1], 1) / scale
+    return _bareiss(mat)[1]
 
 
 def rank_exact(mat) -> int:
-    rows = len(mat)
-    if rows == 0:
-        return 0
-    cols = len(mat[0])
-    a = [[Fraction(x) for x in row] for row in mat]
+    """Exact rank for int/Fraction entries, by ``_bareiss``."""
+    return _bareiss(mat)[0]
+
+
+def _bareiss(mat):
+    """(rank, det) of an int/Fraction matrix by one fraction-free pass.
+
+    Rows are scaled to integers, then a fraction-free Bareiss (1968)
+    elimination runs entirely in int arithmetic, skipping the columns
+    without a pivot; the determinant is the last pivot with the sign of the
+    row swaps and the tracked scale divided out, and 0 unless the matrix is
+    square of full rank.
+    """
+    a = []
+    scale = 1
+    for row in mat:
+        mult = 1
+        for x in row:
+            mult = lcm(mult, x.denominator)
+        scale *= mult
+        a.append([x.numerator * (mult // x.denominator) for x in row])
+    m = len(a)
+    n = len(a[0]) if a else 0
+    sign = 1
+    prev = 1
     rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][c] != 0), None)
+    for c in range(n):
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][c]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rank + 1, rows):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        rowk = a[rank]
+        pk = rowk[c]
+        for i in range(rank + 1, m):
+            rowi = a[i]
+            f = rowi[c]
+            for j in range(c + 1, n):
+                rowi[j] = (rowi[j] * pk - f * rowk[j]) // prev
+            rowi[c] = 0
+        prev = pk
         rank += 1
-        if rank == rows:
-            break
-    return rank
+    return rank, Fraction(sign * prev, scale) if rank == m == n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,96 +527,6 @@ def charpoly_mod(mat, p: int):
     return polys[n]
 
 
-def _solve_mod(a, b, p: int):
-    """(det A, A^{-1} B) over F_p by one sparse elimination, or None when A
-    is singular.
-
-    The rows of A are held as {column: value} dicts, the rows of B as dense
-    lists riding along.  Each pivot is the entry of least Markowitz cost
-    (r - 1)(c - 1), with r and c the nonzero counts of its row and column,
-    among the entries that are nonzero at the actual values (Markowitz
-    1957).  Choosing on values matters: the action matrix repeats
-    coordinates, so entries cancel and an order fixed from the sparsity
-    pattern alone can meet a zero pivot.  Back substitution through the
-    pivot rows then gives the solution rows.
-    """
-    n = len(a)
-    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
-    rhs = [row[:] for row in b]
-    cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-
-    def col_count(j):
-        return len(cols[j])
-
-    active = set(range(n))
-    pivots = []
-    det = 1
-    for _ in range(n):
-        best = None
-        for i in active:
-            row = rows[i]
-            if not row:
-                return None
-            j = min(row, key=col_count)
-            cost = (len(row) - 1) * (len(cols[j]) - 1)
-            if best is None or cost < best[0]:
-                best = (cost, i, j)
-                if not cost:
-                    break
-        _, r, c = best
-        prow = rows[r]
-        active.discard(r)
-        for j in prow:
-            cols[j].discard(r)
-        inv = pow(prow[c], -1, p)
-        det = det * prow[c] % p
-        pivots.append((r, c, inv))
-        # B's rows are reduced only when they become pivot rows
-        prhs = rhs[r] = [y % p for y in rhs[r]]
-        for i in list(cols[c]):
-            row = rows[i]
-            f = row.pop(c) * inv % p
-            cols[c].discard(i)
-            for j, y in prow.items():
-                if j == c:
-                    continue
-                x = (row.get(j, 0) - f * y) % p
-                if x:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = x
-                elif j in row:
-                    del row[j]
-                    cols[j].discard(i)
-            rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
-    # sign of the permutation row r -> column c
-    perm = [0] * n
-    for r, c, _ in pivots:
-        perm[r] = c
-    seen = [False] * n
-    for i in range(n):
-        if not seen[i]:
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                det = -det
-    x = [None] * n
-    for r, c, inv in reversed(pivots):
-        acc = rhs[r]
-        for j, u in rows[r].items():
-            if j != c:
-                acc = [s - u * y for s, y in zip(acc, x[j])]
-        x[c] = [s % p * inv % p for s in acc]
-    return det % p, x
-
-
 def det_pencil_poly(m0, m1, p: int):
     """Coefficients of f(t) = det(M0 + t*M1) over F_p, or None.
 
@@ -583,8 +542,8 @@ def det_pencil_poly(m0, m1, p: int):
     n = len(m0)
     if n == 0:
         return [1]
-    solved = _solve_mod(m1, m0, p)
-    reverse = solved is None
+    _, det_a, x = _solve_mod(m1, p, m0)
+    reverse = x is None
     shift = 0
     if reverse:
         # M1 is singular: solve A = M0 + shift*M1 against M1, for shift 0 and
@@ -596,13 +555,12 @@ def det_pencil_poly(m0, m1, p: int):
             a = m0 if not shift else [
                 [(x + shift * y) % p for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)
             ]
-            solved = _solve_mod(a, m1, p)
-            if solved is not None:
+            _, det_a, x = _solve_mod(a, p, m1)
+            if x is not None:
                 break
             shift = shifts.below(p)
         else:
             return None
-    det_a, x = solved
     chi = charpoly_mod([[(-v) % p for v in row] for row in x], p)
     out = [c * det_a % p for c in chi]
     if not reverse:

@@ -21,7 +21,6 @@ from .arith import (
     Rng,
     derive_seed,
     det,
-    det_mod,
     det_pencil_poly,
     interpolate,
     poly_degree,
@@ -94,6 +93,9 @@ class CertifyOptions:
         # range would be reported as given but behave as another seed
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        PrimeField(self.prime)
+        if self.cross_check_prime is not None:
+            PrimeField(self.cross_check_prime)
 
 
 @dataclass
@@ -425,7 +427,7 @@ def _nonvanishing_filter(q: Quiver, d, candidates, prime: int, seed: int):
         for attempt in range(2):
             w = random_representation(q, e, prime, rng.split(i, attempt, 0).seed)
             v = random_representation(q, d, prime, rng.split(i, attempt, 1).seed)
-            if det_mod(defect_matrix(w, v), prime):
+            if det(defect_matrix(w, v), prime):
                 kept.append(e)
                 break
     return kept
@@ -445,7 +447,6 @@ def _embed(q: Quiver, sub: Quiver, vec) -> tuple[int, ...]:
 def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     """Run the full pipeline and return the certified component table."""
     opts = options or CertifyOptions()
-    PrimeField(opts.prime)
     d = tuple(int(x) for x in d)
     if len(d) != q.node_count or any(x < 0 for x in d):
         raise CertifyError("input", "invalid dimension vector")
@@ -626,7 +627,6 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     # optional multi-prime consistency pass
     if opts.cross_check_prime is not None and not opts.exact:
         p2 = opts.cross_check_prime
-        PrimeField(p2)
         handles2 = []
         for e, _, deg in picked:
             w2, deg2 = sample_generic_witness(q0, e, d0, p2, derive_seed(seed, 50, *e))

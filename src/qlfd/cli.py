@@ -283,7 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     env_seed = os.environ.get("QLFD_SEED")
-    default_seed = int(env_seed) if env_seed and env_seed.lstrip("-").isdigit() else DEFAULT_SEED
+    try:
+        default_seed = int(env_seed) if env_seed else DEFAULT_SEED
+    except ValueError:
+        raise SystemExit2(f"QLFD_SEED must be an integer, got {env_seed!r}") from None
     for name, fn in [
         ("euler", _cmd_euler),
         ("roots", _cmd_roots),
@@ -308,9 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         PrimeField(args.prime)
         q, d = _load(args)
         if args.dump:

@@ -5,10 +5,9 @@ discriminant components.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .arith import Rng, rank_mod
+from .arith import Rng
 from .quiver import (
     Classification,
     Quiver,
@@ -19,6 +18,7 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
+from .repmatrix import hom_ext_dims, random_representation
 
 
 def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
@@ -94,26 +94,16 @@ class SchurCertificate:
 
 def brick_probe(q: Quiver, d, prime: int, seed: int, trials: int = 8) -> SchurCertificate:
     """Sample random representations of dimension vector d over F_prime and
-    report the minimal observed dim End and dim Ext^1.
-
-    dim End = sum d_x^2 - rank, dim Ext^1 = sum_arrows d_t d_h - rank, for
-    the rank of the self-defect matrix at the sampled point.
+    report the minimal observed dim End and dim Ext^1 (``hom_ext_dims`` of
+    the sample with itself).
     """
     if prime <= 2**40:
         raise ValueError("brick_probe needs a prime above 2**40")
-    from .repmatrix import defect_matrix, random_representation
-
     d = tuple(int(x) for x in d)
-    cols = sum(x * x for x in d)
-    rows = sum(d[t] * d[h] for t, h in zip(q.tails, q.heads))
-    best_end = cols
-    best_ext = rows
     rng = Rng(seed)
-    for trial in range(trials):
-        v = random_representation(q, d, prime, rng.split(trial).seed)
-        r = rank_mod(defect_matrix(v, v), prime)
-        best_end = min(best_end, cols - r)
-        best_ext = min(best_ext, rows - r)
+    samples = (random_representation(q, d, prime, rng.split(t).seed) for t in range(trials))
+    ends, exts = zip(*(hom_ext_dims(v, v) for v in samples))
+    best_end, best_ext = min(ends), min(exts)
     verdict = "brick" if best_end == 1 else "not-brick"
     return SchurCertificate(best_end, best_ext, prime, seed, trials, verdict)
 
@@ -137,14 +127,12 @@ def orthogonal_roots(q: Quiver, d) -> list[tuple[int, ...]]:
     return out
 
 
-def semigroup_basis(roots, expected_size: int | None = None) -> list[tuple[int, ...]]:
+def semigroup_basis(roots) -> list[tuple[int, ...]]:
     """Minimal generating set of the additive semigroup spanned by ``roots``.
 
     An input element is dropped exactly when it is a sum of two nonzero
     semigroup elements; the semigroup is realized by closing the input list
     under addition inside the componentwise bounding box of the inputs.
-    A size mismatch against ``expected_size`` is reported as a warning, and
-    the basis is still returned.
     """
     roots = [tuple(r) for r in roots]
     if not roots:
@@ -170,9 +158,4 @@ def semigroup_basis(roots, expected_size: int | None = None) -> list[tuple[int, 
             if all(x <= m for x, m in zip(s, box)):
                 sums.add(s)
     basis = [r for r in roots if r not in sums]
-    if expected_size is not None and len(basis) != expected_size:
-        warnings.warn(
-            f"semigroup basis has {len(basis)} elements, expected {expected_size}",
-            stacklevel=2,
-        )
     return sorted(basis)

@@ -73,9 +73,6 @@ class SchofieldHandle:
     def evaluate(self, v: Representation):
         return det(defect_matrix(self.witness, v), v.modulus)
 
-    def describe(self) -> str:
-        return f"schofield(root={self.root})"
-
 
 class BlockRecipe:
     """A grid of cells assembling a square matrix from arrow-path products.
@@ -211,9 +208,6 @@ class BlockHandle:
 
     def evaluate(self, v: Representation):
         return det(self.recipe.assemble(v), v.modulus)
-
-    def describe(self) -> str:
-        return f"block({self.recipe.to_dict()['cells']})"
 
 
 # ---------------------------------------------------------------------------

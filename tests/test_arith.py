@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -111,12 +112,11 @@ def test_det_mod_basics():
         det_mod([[1, 2]], P)
 
 
-def _det_cofactor(m, p):
+def _det_cofactor(m, p=None):
+    # over F_p, or exactly over Q when p is None
     n = len(m)
     if n == 0:
         return 1
-    if n == 1:
-        return m[0][0] % p
     total = 0
     for j in range(n):
         if m[0][j] == 0:
@@ -124,7 +124,18 @@ def _det_cofactor(m, p):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         term = m[0][j] * _det_cofactor(minor, p)
         total += -term if j % 2 else term
-    return total % p
+    return total if p is None else total % p
+
+
+def _rank_by_minors(m, p=None):
+    # the order of the largest nonzero minor
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if _det_cofactor([[m[i][j] for j in cs] for i in rs], p):
+                    return k
+    return 0
 
 
 def test_det_mod_matches_cofactor_oracle():
@@ -179,6 +190,57 @@ def test_rank_mod_and_exact_agree():
         cols = rng.randint(1, 6)
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         assert rank_mod([[x % P for x in row] for row in m], P) == rank_exact(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_det_and_rank_mod_match_minor_oracle(p):
+    # shapes up to 4x5, zero rows and columns, unreduced entries in
+    # [-2p, 2p), and at these small primes many entries that cancel
+    rng = Rng(40 + p)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+        if rng.below(2):
+            cols = rows
+        m = [[rng.randint(-2 * p, 2 * p - 1) if rng.below(3) else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if rows and not rng.below(4):
+            m[rng.below(rows)] = [0] * cols
+        assert rank_mod(m, p) == _rank_by_minors(m, p)
+        if rows == cols:
+            assert det_mod(m, p) == _det_cofactor(m, p)
+
+
+def test_kernel_edge_shapes_and_entries():
+    for p in (2, 7, P):
+        assert det_mod([], p) == 1 and rank_mod([], p) == 0
+        assert rank_mod([[], [], []], p) == 0  # 3x0
+        assert rank_mod([[0, 0, 0], [0, 0, 0]], p) == 0
+        with pytest.raises(ValueError):
+            det_mod([[], []], p)
+    # entries cancel during the elimination
+    assert det_mod([[1, 1], [1, 1]], 7) == 0 and rank_mod([[1, 1], [1, 1]], 7) == 1
+    assert rank_mod([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 7) == 2
+    # unreduced entries: 8 = 1 and -6 = 1 mod 7
+    assert det_mod([[8, 1], [1, -6]], 7) == 0 and rank_mod([[8, 1], [1, -6]], 7) == 1
+    assert det_mod([[-1, 7], [15, 5]], 7) == (-1 * 5 - 7 * 15) % 7
+    assert det_exact([]) == 1 and rank_exact([]) == 0 and rank_exact([[], []]) == 0
+    with pytest.raises(ValueError):
+        det_exact([[1, 2]])
+
+
+def test_rank_and_det_exact_match_minor_oracle_over_fractions():
+    rng = Rng(71)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+        if rng.below(2):
+            cols = rows
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.below(3) else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and not rng.below(3):
+            m[0] = [Fraction(2, 3) * x for x in m[1]]
+        assert rank_exact(m) == _rank_by_minors(m)
+        if rows == cols:
+            assert det_exact(m) == _det_cofactor(m)
 
 
 def test_interpolate_monomial_and_constant():

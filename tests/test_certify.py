@@ -53,6 +53,17 @@ def test_certify_options_accept_seed_range_ends():
     assert CertifyOptions(seed=2**64 - 1).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("modulus", [8, 1, 2**89 - 1])
+def test_certify_options_reject_bad_cross_check_prime(modulus):
+    # rejected when the options are built, before any stage runs
+    with pytest.raises(ValueError, match="modulus"):
+        CertifyOptions(cross_check_prime=modulus)
+
+
+def test_certify_options_accept_cross_check_prime():
+    assert CertifyOptions(cross_check_prime=101).cross_check_prime == 101
+
+
 def test_multiplicity_vector_tilde_d4_ii():
     q, d = builtin("tilde-d4-ii")
     # components: the three degree-2 compositions and the degree-3 minor

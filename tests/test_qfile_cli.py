@@ -192,6 +192,14 @@ def test_cli_seed_env_negative_is_rejected(capsys, monkeypatch):
     assert code == 1 and "seed" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_cli_seed_env_malformed_is_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("QLFD_SEED", value)
+    code, out, err = run_cli(capsys, "certify", "--builtin", "a3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: QLFD_SEED") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "prime, code",
     [
