@@ -1,6 +1,5 @@
 """Arithmetic substrate: prime fields, seeded randomness, exact and modular
-linear algebra, univariate polynomials, and small sparse multivariate
-polynomials.
+linear algebra, and univariate polynomials.
 
 Conventions used throughout the package:
 
@@ -18,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 # 2**62 - 57, the default modulus for all randomized checks.  62 bits keeps
@@ -265,6 +264,15 @@ def rank_exact(mat) -> int:
     return _bareiss(mat)[0]
 
 
+def _clear_denominators(xs):
+    """(m, [m*x for x in xs]) with m the lcm of the denominators of the
+    int/Fraction values xs, the products as ints."""
+    mult = 1
+    for x in xs:
+        mult = lcm(mult, x.denominator)
+    return mult, [x.numerator * (mult // x.denominator) for x in xs]
+
+
 def _bareiss(mat):
     """(rank, det) of an int/Fraction matrix by one fraction-free pass.
 
@@ -277,11 +285,9 @@ def _bareiss(mat):
     a = []
     scale = 1
     for row in mat:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
+        mult, ints = _clear_denominators(row)
         scale *= mult
-        a.append([x.numerator * (mult // x.denominator) for x in row])
+        a.append(ints)
     m = len(a)
     n = len(a[0]) if a else 0
     sign = 1
@@ -404,23 +410,19 @@ def poly_monic(f, p=None):
     return poly_scale(f, inv, p)
 
 
-def poly_divmod(f, g, p=None):
-    """Quotient and remainder; field division (mod p or exact Fractions)."""
+def poly_divmod(f, g, p: int):
+    """Quotient and remainder over F_p."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(f)
     q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], -1, p) if p is not None else 1 / Fraction(g[-1])
+    inv = pow(g[-1], -1, p)
     while len(r) >= len(g):
-        c = r[-1] * inv
-        if p is not None:
-            c %= p
+        c = r[-1] * inv % p
         k = len(r) - len(g)
         q[k] = c
         for i, b in enumerate(g):
-            r[k + i] = r[k + i] - c * b
-            if p is not None:
-                r[k + i] %= p
+            r[k + i] = (r[k + i] - c * b) % p
         poly_trim(r)
         if not r:
             break
@@ -428,16 +430,57 @@ def poly_divmod(f, g, p=None):
 
 
 def poly_gcd(f, g, p=None):
-    """Monic gcd via Euclid's algorithm; errors when both inputs are zero."""
+    """Monic gcd; errors when both inputs are zero.
+
+    Over F_p by Euclid's algorithm.  Over Q by a primitive pseudo-remainder
+    sequence on integer coefficients (Collins 1967; Brown 1971): the inputs
+    are scaled to integers, and each pseudo-remainder is divided by its
+    content, which keeps the coefficients small without any rational
+    arithmetic.  The last nonzero remainder, made monic, is the gcd.
+    """
     f, g = list(f), list(g)
     poly_trim(f)
     poly_trim(g)
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
+    if p is None:
+        f, g = _primitive_part(f), _primitive_part(g)
+        while g:
+            f, g = g, _primitive_part(_pseudo_remainder(f, g))
+        return poly_monic(f)
     while g:
         _, r = poly_divmod(f, g, p)
         f, g = g, r
     return poly_monic(f, p)
+
+
+def _primitive_part(f):
+    """f scaled to coprime integer coefficients (the zero polynomial stays [])."""
+    ints = _clear_denominators(f)[1]
+    content = gcd(*ints)
+    return [x // content for x in ints] if content > 1 else ints
+
+
+def _pseudo_remainder(f, g):
+    """The remainder of f by g times a nonzero integer, for integer
+    coefficient lists f and g != 0.
+
+    Each step cancels the leading term c*t^(k+n) of r, with n = deg g, by
+    r <- (b/h)*r - (c/h)*t^k*g, where b = lc(g) and h = gcd(b, c), so the
+    multiplier stays as small as the leading coefficients allow.
+    """
+    n = len(g) - 1
+    low = g[:-1]
+    lead = g[-1]
+    r = list(f)
+    while len(r) > n:
+        c = r.pop()
+        k = len(r) - n
+        h = gcd(lead, c)
+        b, c = lead // h, c // h
+        r = [b * x for x in r[:k]] + [b * x - c * y for x, y in zip(r[k:], low)]
+        poly_trim(r)
+    return r
 
 
 def interpolate(points, p=None):
@@ -572,82 +615,3 @@ def det_pencil_poly(m0, m1, p: int):
         for gk in reversed(g):
             out = poly_add(poly_mul(out, [(-shift) % p, 1], p), [gk], p)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sparse multivariate polynomials over the integers (symbolic small cases)
-
-
-def mp_zero():
-    return {}
-
-
-def mp_const(c: int, nvars: int):
-    return {} if c == 0 else {(0,) * nvars: c}
-
-
-def mp_var(i: int, nvars: int):
-    exp = [0] * nvars
-    exp[i] = 1
-    return {tuple(exp): 1}
-
-
-def mp_add(f, g):
-    out = dict(f)
-    for mono, c in g.items():
-        s = out.get(mono, 0) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def mp_neg(f):
-    return {m: -c for m, c in f.items()}
-
-
-def mp_mul(f, g):
-    out = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def mp_equal_up_to_sign(f, g) -> bool:
-    return f == g or f == mp_neg(g)
-
-
-def mp_det(mat, nvars: int):
-    """Determinant of a matrix of multivariate polynomials.
-
-    Laplace expansion along the first remaining column, memoized on the row
-    subset; intended for the small exact fixtures only.
-    """
-    n = len(mat)
-    memo = {}
-
-    def minor(rows):
-        if not rows:
-            return mp_const(1, nvars)
-        if rows in memo:
-            return memo[rows]
-        col = n - len(rows)
-        acc = mp_zero()
-        for pos, r in enumerate(rows):
-            cell = mat[r][col]
-            if not cell:
-                continue
-            sub = minor(rows[:pos] + rows[pos + 1:])
-            term = mp_mul(cell, sub)
-            acc = mp_add(acc, term if pos % 2 == 0 else mp_neg(term))
-        memo[rows] = acc
-        return acc
-
-    return minor(tuple(range(n)))

@@ -10,7 +10,7 @@ rationals (``modulus`` None, entries int/Fraction).
 
 from __future__ import annotations
 
-from .arith import Rng, det, mp_var, mp_zero, power, rank, reduce
+from .arith import Rng, det, power, rank, reduce
 from .quiver import Quiver, is_acyclic, support, tits_form
 
 
@@ -265,17 +265,6 @@ class LinearFormMatrix:
         """(M0, M1) with M(t) = M0 + t*M1 the matrix along the line
         vec0 + t*vec1."""
         return self.evaluate(vec0, modulus), self.evaluate(vec1, modulus)
-
-    def mpoly_matrix(self):
-        n = self.coords.total
-        m = [[mp_zero() for _ in range(self.size)] for _ in range(self.size)]
-        for (r, c), terms in self.cells.items():
-            acc = mp_zero()
-            for k, sign in terms:
-                for mono, coef in mp_var(k, n).items():
-                    acc[mono] = acc.get(mono, 0) + sign * coef
-            m[r][c] = {k: v for k, v in acc.items() if v}
-        return m
 
 
 def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatrix:

@@ -257,7 +257,7 @@ def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
 
 
 def sample_generic_witness(
-    q: Quiver, e, d, prime: int | None, seed: int, retries: int = 8
+    q: Quiver, e, d, prime: int | None, seed: int, retries: int = 32
 ) -> tuple[Representation, int]:
     """Random witness over the orthogonal root e, re-sampled until the handle
     is nonzero and two independent witnesses agree on the degree."""

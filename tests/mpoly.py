@@ -1,0 +1,96 @@
+"""Sparse multivariate polynomials over the integers, for the symbolic
+checks of small discriminants.
+
+A polynomial is a dict from exponent tuples to nonzero int coefficients.
+``mpoly_matrix`` turns the linear-form entries of an action matrix into such
+polynomials, so that ``mp_det`` expands its determinant symbolically.
+"""
+
+
+def mp_zero():
+    return {}
+
+
+def mp_const(c: int, nvars: int):
+    return {} if c == 0 else {(0,) * nvars: c}
+
+
+def mp_var(i: int, nvars: int):
+    exp = [0] * nvars
+    exp[i] = 1
+    return {tuple(exp): 1}
+
+
+def mp_add(f, g):
+    out = dict(f)
+    for mono, c in g.items():
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def mp_neg(f):
+    return {m: -c for m, c in f.items()}
+
+
+def mp_mul(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def mp_equal_up_to_sign(f, g) -> bool:
+    return f == g or f == mp_neg(g)
+
+
+def mp_det(mat, nvars: int):
+    """Determinant of a matrix of multivariate polynomials.
+
+    Laplace expansion along the first remaining column, memoized on the row
+    subset; intended for the small exact fixtures only.
+    """
+    n = len(mat)
+    memo = {}
+
+    def minor(rows):
+        if not rows:
+            return mp_const(1, nvars)
+        if rows in memo:
+            return memo[rows]
+        col = n - len(rows)
+        acc = mp_zero()
+        for pos, r in enumerate(rows):
+            cell = mat[r][col]
+            if not cell:
+                continue
+            sub = minor(rows[:pos] + rows[pos + 1:])
+            term = mp_mul(cell, sub)
+            acc = mp_add(acc, term if pos % 2 == 0 else mp_neg(term))
+        memo[rows] = acc
+        return acc
+
+    return minor(tuple(range(n)))
+
+
+def mpoly_matrix(lfm):
+    """The entries of a ``LinearFormMatrix`` as linear polynomials in its
+    ``coords.total`` coordinates."""
+    n = lfm.coords.total
+    m = [[mp_zero() for _ in range(lfm.size)] for _ in range(lfm.size)]
+    for (r, c), terms in lfm.cells.items():
+        acc = mp_zero()
+        for k, sign in terms:
+            for mono, coef in mp_var(k, n).items():
+                acc[mono] = acc.get(mono, 0) + sign * coef
+        m[r][c] = {k: v for k, v in acc.items() if v}
+    return m

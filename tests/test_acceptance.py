@@ -6,7 +6,7 @@ per-point Schwartz-Zippel bounds, asserted below 2**-40 in criterion 11.
 
 import time
 
-from qlfd.arith import DEFAULT_PRIME, Rng, det_mod, mp_add, mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_neg, mp_var
+from qlfd.arith import DEFAULT_PRIME, Rng, det_mod
 from qlfd.certify import certify
 from qlfd.fixtures import block_handles, builtin, builtin_names
 from qlfd.quiver import build_quiver, euler_inverse, euler_matrix, euler_form, opposite_quiver, tits_form
@@ -15,6 +15,7 @@ from qlfd.roots import brick_probe, positive_roots
 from qlfd.semiinv import SchofieldHandle, sample_generic_witness
 
 from conftest import certified
+from mpoly import mp_add, mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_neg, mp_var, mpoly_matrix
 
 P = DEFAULT_PRIME
 
@@ -83,7 +84,7 @@ def test_criterion_02_normal_crossing_symbolic():
         q, d = builtin(f"a{n}")
         lfm = action_matrix(q, d)
         nvars = lfm.coords.total
-        det = mp_det(lfm.mpoly_matrix(), nvars)
+        det = mp_det(mpoly_matrix(lfm), nvars)
         prod = mp_const(1, nvars)
         for k in range(nvars):
             prod = mp_mul(prod, mp_var(k, nvars))
@@ -97,7 +98,7 @@ def test_criterion_03_star_quivers():
     q, d = builtin("star2")
     lfm = action_matrix(q, d)
     nvars = lfm.coords.total
-    det = mp_det(lfm.mpoly_matrix(), nvars)
+    det = mp_det(mpoly_matrix(lfm), nvars)
 
     def entry(a, r):
         return mp_var(lfm.coords.index(a, r, 0), nvars)

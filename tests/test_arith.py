@@ -14,11 +14,6 @@ from qlfd.arith import (
     det_pencil_poly,
     interpolate,
     is_prime,
-    mp_const,
-    mp_det,
-    mp_equal_up_to_sign,
-    mp_mul,
-    mp_var,
     poly_degree,
     poly_deriv,
     poly_eval,
@@ -29,6 +24,8 @@ from qlfd.arith import (
 )
 from qlfd.fixtures import builtin
 from qlfd.repmatrix import action_matrix
+
+from mpoly import mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_var
 
 P = DEFAULT_PRIME
 
@@ -283,6 +280,73 @@ def test_poly_gcd_examples():
 def test_poly_gcd_exact_mode():
     f = [Fraction(0), Fraction(0), Fraction(1)]
     assert poly_gcd(f, poly_deriv(f), None) == [0, 1]
+
+
+def _gcd_fraction_euclid(f, g):
+    """Reference monic gcd over Q: Euclid's algorithm in Fraction arithmetic."""
+    f = [Fraction(x) for x in f]
+    g = [Fraction(x) for x in g]
+    while f and f[-1] == 0:
+        f.pop()
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        r = f[:]
+        while len(r) >= len(g):
+            c = r[-1] / g[-1]
+            k = len(r) - len(g)
+            for i, b in enumerate(g):
+                r[k + i] -= c * b
+            while r and r[-1] == 0:
+                r.pop()
+        f, g = g, r
+    return [x / f[-1] for x in f]
+
+
+def _random_rational_poly(rng, deg, ints=False):
+    """A polynomial of exact degree deg; with ints=True about half of the
+    coefficients are plain ints."""
+    def coeff():
+        num = rng.randint(-30, 30)
+        if ints and rng.below(2):
+            return num
+        return Fraction(num, rng.randint(1, 12))
+
+    out = [coeff() for _ in range(deg)]
+    lead = 0
+    while lead == 0:
+        lead = coeff()
+    return out + [lead]
+
+
+def test_poly_gcd_exact_matches_fraction_euclid():
+    rng = Rng(2024)
+    cases = 0
+    for trial in range(300):
+        mixed = trial % 3 == 0
+        common = _random_rational_poly(rng, rng.randint(0, 3), mixed)
+        u = _random_rational_poly(rng, rng.randint(0, 4), mixed)
+        v = _random_rational_poly(rng, rng.randint(0, 4), mixed)
+        f = poly_mul(common, u)
+        pairs = [
+            (f, poly_mul(common, v)),  # common factor
+            (u, v),  # a random pair, almost always coprime
+            (poly_mul(f, f), poly_deriv(poly_mul(f, f))),  # square
+            (f, []),  # one zero input
+            ([], v),
+            (f, [rng.randint(1, 9)]),  # a constant
+            (poly_mul(u, v), [Fraction(rng.randint(1, 9), rng.randint(1, 9))]),
+        ]
+        for a, b in pairs:
+            if not a and not b:
+                continue
+            got = poly_gcd(a, b, None)
+            assert got == _gcd_fraction_euclid(a, b), (a, b)
+            assert got[-1] == 1
+            cases += 1
+    assert cases >= 2000
+    with pytest.raises(ValueError):
+        poly_gcd([Fraction(0)], [0, 0], None)
 
 
 def test_charpoly_matches_determinant_evaluation():

@@ -108,6 +108,12 @@ def test_squarefree_probe_fixtures():
     q6, d6 = builtin("e6-q1")
     ok3, _ = squarefree_probe(q6, d6, P, trials=5, seed=7)
     assert ok3
+    # over Q, by the integer remainder sequence of poly_gcd
+    ok4, votes4 = squarefree_probe(qii, dii, P, trials=3, seed=6, exact=True)
+    assert not ok4 and not any(votes4)
+    q7, d7 = builtin("d7-prop")
+    ok5, votes5 = squarefree_probe(q7, d7, P, trials=3, seed=7, exact=True)
+    assert ok5 and all(votes5)
 
 
 def test_certify_dynkin_real_roots_are_lfd(report_for):
@@ -116,6 +122,16 @@ def test_certify_dynkin_real_roots_are_lfd(report_for):
         assert rep.verdict == "linear-free-divisor", name
         assert rep.stats.mode == "dynkin"
         assert sum(c.degree * c.multiplicity for c in rep.components) == rep.dim_rep
+
+
+@pytest.mark.parametrize("name, seed", [("e6-q1", 1056), ("d7-prop", 1167)])
+def test_exact_witnesses_survive_runs_of_degenerate_draws(name, seed):
+    # exact entries come from [-9, 9], so a thin witness has a zero arrow with
+    # probability 1/19; at these seeds the first eight attempts for some
+    # orthogonal root all degenerate
+    q, d = builtin(name)
+    rep = certify(q, d, CertifyOptions(seed=seed, exact=True))
+    assert rep.verdict == "linear-free-divisor"
 
 
 def test_certify_a5_components(report_for):

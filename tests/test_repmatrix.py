@@ -1,6 +1,6 @@
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME, Rng, det_mod, mp_det, mp_mul, mp_var
+from qlfd.arith import DEFAULT_PRIME, Rng, det_mod
 from qlfd.fixtures import builtin
 from qlfd.quiver import euler_form
 from qlfd.repmatrix import (
@@ -14,6 +14,8 @@ from qlfd.repmatrix import (
     hom_ext_dims,
     random_representation,
 )
+
+from mpoly import mp_det, mp_mul, mp_var, mpoly_matrix
 
 P = DEFAULT_PRIME
 
@@ -142,12 +144,12 @@ def test_canonical_eval_vanishes_on_non_rigid():
 
 
 def test_star2_action_det_is_product_of_minors():
-    from qlfd.arith import mp_add, mp_neg
+    from mpoly import mp_add, mp_neg
 
     q, d = builtin("star2")
     lfm = action_matrix(q, d)
     n = lfm.coords.total
-    det = mp_det(lfm.mpoly_matrix(), n)
+    det = mp_det(mpoly_matrix(lfm), n)
 
     def entry(arrow_idx, r):
         return mp_var(lfm.coords.index(arrow_idx, r, 0), n)
