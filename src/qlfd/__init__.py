@@ -43,6 +43,7 @@ from .roots import (
     highest_root,
     is_imaginary_root,
     is_real_root,
+    lattice_roots,
     orthogonal_roots,
     positive_roots,
     semigroup_basis,

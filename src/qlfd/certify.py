@@ -7,6 +7,11 @@ verification, squarefree probe.  On a Dynkin support the component list is
 guaranteed; on other acyclic supports the pipeline runs in advisory mode and
 requires its two independent reducedness signals (integral multiplicities;
 random-line squarefreeness) to agree, reporting inconclusive otherwise.
+
+The orthogonal roots come from ``lattice_roots``, which lists every real root
+in the lattice orthogonal to d whenever the Tits form is positive definite
+there (always on a Dynkin support).  Only a lattice where it is indefinite
+falls back to the heuristic box scan of ``_advisory_candidate_roots``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .arith import (
 from .quiver import (
     Quiver,
     classify_underlying_graph,
+    embed_vector,
     euler_matrix,
     is_acyclic,
     support_subquiver,
@@ -42,7 +48,7 @@ from .repmatrix import (
     defect_matrix,
     random_representation,
 )
-from .roots import brick_probe, orthogonal_roots, semigroup_basis
+from .roots import brick_probe, lattice_roots, semigroup_basis
 from .semiinv import (
     DegenerateWitnessError,
     SchofieldHandle,
@@ -63,6 +69,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # A modular verdict is definitive only when a false factorization identity
 # survives a ratio-check point with probability below 2**-40.
 MAX_POINT_BOUND_LOG2 = -40
+
+# Largest box the candidate scan may visit on a lattice where the Tits form
+# is not positive definite (a few seconds of scanning).
+MAX_BOX_SCAN_POINTS = 10**7
 
 
 class CertifyError(RuntimeError):
@@ -376,12 +386,15 @@ def squarefree_probe(
 
 
 def _advisory_candidate_roots(q: Quiver, d) -> list[tuple[int, ...]]:
-    """Orthogonal real-root candidates on a sincere non-Dynkin acyclic
-    support, from the box 0 <= e_x <= d_x + max(d).
+    """Orthogonal real-root candidates on a sincere acyclic support whose
+    Tits form is not positive definite on {e : <e, d> = 0}, from the box
+    0 <= e_x <= d_x + max(d).  A definite lattice never gets here: there
+    ``lattice_roots`` lists every candidate.
 
     The box is heuristic; completeness is validated downstream by the
     component-count check.  Soundness does not depend on it: candidates only
-    enter the report after a nonzero witness value is observed.
+    enter the report after a nonzero witness value is observed.  A box of
+    more than ``MAX_BOX_SCAN_POINTS`` points is refused before scanning.
     """
     n = q.node_count
     dmax = max(d)
@@ -392,6 +405,14 @@ def _advisory_candidate_roots(q: Quiver, d) -> list[tuple[int, ...]]:
     if coeff[pivot] == 0:
         raise CertifyError("orthogonal-roots", "degenerate Euler pairing with d")
     others = [x for x in range(n) if x != pivot]
+    points = math.prod(bounds[x] + 1 for x in others)
+    if points > MAX_BOX_SCAN_POINTS:
+        raise CertifyError(
+            "orthogonal-roots",
+            f"candidate box scan would visit {points} points (limit "
+            f"{MAX_BOX_SCAN_POINTS}); it is needed because the Tits form is "
+            "not positive definite on the lattice orthogonal to d",
+        )
     out = []
     vec = [0] * n
 
@@ -435,13 +456,6 @@ def _nonvanishing_filter(q: Quiver, d, candidates, prime: int, seed: int):
 
 # ---------------------------------------------------------------------------
 # The pipeline
-
-
-def _embed(q: Quiver, sub: Quiver, vec) -> tuple[int, ...]:
-    out = [0] * q.node_count
-    for i, node in enumerate(sub.nodes):
-        out[q.index[node]] = vec[i]
-    return tuple(out)
 
 
 def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
@@ -516,13 +530,15 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         q0, d0, prime, derive_seed(seed, 1), exact=opts.exact
     )
     disc_w0 = discriminant_weight(q0, d0)
-    disc_w = _embed(q, q0, disc_w0)
+    disc_w = embed_vector(q, q0, disc_w0)
 
-    # stage: orthogonal roots
-    if mode == "dynkin":
-        candidates = orthogonal_roots(q0, d0)
-    else:
-        scanned = _advisory_candidate_roots(q0, d0)
+    # stage: orthogonal roots (complete unless q is indefinite on d-perp,
+    # which never happens on a Dynkin support)
+    candidates = lattice_roots(q0, d0)
+    if mode == "advisory":
+        scanned = candidates
+        if scanned is None:
+            scanned = _advisory_candidate_roots(q0, d0)
         candidates = _nonvanishing_filter(q0, d0, scanned, prime, derive_seed(seed, 2))
         notes.append(
             f"advisory candidate roots scanned: {len(scanned)}, "
@@ -659,8 +675,8 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         components.append(
             Component(
                 handle_id=f"P{rank + 1}",
-                root=_embed(q, q0, e),
-                weight=_embed(q, q0, weights0[i]),
+                root=embed_vector(q, q0, e),
+                weight=embed_vector(q, q0, weights0[i]),
                 degree=deg,
                 multiplicity=mults[i],
                 handle_kind="schofield",

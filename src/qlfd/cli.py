@@ -33,7 +33,7 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
-from .roots import highest_root, orthogonal_roots, positive_roots, semigroup_basis
+from .roots import highest_root, lattice_roots, positive_roots, semigroup_basis
 from .semiinv import discriminant_weight
 
 _LAYOUT_NOTE = (
@@ -123,22 +123,32 @@ def _cmd_euler(q, d, args) -> int:
 
 def _cmd_roots(q, d, args) -> int:
     sub, dsub = support_subquiver(q, d)
-    roots = positive_roots(sub)
-    ortho = orthogonal_roots(q, d)
+    ortho = lattice_roots(q, d)
+    if ortho is None:
+        raise SystemExit2(
+            "the Tits form is not positive definite on the lattice "
+            "orthogonal to d, so its real roots are not a finite list"
+        )
     basis = semigroup_basis(ortho) if ortho else []
     payload = {
         "command": "roots",
         "quiver": q.name,
         "support_nodes": list(sub.nodes),
-        "positive_root_count": len(roots),
-        "positive_roots": [list(r) for r in roots],
-        "highest_root": list(highest_root(sub)),
         "orthogonal_roots": [list(r) for r in ortho],
         "semigroup_basis": [list(r) for r in basis],
     }
+    cls = classify_underlying_graph(sub)
+    if not isinstance(cls, list) and cls.kind == "dynkin":
+        roots = positive_roots(sub)
+        top = highest_root(sub)
+        payload["positive_root_count"] = len(roots)
+        payload["positive_roots"] = [list(r) for r in roots]
+        payload["highest_root"] = list(top)
+        head = f"{len(roots)} positive roots, highest root {_vec(top)}"
+    else:
+        head = "not a connected Dynkin diagram"
     lines = [
-        f"support {', '.join(sub.nodes)}: {len(roots)} positive roots, "
-        f"highest root {_vec(highest_root(sub))}",
+        f"support {', '.join(sub.nodes)}: {head}",
         f"orthogonal to d = {_vec(dsub)}: {len(ortho)} roots",
     ]
     lines += ["  " + _vec(r) for r in ortho]

@@ -231,6 +231,15 @@ def support_subquiver(q: Quiver, d) -> tuple[Quiver, tuple[int, ...]]:
     return sub, tuple(d[i] for i in keep)
 
 
+def embed_vector(q: Quiver, sub: Quiver, vec) -> tuple[int, ...]:
+    """A vector on the subquiver ``sub`` as a full-length vector on q, zero
+    off the nodes of ``sub``."""
+    out = [0] * q.node_count
+    for node, v in zip(sub.nodes, vec):
+        out[q.index[node]] = v
+    return tuple(out)
+
+
 def opposite_quiver(q: Quiver) -> Quiver:
     arrows = [(a.name, a.head, a.tail) for a in q.arrows]
     return build_quiver(q.nodes, arrows, allow_cycles=True, name=q.name + "-opp")

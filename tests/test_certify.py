@@ -1,7 +1,11 @@
+import importlib
+import time
+
 import pytest
 
 from qlfd.arith import DEFAULT_PRIME
 from qlfd.certify import (
+    MAX_BOX_SCAN_POINTS,
     CertifyError,
     CertifyOptions,
     certify,
@@ -11,7 +15,8 @@ from qlfd.certify import (
     verify_factorization,
 )
 from qlfd.fixtures import builtin
-from qlfd.quiver import build_quiver, opposite_quiver
+from qlfd.quiver import build_quiver, opposite_quiver, tits_form
+from qlfd.roots import lattice_roots
 from qlfd.semiinv import SchofieldHandle, sample_generic_witness, weight_of_schofield
 
 P = DEFAULT_PRIME
@@ -395,3 +400,56 @@ def test_small_prime_verdict_is_inconclusive(report_for):
     default = report_for("a4")
     assert default.verdict == "linear-free-divisor"
     assert default.stats.ratio_point_bound_log2 < -40
+
+
+def _ten_node_indefinite():
+    # s0, s1 -> 6 and t0..t5 -> 7 -> 6 with d = 1 everywhere except d_7 = 6:
+    # q(d) = 1 and a brick, but q is indefinite on d-perp and the candidate
+    # box has about 2.2e8 points
+    nodes = ["s0", "s1"] + [f"t{i}" for i in range(6)] + ["6", "7"]
+    arrows = [(f"a{i}", f"s{i}", "6") for i in range(2)]
+    arrows += [(f"b{i}", f"t{i}", "7") for i in range(6)] + [("c", "7", "6")]
+    return build_quiver(nodes, arrows, name="ten-node"), (1,) * 9 + (6,)
+
+
+def test_box_scan_guard_fails_fast_on_ten_node_indefinite_input(tmp_path):
+    from qlfd.cli import main
+    from qlfd.qfile import serialize
+
+    q, d = _ten_node_indefinite()
+    assert tits_form(q, d) == 1 and lattice_roots(q, d) is None
+    start = time.perf_counter()
+    with pytest.raises(CertifyError, match=r"would visit 218103808 points") as exc:
+        certify(q, d)
+    assert time.perf_counter() - start < 5
+    assert exc.value.stage == "orthogonal-roots"
+    assert "not positive definite" in str(exc.value)
+    assert str(MAX_BOX_SCAN_POINTS) in str(exc.value)
+    path = tmp_path / "ten.quiver"
+    path.write_text(serialize(q, d))
+    assert main(["certify", "--file", str(path)]) == 1
+
+
+def test_certify_star8_uses_lattice_roots():
+    q, d = builtin("star8")
+    assert q.node_count == 10
+    rep = certify(q, d)
+    assert rep.verdict == "linear-free-divisor"
+    assert len(rep.components) == 9
+
+
+def test_box_scan_only_on_indefinite_lattices(monkeypatch):
+    # the package exports the function ``certify`` under the module's name
+    certify_module = importlib.import_module("qlfd.certify")
+    scanned = []
+    real_scan = certify_module._advisory_candidate_roots
+
+    def spy(q, d):
+        scanned.append(q.name)
+        return real_scan(q, d)
+
+    monkeypatch.setattr(certify_module, "_advisory_candidate_roots", spy)
+    for name in ["a4", "star4", "q2", "tilde-d4-ii", "q3"]:
+        q, d = builtin(name)
+        certify(q, d)
+    assert scanned == ["q3"]

@@ -140,6 +140,28 @@ def test_cli_roots_and_discriminant(capsys):
     assert json.loads(out2)["degree"] == 22
 
 
+def test_cli_roots_on_definite_non_dynkin_support(capsys):
+    code, out, err = run_cli(capsys, "roots", "--builtin", "star5", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert "positive_roots" not in doc and "highest_root" not in doc
+    leaves = [tuple(1 - (i == j) for j in range(6)) for i in range(6)]
+    expected = sorted(list(v) + [4] for v in leaves)
+    assert doc["orthogonal_roots"] == expected
+    assert doc["semigroup_basis"] == expected
+    code, out, _ = run_cli(capsys, "roots", "--builtin", "star5")
+    assert code == 0
+    assert out.splitlines()[0] == "support 1, 2, 3, 4, 5, 6, 7: not a connected Dynkin diagram"
+
+
+@pytest.mark.parametrize("name", ["q3", "tilde-d4-iv"])
+def test_cli_roots_rejects_non_definite_lattice(capsys, name):
+    code, out, err = run_cli(capsys, "roots", "--builtin", name)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the Tits form is not positive definite")
+    assert "Traceback" not in err
+
+
 def test_cli_trials_flag_threads_through(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--builtin", "a3", "--trials", "7", "--format", "json"

@@ -1,14 +1,25 @@
+from itertools import combinations_with_replacement, permutations
+
 import numpy as np
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME
-from qlfd.fixtures import builtin
-from qlfd.quiver import build_quiver, euler_form, tits_form
+from qlfd.arith import DEFAULT_PRIME, Rng
+from qlfd.certify import _advisory_candidate_roots
+from qlfd.fixtures import builtin, builtin_names
+from qlfd.quiver import (
+    build_quiver,
+    classify_underlying_graph,
+    euler_form,
+    euler_matrix,
+    support_subquiver,
+    tits_form,
+)
 from qlfd.roots import (
     brick_probe,
     highest_root,
     is_imaginary_root,
     is_real_root,
+    lattice_roots,
     orthogonal_roots,
     positive_roots,
     semigroup_basis,
@@ -188,3 +199,197 @@ def test_semigroup_basis_e8_size():
     q, d = builtin("e8-central-sink")
     basis = semigroup_basis(orthogonal_roots(q, d))
     assert len(basis) == 7
+
+
+DYNKIN_BUILTINS = [
+    n for n in builtin_names() if classify_underlying_graph(builtin(n)[0]).kind == "dynkin"
+]
+
+
+def box_candidates(q, d):
+    """Independent oracle for the advisory box scan: every nonzero e with
+    0 <= e_x <= d_x + max(d), <e, d> = 0 and q(e) = 1.  The pairing fixes the
+    coordinate with the largest coefficient; the others are a numpy grid,
+    one slice per value of the first of them."""
+    n = q.node_count
+    e_mat = euler_matrix(q)
+    coeff = [sum(e_mat[x][y] * d[y] for y in range(n)) for x in range(n)]
+    pivot = max(range(n), key=lambda x: abs(coeff[x]))
+    others = [x for x in range(n) if x != pivot]
+    bounds = [dx + max(d) for dx in d]
+    found = set()
+    for first in range(bounds[others[0]] + 1):
+        axes = [np.array([first])] + [np.arange(bounds[x] + 1) for x in others[1:]]
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.zeros((grids[0].size, n), dtype=np.int64)
+        for x, g in zip(others, grids):
+            pts[:, x] = g.ravel()
+        partial = pts @ np.array(coeff, dtype=np.int64)
+        pts[:, pivot] = -partial // coeff[pivot]
+        ok = (partial % coeff[pivot] == 0) & (pts[:, pivot] >= 0)
+        ok &= pts[:, pivot] <= bounds[pivot]
+        pts = pts[ok]
+        q_vals = (pts * pts).sum(axis=1)
+        for t, h in zip(q.tails, q.heads):
+            q_vals -= pts[:, t] * pts[:, h]
+        hit = pts[(q_vals == 1) & (pts.sum(axis=1) > 0)]
+        found |= {tuple(int(v) for v in row) for row in hit}
+    return found
+
+
+@pytest.mark.parametrize("name", DYNKIN_BUILTINS)
+def test_lattice_roots_equal_orthogonal_roots_on_dynkin(name):
+    q, d = builtin(name)
+    assert lattice_roots(q, d) == orthogonal_roots(q, d)
+
+
+def test_dynkin_builtin_count():
+    assert len(DYNKIN_BUILTINS) == 17
+
+
+def test_lattice_roots_a4_lists_all_six():
+    # the LDL^T step must stay exact: int / int there once lost three roots
+    q, d = builtin("a4")
+    assert lattice_roots(q, d) == [
+        (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0),
+    ]
+
+
+def test_lattice_roots_random_dynkin_orientations_and_vectors():
+    # on a Dynkin support the nonnegative vectors with q = 1 are exactly the
+    # positive roots, so both listings agree for every d, sincere or not
+    rng = Rng(97)
+    for base in ["a6", "d6-prop", "e7-highroot"]:
+        q, _ = builtin(base)
+        for _ in range(16):
+            mask = rng.below(1 << q.arrow_count)
+            arrows = [
+                (a.name, a.head, a.tail) if (mask >> i) & 1 else (a.name, a.tail, a.head)
+                for i, a in enumerate(q.arrows)
+            ]
+            flipped = build_quiver(q.nodes, arrows)
+            d = tuple(rng.below(4) for _ in range(q.node_count))
+            if not any(d) or isinstance(classify_underlying_graph(support_subquiver(q, d)[0]), list):
+                continue
+            assert lattice_roots(flipped, d) == orthogonal_roots(flipped, d), (base, mask, d)
+
+
+def star_box_candidates(n):
+    """The box oracle for star{n} (n + 1 sources into a sink), which is
+    symmetric in the sources: scan one sorted tuple of source values per
+    orbit, then add every permutation of each hit."""
+    q, d = builtin(f"star{n}")
+    bounds = [x + max(d) for x in d]
+    found = set()
+    for sources in combinations_with_replacement(range(bounds[0] + 1), n + 1):
+        for sink in range(bounds[-1] + 1):
+            e = sources + (sink,)
+            if any(e) and euler_form(q, e, d) == 0 and tits_form(q, e) == 1:
+                found |= {p + (sink,) for p in permutations(sources)}
+    return found
+
+
+def box_oracle(name):
+    q, d = builtin(name)
+    if name.startswith("star"):
+        return star_box_candidates(int(name[4:]))
+    return box_candidates(q, d)
+
+
+def test_box_oracles_match_scan():
+    for name in ["q1", "q2", "q3", "star4", "star5", "tilde-d4-ii", "tilde-d4-iv"]:
+        q, d = builtin(name)
+        assert box_candidates(q, d) == set(_advisory_candidate_roots(q, d)), name
+    for n in (3, 4, 5):
+        q, d = builtin(f"star{n}")
+        assert star_box_candidates(n) == set(_advisory_candidate_roots(q, d)), n
+
+
+LATTICE_EXTRAS = {
+    "q2": {(2, 2, 2, 3, 3, 7, 9), (2, 2, 2, 3, 3, 8, 9)},
+    "tilde-d4-ii": {(4, 3, 3, 3, 7)},
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["q1", "q2", "star3", "star4", "star5", "star6", "star7",
+     "tilde-d4-i", "tilde-d4-ii", "tilde-d4-iii"],
+)
+def test_lattice_roots_contain_box_scan(name):
+    q, d = builtin(name)
+    found = lattice_roots(q, d)
+    assert found == sorted(set(found))
+    for e in found:
+        assert min(e) >= 0 and any(e)
+        assert euler_form(q, e, d) == 0 and tits_form(q, e) == 1
+    box = box_oracle(name)
+    assert box <= set(found)
+    assert set(found) - box == LATTICE_EXTRAS.get(name, set())
+
+
+@pytest.mark.parametrize("name", ["q3", "tilde-d4-iv"])
+def test_lattice_roots_none_when_not_definite(name):
+    # q3: one negative eigenvalue on d-perp; tilde-d4-iv: semidefinite
+    q, d = builtin(name)
+    assert lattice_roots(q, d) is None
+
+
+def test_lattice_roots_single_node_and_non_sincere():
+    q = build_quiver(["1"], [])
+    assert lattice_roots(q, (3,)) == []
+    q, _ = builtin("a3")
+    # d = (1, 1, 0) lives on the a2 support {1, 2}; roots stay full-length
+    assert lattice_roots(q, (1, 1, 0)) == orthogonal_roots(q, (1, 1, 0)) == [(1, 0, 0)]
+
+
+def closure_semigroup_basis(roots):
+    """Reference: close the inputs under addition inside their componentwise
+    bounding box, then drop every input that is a sum of two closure
+    elements."""
+    roots = [tuple(r) for r in roots]
+    box = tuple(map(max, zip(*roots)))
+
+    def add(a, b):
+        s = tuple(x + y for x, y in zip(a, b))
+        return s if all(x <= m for x, m in zip(s, box)) else None
+
+    closure = set(roots)
+    frontier = set(roots)
+    while frontier:
+        fresh = {s for a in frontier for b in closure if (s := add(a, b))} - closure
+        closure |= fresh
+        frontier = fresh
+    sums = {add(a, b) for a in closure for b in closure}
+    return sorted(r for r in roots if r not in sums)
+
+
+def test_semigroup_basis_matches_closure_reference():
+    rng = Rng(5)
+    for _ in range(1500):
+        n = 1 + rng.below(4)
+        roots = [tuple(rng.below(4) for _ in range(n)) for _ in range(1 + rng.below(7))]
+        roots = [r for r in roots if any(r)]
+        if roots:
+            assert semigroup_basis(roots) == closure_semigroup_basis(roots), roots
+    for name in ["a8", "d8-prop", "e8-central-sink", "q2", "q3", "tilde-d4-ii"]:
+        q, d = builtin(name)
+        roots = lattice_roots(q, d) or _advisory_candidate_roots(q, d)
+        assert semigroup_basis(roots) == closure_semigroup_basis(roots), name
+
+
+def test_semigroup_basis_of_wide_lattice_root_list():
+    # d-perp here is an E7 lattice: 63 roots reaching 18 on node 0, whose
+    # bounding box held about 10^8 points for the closure to fill
+    nodes = [str(i) for i in range(8)]
+    arrows = [("x0", "1", "0"), ("x1", "2", "0"), ("x2", "2", "3"), ("x3", "4", "1"),
+              ("x4", "5", "0"), ("x5", "3", "6"), ("x6", "7", "4")]
+    q = build_quiver(nodes, arrows)
+    d = (4, 3, 3, 2, 1, 2, 1, 1)
+    roots = lattice_roots(q, d)
+    assert len(roots) == 63
+    assert semigroup_basis(roots) == [
+        (0, 0, 0, 0, 0, 0, 0, 1), (1, 0, 1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0),
+        (1, 1, 1, 1, 0, 1, 1, 0), (1, 1, 1, 1, 1, 0, 1, 0), (2, 1, 1, 0, 1, 1, 0, 0),
+        (2, 2, 1, 1, 1, 1, 0, 0),
+    ]
