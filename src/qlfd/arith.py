@@ -571,47 +571,19 @@ def charpoly_mod(mat, p: int):
 
 
 def det_pencil_poly(m0, m1, p: int):
-    """Coefficients of f(t) = det(M0 + t*M1) over F_p, or None.
+    """Coefficients of f(t) = det(M0 + t*M1) over F_p, or None when M1 is
+    singular.
 
-    One invertible member A of the pencil is solved against the other
-    member B by ``_solve_mod``, and f is read off the characteristic
-    polynomial of -A^{-1} B.  A is M1 when M1 is invertible
-    (det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0)); otherwise M0, with
-    the coefficients reversed; otherwise M0 + c*M1 for a few random shifts
-    c, followed by the substitution t -> t - c.  Returns None when no
-    invertible member is found (callers fall back to pointwise
-    interpolation).
+    det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0), so ``_solve_mod``
+    solves M1 against M0 and f is det M1 times the characteristic
+    polynomial of -M1^{-1} M0.  The leading coefficient is det M1, so f has
+    full degree whenever it is returned.
     """
     n = len(m0)
     if n == 0:
         return [1]
-    _, det_a, x = _solve_mod(m1, p, m0)
-    reverse = x is None
-    shift = 0
-    if reverse:
-        # M1 is singular: solve A = M0 + shift*M1 against M1, for shift 0 and
-        # then up to four random shifts.  det(A + t*M1) = det A * det(I + t X)
-        # with X = A^{-1} M1 has the coefficients of det A * det(t I + X)
-        # in reverse order.
-        shifts = Rng(0xC0FFEE)
-        for _ in range(5):
-            a = m0 if not shift else [
-                [(x + shift * y) % p for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)
-            ]
-            _, det_a, x = _solve_mod(a, p, m1)
-            if x is not None:
-                break
-            shift = shifts.below(p)
-        else:
-            return None
+    _, det_m1, x = _solve_mod(m1, p, m0)
+    if x is None:
+        return None
     chi = charpoly_mod([[(-v) % p for v in row] for row in x], p)
-    out = [c * det_a % p for c in chi]
-    if not reverse:
-        return out
-    out = poly_trim(out[::-1])
-    if shift:
-        # substitute t -> t - shift
-        g, out = out, []
-        for gk in reversed(g):
-            out = poly_add(poly_mul(out, [(-shift) % p, 1], p), [gk], p)
-    return out
+    return [c * det_m1 % p for c in chi]

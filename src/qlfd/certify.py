@@ -103,9 +103,14 @@ class CertifyOptions:
         # range would be reported as given but behave as another seed
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        PrimeField(self.prime)
-        if self.cross_check_prime is not None:
-            PrimeField(self.cross_check_prime)
+        for name in ("prime", "cross_check_prime"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            PrimeField(value)
+            if value < 5:
+                # random_scalar draws from [2, p - 2]
+                raise ValueError(f"{name} must be at least 5, got {value}")
 
 
 @dataclass
@@ -201,47 +206,55 @@ class LfdReport:
 # Stage operations (usable standalone)
 
 
-def _random_coordinate_vector(lfm, modulus: int | None, rng: Rng):
+def _random_coordinate_vector(lfm, p: int | None, rng: Rng):
     """Uniform over F_p, or in [-99, 99] over Q."""
-    if modulus is None:
+    if p is None:
         return [rng.randint(-99, 99) for _ in range(lfm.coords.total)]
-    return [rng.below(modulus) for _ in range(lfm.coords.total)]
+    return [rng.below(p) for _ in range(lfm.coords.total)]
 
 
-def _line_restriction_poly(lfm, modulus: int | None, rng: Rng):
+def _line_restriction_poly(lfm, p: int | None, rng: Rng):
     """det of the action matrix along a random affine line vec0 + t*vec1, as
-    a univariate polynomial over F_p or Q; None if identically zero along
-    this line.
+    a univariate polynomial over F_p or Q, when it has full degree
+    ``lfm.size``; None otherwise.
 
-    Over F_p the pencil kernel computes it; over Q, or when no member of
-    the pencil is invertible, it is interpolated from size + 1 values.
+    Every cell of the action matrix A is a signed coordinate, so det A is
+    homogeneous of degree ``size`` and its coefficient of t^size along the
+    line is det A(vec1): a line counts exactly when A(vec1) is invertible.
+    Over F_p the pencil kernel computes the restriction; over Q it is
+    interpolated from size + 1 values.
     """
-    vec0 = _random_coordinate_vector(lfm, modulus, rng)
-    vec1 = _random_coordinate_vector(lfm, modulus, rng)
-    poly = None
-    if modulus is not None:
-        poly = det_pencil_poly(*lfm.pencil(vec0, vec1, modulus), modulus)
-    if poly is None:
-        points = []
-        for t in range(lfm.size + 1):
-            vec = [a + t * b for a, b in zip(vec0, vec1)]
-            points.append((t, det(lfm.evaluate(vec, modulus), modulus)))
-        poly = interpolate(points, modulus)
-    return poly if poly else None
+    vec0 = _random_coordinate_vector(lfm, p, rng)
+    vec1 = _random_coordinate_vector(lfm, p, rng)
+    if p is not None:
+        return det_pencil_poly(lfm.evaluate(vec0, p), lfm.evaluate(vec1, p), p)
+    points = []
+    for t in range(lfm.size + 1):
+        vec = [a + t * b for a, b in zip(vec0, vec1)]
+        points.append((t, det(lfm.evaluate(vec, None), None)))
+    poly = interpolate(points)
+    return poly if poly_degree(poly) == lfm.size else None
+
+
+def _require_prime_above_twice(p: int | None, degree: int, what: str):
+    """Both the degree proof and the squarefree test need p > 2 * degree."""
+    if p is not None and p <= 2 * max(degree, 1):
+        raise ValueError(
+            f"{what} needs a prime above twice the degree: "
+            f"{p} <= 2 * {max(degree, 1)}"
+        )
 
 
 def discriminant_degree(
-    q: Quiver, d, prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED, exact: bool = False
+    q: Quiver, d, p: int | None = DEFAULT_PRIME, seed: int = DEFAULT_SEED
 ) -> int:
-    """Degree of the discriminant's equation: sum over arrows of
-    d(tail) * d(head), cross-checked by one determinant.
+    """Degree of the discriminant's equation over F_p, or over Q when ``p``
+    is None: sum over arrows of d(tail) * d(head), proved by one
+    determinant.
 
-    Every cell of the action matrix A is a signed coordinate, so det A is
-    homogeneous of degree ``size``; along a line vec0 + t*vec1 its
-    coefficient of t^size is det A(vec1).  One nonzero det A(vec1) at a
-    random point therefore proves that the degree equals the formula value.
-    Each attempt draws the pair (vec0, vec1) of a random line and evaluates
-    at vec1.
+    det A is homogeneous of degree ``size`` (see ``_line_restriction_poly``),
+    so one nonzero det A(v) at a random point proves that the degree equals
+    the formula value.
     """
     d = tuple(int(x) for x in d)
     formula = sum(d[t] * d[h] for t, h in zip(q.tails, q.heads))
@@ -250,13 +263,11 @@ def discriminant_degree(
         raise CertifyError("discriminant-degree", "action matrix size mismatch")
     if formula == 0:
         return 0
-    modulus = None if exact else prime
+    _require_prime_above_twice(p, formula, "discriminant_degree")
     rng = Rng(seed)
     for attempt in range(6):
-        r = rng.split(attempt)
-        _random_coordinate_vector(lfm, modulus, r)  # vec0, drawn to keep the stream
-        vec1 = _random_coordinate_vector(lfm, modulus, r)
-        if det(lfm.evaluate(vec1, modulus), modulus):
+        vec = _random_coordinate_vector(lfm, p, rng.split(attempt))
+        if det(lfm.evaluate(vec, p), p):
             return formula
     raise CertifyError(
         "discriminant-degree",
@@ -310,33 +321,32 @@ def verify_factorization(
     d,
     handles,
     mults,
-    prime: int,
+    p: int | None,
     trials: int,
     seed: int,
-    exact: bool = False,
 ):
     """Ratio-constancy check of the discriminant determinant against the
-    weighted product of the handle values, at random points where every
-    factor is nonzero.  Returns (ok, unit_ratio, deviation_count), the last
-    being the number of sampled points whose ratio differed from the first."""
+    weighted product of the handle values, over F_p or Q (``p`` None), at
+    random points where every factor is nonzero.  Returns (ok, unit_ratio,
+    deviation_count), the last being the number of sampled points whose
+    ratio differed from the first."""
     d = tuple(int(x) for x in d)
     lfm = action_matrix(q, d)
     rng = Rng(seed)
     ratios = []
     attempts = 0
     budget = 10 * trials + 20
-    modulus = None if exact else prime
     while len(ratios) < trials and attempts < budget:
-        v = random_representation(q, d, modulus, rng.split(attempts).seed)
+        v = random_representation(q, d, p, rng.split(attempts).seed)
         attempts += 1
         vals = [h.evaluate(v) for h in handles]
         if any(val == 0 for val in vals):
             continue
-        delta = det(lfm.evaluate(lfm.coords.flatten(v), modulus), modulus)
+        delta = det(lfm.evaluate(lfm.coords.flatten(v), p), p)
         prod = 1
         for val, a in zip(vals, mults):
-            prod = reduce(prod * power(val, a, modulus), modulus)
-        ratios.append(reduce(delta * power(prod, -1, modulus), modulus))
+            prod = reduce(prod * power(val, a, p), p)
+        ratios.append(reduce(delta * power(prod, -1, p), p))
     if len(ratios) < trials:
         raise CertifyError("factorization", "all sampled points degenerate")
     deviations = sum(1 for r in ratios if r != ratios[0])
@@ -347,38 +357,42 @@ def verify_factorization(
 def squarefree_probe(
     q: Quiver,
     d,
-    prime: int = DEFAULT_PRIME,
+    p: int | None = DEFAULT_PRIME,
     trials: int = 5,
     seed: int = DEFAULT_SEED,
-    exact: bool = False,
 ):
-    """Majority verdict of gcd(f, f') = 1 for the discriminant determinant
-    restricted to random affine lines.  Returns (squarefree, votes)."""
+    """Squarefreeness of the discriminant determinant over F_p, or over Q
+    when ``p`` is None, from its restrictions to random affine lines.
+    Returns (squarefree, votes).
+
+    Each trial takes the first of 8 lines whose restriction f has full
+    degree and votes gcd(f, f') = 1.  On such a line a repeated factor g^2
+    of the discriminant restricts to g|_L^2 with deg g|_L = deg g, so one
+    squarefree vote proves the discriminant reduced: the verdict is
+    any(votes).
+    """
     d = tuple(int(x) for x in d)
     lfm = action_matrix(q, d)
     n = lfm.size
-    modulus = None if exact else prime
-    if modulus is not None and modulus <= 2 * max(n, 1):
-        raise ValueError("squarefree_probe needs a prime above twice the degree")
+    _require_prime_above_twice(p, n, "squarefree_probe")
     if n == 0:
         return True, [True] * trials
     rng = Rng(seed)
     votes = []
     for trial in range(trials):
-        best = None
         for attempt in range(8):
-            poly = _line_restriction_poly(lfm, modulus, rng.split(trial, attempt))
-            if poly is not None and poly_degree(poly) == n:
-                best = poly
+            poly = _line_restriction_poly(lfm, p, rng.split(trial, attempt))
+            if poly is not None:
                 break
-            if poly is not None and best is None:
-                best = poly
-        if best is None:
-            raise CertifyError("squarefree", "identically-zero line restrictions")
-        g = poly_gcd(best, poly_deriv(best, modulus), modulus)
+        else:
+            raise CertifyError(
+                "squarefree",
+                "the discriminant vanishes at the leading member A(vec1) of "
+                "every sampled line",
+            )
+        g = poly_gcd(poly, poly_deriv(poly, p), p)
         votes.append(poly_degree(g) == 0)
-    ok = 2 * sum(votes) > len(votes)
-    return ok, votes
+    return any(votes), votes
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +481,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     if not any(d):
         raise CertifyError("input", "zero dimension vector")
     prime, seed = opts.prime, opts.seed
+    p = None if opts.exact else prime  # the field of every evaluation
     stats = VerificationStats(
         prime=prime,
         seed=seed,
@@ -503,7 +518,9 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         )
     if not is_acyclic(q0):
         raise CertifyError("classify", "support contains an oriented cycle")
-    dim_rep_formula = sum(d0[t] * d0[h] for t, h in zip(q0.tails, q0.heads))
+    # the degree of the discriminant: det A is homogeneous of degree dim Rep,
+    # and each line the squarefree probe accepts proves it nonzero
+    dim_rep = sum(d0[t] * d0[h] for t, h in zip(q0.tails, q0.heads))
     if cls.kind == "dynkin":
         mode = "dynkin"
         stats.mode = mode
@@ -520,15 +537,11 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
                 VERDICT_INCONCLUSIVE,
                 f"generic endomorphism dimension >= {cert.endomorphism_dim}; "
                 "not a Schur root, the discriminant is the whole space",
-                dim_rep=dim_rep_formula,
+                dim_rep=dim_rep,
             )
-    if opts.exact and dim_rep_formula > 24:
+    if opts.exact and dim_rep > 24:
         raise CertifyError("exact", "oversize exact-mode request (dim Rep > 24)")
 
-    # stage: discriminant degree (formula + interpolation cross-check)
-    dim_rep = discriminant_degree(
-        q0, d0, prime, derive_seed(seed, 1), exact=opts.exact
-    )
     disc_w0 = discriminant_weight(q0, d0)
     disc_w = embed_vector(q, q0, disc_w0)
 
@@ -554,7 +567,6 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
 
     # stage: semigroup basis + witnesses (advisory mode may drop candidates
     # whose semi-invariant vanishes identically)
-    modulus = None if opts.exact else prime
     cand = set(candidates)
     picked = []
     while True:
@@ -564,7 +576,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         for e in basis:
             try:
                 w, deg = sample_generic_witness(
-                    q0, e, d0, modulus, derive_seed(seed, 10, *e)
+                    q0, e, d0, p, derive_seed(seed, 10, *e)
                 )
             except DegenerateWitnessError:
                 failed = e
@@ -598,9 +610,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         h = SchofieldHandle(e, w, d0)
         h.degree = deg
         w0 = weight_of_schofield(q0, e)
-        if not verify_weight(
-            h, w0, prime, derive_seed(seed, 20, i), trials=1, exact=opts.exact
-        ):
+        if not verify_weight(h, w0, p, derive_seed(seed, 20, i), trials=1):
             raise CertifyError("weights", f"weight check failed for root {e}")
         handles.append(h)
         weights0.append(w0)
@@ -624,10 +634,9 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
 
     # stage: factorization verification
     fact_ok, unit, deviations = verify_factorization(
-        q0, d0, handles, mults, prime, opts.ratio_trials, derive_seed(seed, 30),
-        exact=opts.exact,
+        q0, d0, handles, mults, p, opts.ratio_trials, derive_seed(seed, 30)
     )
-    stats.unit_ratio = str(unit) if opts.exact else unit
+    stats.unit_ratio = str(unit) if p is None else unit
     stats.ratio_deviations = deviations
     bound_num = dim_rep + total
     stats.ratio_point_bound_log2 = (
@@ -635,13 +644,11 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     )
 
     # stage: squarefree probe
-    sqf, votes = squarefree_probe(
-        q0, d0, prime, opts.squarefree_lines, derive_seed(seed, 40), exact=opts.exact
-    )
+    sqf, votes = squarefree_probe(q0, d0, p, opts.squarefree_lines, derive_seed(seed, 40))
     stats.squarefree_votes = tuple(votes)
 
     # optional multi-prime consistency pass
-    if opts.cross_check_prime is not None and not opts.exact:
+    if opts.cross_check_prime is not None and p is not None:
         p2 = opts.cross_check_prime
         handles2 = []
         for e, _, deg in picked:
@@ -704,7 +711,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             disc_w,
         )
     point_bound = stats.ratio_point_bound_log2
-    if not opts.exact and point_bound is not None and point_bound >= MAX_POINT_BOUND_LOG2:
+    if p is not None and point_bound is not None and point_bound >= MAX_POINT_BOUND_LOG2:
         return report(
             VERDICT_INCONCLUSIVE,
             f"per-point false-accept bound 2^{point_bound:.1f} is not below "

@@ -159,9 +159,10 @@ def _cmd_roots(q, d, args) -> int:
 
 
 def _cmd_discriminant(q, d, args) -> int:
-    # CertifyOptions rejects a seed outside [0, 2**64), as for certify
-    opts = CertifyOptions(prime=args.prime, seed=args.seed, exact=args.exact)
-    deg = discriminant_degree(q, d, opts.prime, opts.seed, exact=opts.exact)
+    # CertifyOptions rejects a seed outside [0, 2**64), as for certify; the
+    # prime need only exceed twice the degree, which discriminant_degree checks
+    seed = CertifyOptions(seed=args.seed).seed
+    deg = discriminant_degree(q, d, None if args.exact else args.prime, seed)
     w = discriminant_weight(q, d)
     payload = {
         "command": "discriminant",

@@ -261,11 +261,6 @@ class LinearFormMatrix:
             m[r][c] = acc % modulus if modulus is not None else acc
         return m
 
-    def pencil(self, vec0, vec1, modulus: int | None):
-        """(M0, M1) with M(t) = M0 + t*M1 the matrix along the line
-        vec0 + t*vec1."""
-        return self.evaluate(vec0, modulus), self.evaluate(vec1, modulus)
-
 
 def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatrix:
     """Matrix of the infinitesimal group action on the representation space.

@@ -279,20 +279,18 @@ def sample_generic_witness(
     )
 
 
-def verify_weight(
-    handle, declared, prime: int, seed: int, trials: int = 2, exact: bool = False
-) -> bool:
-    """Check the declared weight operationally: acting by the group element
-    diag(lambda, 1, ..., 1) at node x must scale the value by lambda**w(x)."""
+def verify_weight(handle, declared, p: int | None, seed: int, trials: int = 2) -> bool:
+    """Check the declared weight operationally, over F_p or Q (``p`` None):
+    acting by the group element diag(lambda, 1, ..., 1) at node x must scale
+    the value by lambda**w(x)."""
     q = handle.quiver
     d = handle.dims
     declared = tuple(declared)
-    modulus = None if exact else prime
     rng = Rng(seed)
     for trial in range(trials):
         base = 0
         for attempt in range(6):
-            v = random_representation(q, d, modulus, rng.split(trial, 0, attempt).seed)
+            v = random_representation(q, d, p, rng.split(trial, 0, attempt).seed)
             base = handle.evaluate(v)
             if base:
                 break
@@ -301,8 +299,8 @@ def verify_weight(
         for x, node in enumerate(q.nodes):
             if d[x] == 0:
                 continue
-            lam = random_scalar(rng.split(trial, 1, x), modulus)
-            expect = reduce(base * power(lam, declared[x], modulus), modulus)
+            lam = random_scalar(rng.split(trial, 1, x), p)
+            expect = reduce(base * power(lam, declared[x], p), p)
             if handle.evaluate(v.scale_first_coordinate(node, lam)) != expect:
                 return False
     return True

@@ -370,11 +370,13 @@ def test_det_pencil_poly_matches_pointwise():
         m0 = rand_matrix(rng, n)
         m1 = rand_matrix(rng, n)
         if trial % 3 == 1:
-            m1[0] = [0] * n  # force M1 singular
+            m1[0] = [0] * n  # M1 singular: the line has no full degree
+            assert det_pencil_poly(m0, m1, P) is None
+            continue
         if trial % 3 == 2:
-            m0[0] = [0] * n
+            m0[0] = [0] * n  # a singular M0 does not matter
         f = det_pencil_poly(m0, m1, P)
-        assert f is not None
+        assert poly_degree(f) == n
         for t in range(n + 2):
             mt = [[(m0[i][j] + t * m1[i][j]) % P for j in range(n)] for i in range(n)]
             assert poly_eval(f, t, P) == det_mod(mt, P)
@@ -386,7 +388,7 @@ def test_det_pencil_poly_identically_singular():
 
 
 def test_det_pencil_poly_both_members_singular():
-    # neither M0 nor M1 is invertible, but the pencil is: the random-shift path
+    # the pencil itself is invertible, but its leading member M1 is not
     rng = Rng(654)
     for n in (2, 3, 5):
         m0 = rand_matrix(rng, n)
@@ -394,11 +396,8 @@ def test_det_pencil_poly_both_members_singular():
         m0[0] = [0] * n
         m1[n - 1] = [0] * n
         assert det_mod(m0, P) == 0 and det_mod(m1, P) == 0
-        f = det_pencil_poly(m0, m1, P)
-        assert f is not None
-        for t in range(n + 2):
-            mt = [[(m0[i][j] + t * m1[i][j]) % P for j in range(n)] for i in range(n)]
-            assert poly_eval(f, t, P) == det_mod(mt, P)
+        assert det_mod(_pencil_at(m0, m1, 1), P) != 0
+        assert det_pencil_poly(m0, m1, P) is None
 
 
 def _action_pencils(name, seed):
@@ -415,7 +414,8 @@ def _action_pencils(name, seed):
     cut = lfm.coords.offsets[1]
     head = [x if i < cut else 0 for i, x in enumerate(w)]
     tail = [x if i >= cut else 0 for i, x in enumerate(v)]
-    return lfm, [lfm.pencil(v, w, P), lfm.pencil(v, head, P), lfm.pencil(tail, head, P)]
+    lines = [(v, w), (v, head), (tail, head)]
+    return lfm, [(lfm.evaluate(a, P), lfm.evaluate(b, P)) for a, b in lines]
 
 
 def _pencil_at(m0, m1, t):
@@ -426,13 +426,14 @@ def test_det_pencil_poly_action_matrices_match_interpolation():
     for name in ("e7-highroot", "star7"):
         lfm, pencils = _action_pencils(name, 77)
         n = lfm.size
-        generic, m1_singular, both_singular = pencils
+        (m0, m1), m1_singular, both_singular = pencils
         assert det_mod(m1_singular[1], P) == 0 and det_mod(m1_singular[0], P) != 0
         assert det_mod(both_singular[0], P) == 0 and det_mod(both_singular[1], P) == 0
-        for m0, m1 in pencils:
-            f = det_pencil_poly(m0, m1, P)
-            points = [(t, det_mod(_pencil_at(m0, m1, t), P)) for t in range(n + 1)]
-            assert f == interpolate(points, P), name
+        f = det_pencil_poly(m0, m1, P)
+        points = [(t, det_mod(_pencil_at(m0, m1, t), P)) for t in range(n + 1)]
+        assert poly_degree(f) == n and f == interpolate(points, P), name
+        assert det_pencil_poly(*m1_singular, P) is None, name
+        assert det_pencil_poly(*both_singular, P) is None, name
 
 
 def test_det_pencil_poly_e8_pointwise():

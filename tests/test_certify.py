@@ -37,7 +37,7 @@ def test_discriminant_degree_detects_non_schur():
 
 def test_discriminant_degree_exact_mode_agrees():
     q, d = builtin("d7-prop")
-    assert discriminant_degree(q, d, exact=True) == discriminant_degree(q, d) == 18
+    assert discriminant_degree(q, d, None) == discriminant_degree(q, d) == 18
 
 
 @pytest.mark.parametrize("field", ["ratio_trials", "squarefree_lines"])
@@ -114,11 +114,48 @@ def test_squarefree_probe_fixtures():
     ok3, _ = squarefree_probe(q6, d6, P, trials=5, seed=7)
     assert ok3
     # over Q, by the integer remainder sequence of poly_gcd
-    ok4, votes4 = squarefree_probe(qii, dii, P, trials=3, seed=6, exact=True)
+    ok4, votes4 = squarefree_probe(qii, dii, None, trials=3, seed=6)
     assert not ok4 and not any(votes4)
     q7, d7 = builtin("d7-prop")
-    ok5, votes5 = squarefree_probe(q7, d7, P, trials=3, seed=7, exact=True)
+    ok5, votes5 = squarefree_probe(q7, d7, None, trials=3, seed=7)
     assert ok5 and all(votes5)
+
+
+def test_squarefree_probe_one_squarefree_vote_proves_reduced(monkeypatch):
+    # each trial takes its first full-degree line; one squarefree restriction
+    # is a proof, whatever the other trials vote
+    q, d = builtin("a3")  # dim Rep 2
+    square = [1, P - 2, 1]  # (t - 1)^2
+    distinct = [2, P - 3, 1]  # (t - 1)(t - 2)
+    lines = iter([None, square, square, None, None, distinct, square, square])
+    certify_module = importlib.import_module("qlfd.certify")
+    monkeypatch.setattr(certify_module, "_line_restriction_poly", lambda *_: next(lines))
+    ok, votes = squarefree_probe(q, d, P, trials=5, seed=5)
+    assert ok and votes == [False, False, True, False, False]
+
+
+def test_squarefree_probe_without_full_degree_lines_raises():
+    # tilde-d4-iv is not a Schur root: the discriminant vanishes identically,
+    # so no line has an invertible leading member
+    q, d = builtin("tilde-d4-iv")
+    with pytest.raises(CertifyError, match="every sampled line") as info:
+        squarefree_probe(q, d, P, trials=1, seed=5)
+    assert info.value.stage == "squarefree"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_certify_options_reject_primes_below_five(p):
+    with pytest.raises(ValueError, match="prime must be at least 5"):
+        CertifyOptions(prime=p)
+    with pytest.raises(ValueError, match="cross_check_prime must be at least 5"):
+        CertifyOptions(cross_check_prime=p)
+
+
+def test_discriminant_degree_rejects_prime_at_most_twice_the_degree():
+    q, d = builtin("star2")  # degree 6
+    with pytest.raises(ValueError, match=r"above twice the degree: 11 <= 2 \* 6"):
+        discriminant_degree(q, d, 11)
+    assert discriminant_degree(q, d, 13) == 6
 
 
 def test_certify_dynkin_real_roots_are_lfd(report_for):

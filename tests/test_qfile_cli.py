@@ -265,3 +265,16 @@ def test_cli_discriminant_rejects_seed_outside_64_bits(capsys, seed):
 def test_cli_small_prime_certify_is_inconclusive(capsys):
     assert main(["certify", "--builtin", "a4", "--prime", "7"]) == 2
     assert "per-point false-accept bound 2^-0.2" in capsys.readouterr().out
+
+
+def test_cli_discriminant_names_the_prime_bound(capsys):
+    # star2 has degree 6, so 2 cannot show that the discriminant is nonzero
+    code, out, err = run_cli(capsys, "discriminant", "--builtin", "star2", "--prime", "2")
+    assert code == 1 and out == ""
+    assert err == "error: discriminant_degree needs a prime above twice the degree: 2 <= 2 * 6\n"
+
+
+def test_cli_certify_rejects_prime_below_five(capsys):
+    code, out, err = run_cli(capsys, "certify", "--builtin", "a2", "--prime", "3")
+    assert code == 1 and out == ""
+    assert err == "error: prime must be at least 5, got 3\n"
