@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -153,6 +154,13 @@ def rank_mod(mat, p: int) -> int:
     return _solve_mod(mat, p)[0]
 
 
+# Pivot plans of ``_solve_mod``, keyed by the shape and sparsity pattern of
+# A; beyond _PLAN_LIMIT patterns the oldest plan is evicted, by one popitem
+# call, which stays safe under concurrent use.  A plan changes no result.
+_PLANS: OrderedDict = OrderedDict()
+_PLAN_LIMIT = 64
+
+
 def _solve_mod(a, p: int, b=None):
     """(rank A, det A, A^{-1} B) over F_p by one sparse elimination.
 
@@ -168,6 +176,16 @@ def _solve_mod(a, p: int, b=None):
     pattern alone can meet a zero pivot.  Rows that cancel to zero leave
     the elimination, so the pivot count is the rank.  Back substitution
     through the pivot rows then gives the solution rows.
+
+    The search is the costly part, and a certification meets only a few
+    sparsity patterns, so the (row, column) pivot sequence of the first
+    elimination of each pattern is kept as its plan.  A later A with the
+    same pattern replays the plan while each planned entry is still
+    nonzero, and searches from the first step that fails.  That check also
+    keeps the planned row active: the plan never repeats a row, and a row
+    that cancelled to zero holds no entry.  Rank, determinant and
+    A^{-1} B do not depend on the pivot order, so a replay changes no
+    result.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -182,20 +200,28 @@ def _solve_mod(a, p: int, b=None):
     def col_count(j):
         return len(cols[j])
 
+    key = (n, tuple(map(tuple, rows)))
+    plan = _PLANS.get(key)
+    replay = iter(plan or ())
     active = {i for i, row in enumerate(rows) if row}
     pivots = []
     det = 1
     while active:
-        best = None
-        for i in active:
-            row = rows[i]
-            j = min(row, key=col_count)
-            cost = (len(row) - 1) * (len(cols[j]) - 1)
-            if best is None or cost < best[0]:
-                best = (cost, i, j)
-                if not cost:
-                    break
-        _, r, c = best
+        step = next(replay, None)
+        if step and step[1] in rows[step[0]]:
+            r, c = step
+        else:
+            replay = iter(())
+            best = None
+            for i in active:
+                row = rows[i]
+                j = min(row, key=col_count)
+                cost = (len(row) - 1) * (len(cols[j]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+                    if not cost:
+                        break
+            _, r, c = best
         prow = rows[r]
         active.discard(r)
         for j in prow:
@@ -222,6 +248,10 @@ def _solve_mod(a, p: int, b=None):
             if not row:
                 active.discard(i)
             rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
+    if plan is None:
+        if len(_PLANS) >= _PLAN_LIMIT:
+            _PLANS.popitem(last=False)
+        _PLANS[key] = tuple((r, c) for r, c, _ in pivots)
     rank = len(pivots)
     if not rank == m == n:
         return rank, 0, None
@@ -518,56 +548,66 @@ def interpolate(points, p=None):
 def charpoly_mod(mat, p: int):
     """Coefficients of det(t*I - A) over F_p, via Hessenberg reduction.
 
-    One O(n^3) pass (Cohen, *A Course in Computational Algebraic Number
-    Theory*, section 2.2): the similarity that clears column k below the
-    subdiagonal subtracts multiples of row k+1 from the rows below it and
-    adds the same multiples of those columns to column k+1, one dot product
-    per row.  The characteristic polynomials of the leading principal
-    minors then follow by a recurrence on coefficient lists.
+    A left-looking pass (Cohen, *A Course in Computational Algebraic Number
+    Theory*, section 2.2) solves A*L = L*H one column at a time, with L
+    unit lower triangular and H upper Hessenberg.  Column k of H comes from
+    the mat-vec A*l_k and a unit triangular solve against the rows of L;
+    the residual below gives the subdiagonal entry H[k+1][k] and l_{k+1}.
+    When the residual vanishes at k+1, index k+1 is swapped with a later
+    one where it does not; when it vanishes everywhere, l_{k+1} = e_{k+1}
+    starts a new Krylov block with H[k+1][k] = 0.
+
+    Each column of H feeds the recurrence for the characteristic
+    polynomials of the leading principal minors as soon as it is made, so
+    only the subdiagonal of H is kept.  The coefficients are held by
+    degree, ``coeffs[j]`` listing the t^j coefficient of every minor of
+    order at least j, which makes each step of the recurrence one dot
+    product per coefficient.  All loops over n are such dot products.
     """
     n = len(mat)
-    h = mat_copy(mat)
-    for k in range(n - 1):
-        piv = next((i for i in range(k + 1, n) if h[i][k] % p), None)
-        if piv is None:
-            continue
-        if piv != k + 1:
-            h[k + 1], h[piv] = h[piv], h[k + 1]
-            for row in h:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-        # rows below k+1 are zero left of column k, so only columns >= k change
-        pivot_tail = h[k + 1][k:]
-        inv = pow(pivot_tail[0], -1, p)
-        fs = []
-        for i in range(k + 2, n):
-            row = h[i]
-            f = row[k] * inv % p
-            fs.append(f)
-            if f:
-                row[k:] = [(x - f * y) % p for x, y in zip(row[k:], pivot_tail)]
-        if any(fs):
-            for row in h:
-                row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
-    # char polys of leading principal minors of the Hessenberg form
-    polys = [[1]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        diag = h[k - 1][k - 1]
-        term = [-diag * c for c in prev]
-        term.append(0)
-        for j, c in enumerate(prev):
-            term[j + 1] += c
+    a = mat
+    lrows = [[] for _ in range(n)]  # row j of L left of its diagonal 1
+    sub = [0] * n  # sub[k] = H[k][k-1]
+    coeffs = [[1]]  # the charpoly of the 0x0 minor
+    lk = [1] + [0] * (n - 1)  # l_k from index k on
+    for k in range(n):
+        for j in range(k + 1, n):
+            lrows[j].append(lk[j - k])
+        v = [sum(map(mul, row[k:], lk)) for row in a]
+        h = []  # column k of H, rows 0..k
+        for j in range(k + 1):
+            h.append((v[j] - sum(map(mul, h, lrows[j]))) % p)
+        res = [(v[j] - sum(map(mul, h, lrows[j]))) % p for j in range(k + 1, n)]
+        # w[i] = H[i][k] * sub[i+1] * ... * sub[k], weighting the minor of order i
+        w = [0] * (k + 1)
         prod = 1
-        for m in range(1, k):
-            prod = prod * h[k - m][k - m - 1] % p
+        for i in range(k, -1, -1):
+            w[i] = h[i] * prod % p
+            prod = prod * sub[i] % p
             if not prod:
                 break
-            coeff = h[k - 1 - m][k - 1] * prod % p
-            if coeff:
-                minor = polys[k - 1 - m]
-                term[: len(minor)] = [x - coeff * y for x, y in zip(term, minor)]
-        polys.append([x % p for x in term])
-    return polys[n]
+        for j, cj in enumerate(coeffs):
+            cj.append(((coeffs[j - 1][-2] if j else 0) - sum(map(mul, w[j:], cj))) % p)
+        coeffs.append([1])
+        if k + 1 == n:
+            break
+        piv = next((i for i, x in enumerate(res) if x), None)
+        if piv is None:
+            lk = [1] + [0] * (n - k - 2)
+        else:
+            if piv:
+                j = k + 1 + piv
+                if a is mat:
+                    a = mat_copy(mat)
+                a[k + 1], a[j] = a[j], a[k + 1]
+                for row in a:
+                    row[k + 1], row[j] = row[j], row[k + 1]
+                lrows[k + 1], lrows[j] = lrows[j], lrows[k + 1]
+                res[0], res[piv] = res[piv], res[0]
+            sub[k + 1] = res[0]
+            inv = pow(res[0], -1, p)
+            lk = [1] + [x * inv % p for x in res[1:]]
+    return [cj[-1] for cj in coeffs]
 
 
 def det_pencil_poly(m0, m1, p: int):
@@ -575,9 +615,10 @@ def det_pencil_poly(m0, m1, p: int):
     singular.
 
     det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0), so ``_solve_mod``
-    solves M1 against M0 and f is det M1 times the characteristic
-    polynomial of -M1^{-1} M0.  The leading coefficient is det M1, so f has
-    full degree whenever it is returned.
+    solves M1 against M0, and with X = M1^{-1} M0,
+    det(t I + X) = (-1)^n chi_X(-t) flips the signs of alternate
+    coefficients of the characteristic polynomial of X.  The leading
+    coefficient is det M1, so f has full degree whenever it is returned.
     """
     n = len(m0)
     if n == 0:
@@ -585,5 +626,6 @@ def det_pencil_poly(m0, m1, p: int):
     _, det_m1, x = _solve_mod(m1, p, m0)
     if x is None:
         return None
-    chi = charpoly_mod([[(-v) % p for v in row] for row in x], p)
-    return [c * det_m1 % p for c in chi]
+    chi = charpoly_mod(x, p)
+    neg = (p - det_m1) % p
+    return [c * (neg if (n - i) % 2 else det_m1) % p for i, c in enumerate(chi)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import (
     DEFAULT_PRIME,
@@ -32,6 +31,7 @@ from .arith import (
     poly_deriv,
     poly_gcd,
     power,
+    rank,
     reduce,
 )
 from .quiver import (
@@ -279,34 +279,27 @@ def discriminant_degree(
 def multiplicity_vector(q: Quiver, d, weights) -> list[int]:
     """The unique solution a of sum a_i w_i = w(discriminant), asserted to be
     positive integers.  Errors on dependent weights or a non-integral or
-    non-positive solution."""
+    non-positive solution.
+
+    Over Q: rank tests decide dependence and solvability, and Cramer's rule
+    on s rows where the s weights are independent gives the solution.
+    """
     target = discriminant_weight(q, d)
-    n = q.node_count
     s = len(weights)
-    aug = [[Fraction(w[x]) for w in weights] + [Fraction(target[x])] for x in range(n)]
-    pivots = []
-    r = 0
-    for col in range(s):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if r < s:
+    rows = [[w[x] for w in weights] for x in range(q.node_count)]
+    if rank(rows, None) < s:
         raise ValueError("weights are linearly dependent")
-    for i in range(r, n):
-        if any(x != 0 for x in aug[i]):
-            raise ValueError("weight equation has no rational solution")
+    if rank([row + [t] for row, t in zip(rows, target)], None) > s:
+        raise ValueError("weight equation has no rational solution")
+    square, rhs = [], []
+    for row, t in zip(rows, target):
+        if len(square) < s and rank(square + [row], None) > len(square):
+            square.append(row)
+            rhs.append(t)
+    den = det(square, None)
     out = []
     for i in range(s):
-        v = aug[i][s]
+        v = det([row[:i] + [t] + row[i + 1:] for row, t in zip(square, rhs)], None) / den
         if v.denominator != 1:
             raise ValueError(f"non-integral multiplicity {v}")
         iv = int(v)
@@ -521,6 +514,13 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     # the degree of the discriminant: det A is homogeneous of degree dim Rep,
     # and each line the squarefree probe accepts proves it nonzero
     dim_rep = sum(d0[t] * d0[h] for t, h in zip(q0.tails, q0.heads))
+    # the squarefree probe needs each prime it runs under above 2 * dim Rep;
+    # refuse a smaller one before any stage samples
+    if p is not None:
+        _require_prime_above_twice(prime, dim_rep, "option prime")
+        _require_prime_above_twice(
+            opts.cross_check_prime, dim_rep, "option cross_check_prime"
+        )
     if cls.kind == "dynkin":
         mode = "dynkin"
         stats.mode = mode
@@ -677,11 +677,11 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     # assemble components in canonical order: by degree, then root
     order = sorted(range(len(handles)), key=lambda i: (degrees[i], picked[i][0]))
     components = []
-    for rank, i in enumerate(order):
+    for pos, i in enumerate(order):
         e, _, deg = picked[i]
         components.append(
             Component(
-                handle_id=f"P{rank + 1}",
+                handle_id=f"P{pos + 1}",
                 root=embed_vector(q, q0, e),
                 weight=embed_vector(q, q0, weights0[i]),
                 degree=deg,

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
+from qlfd import arith
 from qlfd.arith import (
     DEFAULT_PRIME,
     PrimeField,
@@ -22,6 +24,7 @@ from qlfd.arith import (
     rank_exact,
     rank_mod,
 )
+from qlfd.arith import _solve_mod
 from qlfd.fixtures import builtin
 from qlfd.repmatrix import action_matrix
 
@@ -347,6 +350,205 @@ def test_poly_gcd_exact_matches_fraction_euclid():
     assert cases >= 2000
     with pytest.raises(ValueError):
         poly_gcd([Fraction(0)], [0, 0], None)
+
+
+def _charpoly_right_looking(mat, p):
+    """Reference det(t*I - A) over F_p: the right-looking Hessenberg
+    reduction by elementary similarities, then the recurrence over the
+    leading principal minors of the full Hessenberg form."""
+    n = len(mat)
+    h = [row[:] for row in mat]
+    for k in range(n - 1):
+        piv = next((i for i in range(k + 1, n) if h[i][k] % p), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        pivot_tail = h[k + 1][k:]
+        inv = pow(pivot_tail[0], -1, p)
+        fs = []
+        for i in range(k + 2, n):
+            row = h[i]
+            f = row[k] * inv % p
+            fs.append(f)
+            if f:
+                row[k:] = [(x - f * y) % p for x, y in zip(row[k:], pivot_tail)]
+        if any(fs):
+            for row in h:
+                row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % p
+    polys = [[1]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        term = [-h[k - 1][k - 1] * c for c in prev]
+        term.append(0)
+        for j, c in enumerate(prev):
+            term[j + 1] += c
+        prod = 1
+        for m in range(1, k):
+            prod = prod * h[k - m][k - m - 1] % p
+            if not prod:
+                break
+            coeff = h[k - 1 - m][k - 1] * prod % p
+            if coeff:
+                minor = polys[k - 1 - m]
+                term[: len(minor)] = [x - coeff * y for x, y in zip(term, minor)]
+        polys.append([x % p for x in term])
+    return polys[n]
+
+
+def _shuffled(rng, n):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _structured_matrix(rng, n, p, kind):
+    """Random n x n inputs that force pivot swaps and zero subdiagonals:
+    dense, sparse, block triangular, nilpotent (a conjugated strictly upper
+    triangular matrix) and permutation-like (one scaled entry per row)."""
+    if kind == 0:
+        return [[rng.randint(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        return [[rng.below(p) if not rng.below(3) else 0 for _ in range(n)] for _ in range(n)]
+    perm = _shuffled(rng, n)
+    if kind == 2:
+        cut = rng.randint(0, n)
+        m = [[rng.below(p) if i < cut or j >= cut else 0 for j in range(n)] for i in range(n)]
+    elif kind == 3:
+        m = [[rng.below(p) if j > i else 0 for j in range(n)] for i in range(n)]
+    else:
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][perm[i]] = rng.below(p) if rng.below(4) else 1
+        return m
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, P])
+def test_charpoly_matches_right_looking_reference(p):
+    rng = Rng(900 + p % 1000)
+    for trial in range(850):
+        n = 1 + trial % 8
+        m = _structured_matrix(rng, n, p, trial // 8 % 5)
+        before = [row[:] for row in m]
+        assert charpoly_mod(m, p) == _charpoly_right_looking(m, p), (p, m)
+        assert m == before  # pivot swaps work on a copy
+    assert charpoly_mod([], p) == [1]
+
+
+def test_det_pencil_poly_odd_and_even_sizes():
+    # det(M0 + t M1) = det M1 * (-1)^n chi_X(-t): the sign flips differ by parity
+    rng = Rng(606)
+    for p in (5, 101, P):
+        for n in range(1, 9):
+            m0 = _structured_matrix(rng, n, p, n % 5)
+            m1 = rand_matrix(rng, n, p)
+            f = det_pencil_poly(m0, m1, p)
+            if det_mod(m1, p) == 0:
+                assert f is None
+                continue
+            x = _solve_mod(m1, p, m0)[2]
+            neg_x = [[-v % p for v in row] for row in x]
+            assert f == [c * det_mod(m1, p) % p for c in _charpoly_right_looking(neg_x, p)]
+            for t in range(3):
+                mt = [[(a + t * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+                assert poly_eval(f, t, p) == det_mod(mt, p)
+
+
+def _pattern_key(m, p):
+    # the plan key of _solve_mod: the column count and each row's nonzero columns
+    cols = len(m[0]) if m else 0
+    return cols, tuple(tuple(j for j, x in enumerate(row) if x % p) for row in m)
+
+
+def _cramer(a, b, p):
+    """A^{-1} B over F_p from cofactor determinants."""
+    n = len(a)
+    d_inv = pow(_det_cofactor(a, p), -1, p)
+    cols = len(b[0])
+    x = [[0] * cols for _ in range(n)]
+    for i in range(n):
+        for c in range(cols):
+            ai = [row[:i] + [b[r][c]] + row[i + 1:] for r, row in enumerate(a)]
+            x[i][c] = _det_cofactor(ai, p) * d_inv % p
+    return x
+
+
+def test_plan_replay_meets_a_cancelled_pivot():
+    # a second matrix of the recorded pattern whose second planned pivot
+    # cancels once the first has been eliminated
+    p = 101
+    rng = Rng(707)
+    n = 4
+    arith._PLANS.clear()
+    first = [[1 + rng.below(p - 1) for _ in range(n)] for _ in range(n)]
+    det_mod(first, p)
+    plan = arith._PLANS[_pattern_key(first, p)]
+    (r1, c1), (r2, c2) = plan[:2]
+    for _ in range(20):
+        m = [[1 + rng.below(p - 1) for _ in range(n)] for _ in range(n)]
+        # m[r2][c2] - m[r2][c1] m[r1][c2] / m[r1][c1] = 0: nonzero, same pattern
+        m[r2][c2] = m[r2][c1] * m[r1][c2] * pow(m[r1][c1], -1, p) % p
+        assert _pattern_key(m, p) == _pattern_key(first, p)
+        b = [[rng.below(p) for _ in range(2)] for _ in range(n)]
+        assert det_mod(m, p) == _det_cofactor(m, p)
+        assert rank_mod(m, p) == _rank_by_minors(m, p)
+        rank, det, x = _solve_mod(m, p, b)
+        assert (rank, det) == (rank_mod(m, p), det_mod(m, p))
+        if det:
+            assert x == _cramer(m, b, p)
+    assert arith._PLANS[_pattern_key(first, p)] == plan  # the plan is kept
+
+
+def test_plan_replay_on_rectangular_rank_deficient_inputs():
+    # the same 4 x 6 pattern at rank 4, 2 and 3: the replayed plan runs out
+    # early, or is longer than the elimination, and the search takes over;
+    # 13 > 6 + 1 leaves a ratio a : b that keeps every entry of a*u + b*v nonzero
+    p = 13
+    rng = Rng(808)
+
+    def full_row():
+        return [1 + rng.below(p - 1) for _ in range(6)]
+
+    def combo(u, v):
+        # a nonzero combination a*u + b*v, keeping the pattern full
+        while True:
+            a, b = 1 + rng.below(p - 1), 1 + rng.below(p - 1)
+            w = [(a * x + b * y) % p for x, y in zip(u, v)]
+            if all(w):
+                return w
+
+    for trial in range(60):
+        arith._PLANS.clear()
+        u, v, w = full_row(), full_row(), full_row()
+        deficient = [u, v, combo(u, v), combo(u, v)]
+        third = [u, v, w, combo(u, w)]
+        generic = [full_row() for _ in range(4)]
+        order = [generic, deficient, third] if trial % 2 else [deficient, third, generic]
+        for m in order:
+            assert _pattern_key(m, p) == (6, (tuple(range(6)),) * 4)
+            assert rank_mod(m, p) == _rank_by_minors(m, p)
+            assert rank_mod([row[:] for row in zip(*m)], p) == _rank_by_minors(m, p)
+        assert len(arith._PLANS) == 2  # one 4 x 6 pattern and its transpose
+
+
+def test_plan_cache_stays_within_its_bound():
+    arith._PLANS.clear()
+    limit = arith._PLAN_LIMIT
+    keys = []
+    for k in range(limit + 10):
+        # distinct patterns: the identity of size 1 .. limit + 10
+        m = [[1 if i == j else 0 for j in range(k + 1)] for i in range(k + 1)]
+        assert det_mod(m, P) == 1
+        keys.append(_pattern_key(m, P))
+        assert len(arith._PLANS) <= limit
+    assert len(arith._PLANS) == limit
+    assert keys[0] not in arith._PLANS and keys[-1] in arith._PLANS
+    assert list(arith._PLANS) == keys[-limit:]  # the oldest plans went first
 
 
 def test_charpoly_matches_determinant_evaluation():

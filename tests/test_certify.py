@@ -90,6 +90,64 @@ def test_multiplicity_vector_error_cases():
         multiplicity_vector(q, d, [w1])
 
 
+def test_multiplicity_vector_messages_in_order():
+    # a3 has discriminant weight (-1, 0, 1)
+    q, d = builtin("a3")
+    cases = [
+        # dependent weights, whose equation has no solution either
+        ([(1, 0, 0), (2, 0, 0)], "weights are linearly dependent"),
+        ([(1, 0, 0)], "weight equation has no rational solution"),
+        ([(-2, 0, 2)], "non-integral multiplicity 1/2"),
+        ([(1, 0, -1)], "non-positive multiplicity -1"),
+        # -1 * (1, 0, 0) + 1/2 * (0, 0, 2): the first component is checked first
+        ([(1, 0, 0), (0, 0, 2)], "non-positive multiplicity -1"),
+        ([(0, 0, 2), (1, 0, 0)], "non-integral multiplicity 1/2"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(ValueError) as err:
+            multiplicity_vector(q, d, weights)
+        assert str(err.value) == message
+    assert multiplicity_vector(q, d, [(-1, 1, 0), (0, -1, 1)]) == [1, 1]
+    # a node row that repeats another is skipped for Cramer's rule
+    assert multiplicity_vector(q, d, [(-1, 0, 1)]) == [1]
+
+
+def _refuse_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage sampled before the primes were checked")
+
+    certify_module = importlib.import_module("qlfd.certify")
+    monkeypatch.setattr(certify_module, "sample_generic_witness", refuse)
+    monkeypatch.setattr(certify_module, "lattice_roots", refuse)
+
+
+def test_certify_checks_the_prime_before_any_stage(monkeypatch):
+    _refuse_sampling(monkeypatch)
+    q, d = builtin("e8-central-sink")
+    with pytest.raises(ValueError) as err:
+        certify(q, d, CertifyOptions(prime=233))
+    assert str(err.value) == (
+        "option prime needs a prime above twice the degree: 233 <= 2 * 118"
+    )
+
+
+def test_certify_checks_the_cross_check_prime_before_any_stage(monkeypatch):
+    _refuse_sampling(monkeypatch)
+    q, d = builtin("e6-q1")
+    with pytest.raises(ValueError) as err:
+        certify(q, d, CertifyOptions(cross_check_prime=41))
+    assert str(err.value) == (
+        "option cross_check_prime needs a prime above twice the degree: 41 <= 2 * 22"
+    )
+
+
+def test_exact_certify_does_not_use_the_prime():
+    # neither prime is used over Q, so neither is checked against dim Rep
+    q, d = builtin("a5")
+    rep = certify(q, d, CertifyOptions(prime=5, cross_check_prime=5, exact=True))
+    assert rep.verdict == "linear-free-divisor"
+
+
 def test_verify_factorization_a3():
     q, d = builtin("a3")
     handles = []

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -272,6 +273,21 @@ def test_cli_discriminant_names_the_prime_bound(capsys):
     code, out, err = run_cli(capsys, "discriminant", "--builtin", "star2", "--prime", "2")
     assert code == 1 and out == ""
     assert err == "error: discriminant_degree needs a prime above twice the degree: 2 <= 2 * 6\n"
+
+
+def test_cli_certify_checks_the_prime_before_any_stage(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness was sampled before the prime was checked")
+
+    certify_module = importlib.import_module("qlfd.certify")
+    monkeypatch.setattr(certify_module, "sample_generic_witness", refuse)
+    code, out, err = run_cli(
+        capsys, "certify", "--builtin", "e8-central-sink", "--prime", "233"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: option prime needs a prime above twice the degree: 233 <= 2 * 118\n"
+    )
 
 
 def test_cli_certify_rejects_prime_below_five(capsys):
