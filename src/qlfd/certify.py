@@ -89,6 +89,8 @@ class CertifyOptions:
     prime: int = DEFAULT_PRIME
     seed: int = DEFAULT_SEED
     ratio_trials: int = 20
+    # at most this many squarefree trials: the first squarefree line proves
+    # the discriminant reduced, so only a not-reduced verdict uses them all
     squarefree_lines: int = 5
     exact: bool = False  # exact rational evaluations; small Dynkin fixtures only
     # optional paranoia: repeat the factorization and squarefree checks under
@@ -103,6 +105,11 @@ class CertifyOptions:
         # range would be reported as given but behave as another seed
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.exact and self.cross_check_prime is not None:
+            raise ValueError(
+                "cross_check_prime repeats modular checks; exact mode has none "
+                "to repeat"
+            )
         for name in ("prime", "cross_check_prime"):
             value = getattr(self, name)
             if value is None:
@@ -361,7 +368,8 @@ def squarefree_probe(
     Each trial takes the first of 8 lines whose restriction f has full
     degree and votes gcd(f, f') = 1.  On such a line a repeated factor g^2
     of the discriminant restricts to g|_L^2 with deg g|_L = deg g, so one
-    squarefree vote proves the discriminant reduced: the verdict is
+    squarefree vote proves the discriminant reduced: the probe stops at it,
+    and only a not-squarefree outcome runs all ``trials``.  The verdict is
     any(votes).
     """
     d = tuple(int(x) for x in d)
@@ -385,6 +393,8 @@ def squarefree_probe(
             )
         g = poly_gcd(poly, poly_deriv(poly, p), p)
         votes.append(poly_degree(g) == 0)
+        if votes[-1]:
+            break
     return any(votes), votes
 
 
@@ -648,7 +658,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     stats.squarefree_votes = tuple(votes)
 
     # optional multi-prime consistency pass
-    if opts.cross_check_prime is not None and p is not None:
+    if opts.cross_check_prime is not None:
         p2 = opts.cross_check_prime
         handles2 = []
         for e, _, deg in picked:

@@ -100,13 +100,22 @@ def brick_probe(q: Quiver, d, prime: int, seed: int, trials: int = 8) -> SchurCe
     """Sample random representations of dimension vector d over F_prime and
     report the minimal observed dim End and dim Ext^1 (``hom_ext_dims`` of
     the sample with itself).
+
+    Sampling stops at the first sample with dim End = 1, the least value on
+    a nonzero d.  Every sample has dim End - dim Ext^1 = <d, d>, so that
+    sample also has the least dim Ext^1 any further sample could show.
     """
     if prime <= 2**40:
         raise ValueError("brick_probe needs a prime above 2**40")
     d = tuple(int(x) for x in d)
     rng = Rng(seed)
-    samples = (random_representation(q, d, prime, rng.split(t).seed) for t in range(trials))
-    ends, exts = zip(*(hom_ext_dims(v, v) for v in samples))
+    dims = []
+    for t in range(trials):
+        v = random_representation(q, d, prime, rng.split(t).seed)
+        dims.append(hom_ext_dims(v, v))
+        if dims[-1][0] == 1:
+            break
+    ends, exts = zip(*dims)
     best_end, best_ext = min(ends), min(exts)
     verdict = "brick" if best_end == 1 else "not-brick"
     return SchurCertificate(best_end, best_ext, prime, seed, trials, verdict)

@@ -69,6 +69,11 @@ def test_certify_options_accept_cross_check_prime():
     assert CertifyOptions(cross_check_prime=101).cross_check_prime == 101
 
 
+def test_certify_options_reject_cross_check_prime_in_exact_mode():
+    with pytest.raises(ValueError, match="cross_check_prime"):
+        CertifyOptions(exact=True, cross_check_prime=101)
+
+
 def test_multiplicity_vector_tilde_d4_ii():
     q, d = builtin("tilde-d4-ii")
     # components: the three degree-2 compositions and the degree-3 minor
@@ -142,9 +147,9 @@ def test_certify_checks_the_cross_check_prime_before_any_stage(monkeypatch):
 
 
 def test_exact_certify_does_not_use_the_prime():
-    # neither prime is used over Q, so neither is checked against dim Rep
+    # the prime is not used over Q, so it is not checked against dim Rep
     q, d = builtin("a5")
-    rep = certify(q, d, CertifyOptions(prime=5, cross_check_prime=5, exact=True))
+    rep = certify(q, d, CertifyOptions(prime=5, exact=True))
     assert rep.verdict == "linear-free-divisor"
 
 
@@ -185,11 +190,25 @@ def test_squarefree_probe_one_squarefree_vote_proves_reduced(monkeypatch):
     q, d = builtin("a3")  # dim Rep 2
     square = [1, P - 2, 1]  # (t - 1)^2
     distinct = [2, P - 3, 1]  # (t - 1)(t - 2)
-    lines = iter([None, square, square, None, None, distinct, square, square])
+    lines = [None, square, square, None, None, distinct, square, square]
+    drawn = iter(lines)
     certify_module = importlib.import_module("qlfd.certify")
-    monkeypatch.setattr(certify_module, "_line_restriction_poly", lambda *_: next(lines))
+    monkeypatch.setattr(certify_module, "_line_restriction_poly", lambda *_: next(drawn))
     ok, votes = squarefree_probe(q, d, P, trials=5, seed=5)
-    assert ok and votes == [False, False, True, False, False]
+    # the probe stops at the proof: no line after the sixth is drawn
+    assert ok and votes == [False, False, True]
+    assert len(list(drawn)) == len(lines) - 6
+
+
+def test_squarefree_probe_not_reduced_runs_every_trial():
+    # tilde-d4-ii has a component of multiplicity 2: no line votes squarefree
+    q, d = builtin("tilde-d4-ii")
+    ok, votes = squarefree_probe(q, d, P, trials=4, seed=5)
+    assert not ok and votes == [False] * 4
+
+
+def test_e8_report_needs_one_squarefree_line(report_for):
+    assert report_for("e8-central-sink").stats.squarefree_votes == (True,)
 
 
 def test_squarefree_probe_without_full_degree_lines_raises():

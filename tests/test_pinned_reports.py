@@ -26,15 +26,15 @@ dim 3 2
 
 PINNED = [
     (["--builtin", "a5"], 0,
-     "da0a4c703566f23f490a3361ce4bbada22bfff7003eb781275b5a62a60c2e058"),
+     "27316eebb51c1eb7660bde7a40864891402dbcacb787855609472b24a7e47fc2"),
     (["--builtin", "e7-highroot"], 0,
-     "3f134017c66caa05cec191c8fd025da9d4d6ee9afe31fc849faa9f1aad92e5bc"),
+     "5b7b7f36125d71c026801d6fc37c3d6d6b33fd98dc3123d766761bbf6fa8d47b"),
     (["--builtin", "q3"], 0,
      "7cb3d2952f0ae61bb2e2b17a6a464f2f892beb1e5a27b981eb121b907ac448af"),
     (["--builtin", "tilde-d4-iv"], 2,
      "0025d2f1fb8acd1c170cfd888e22c3cfc7c0eeb0cb0467b9379c3d632c2d127e"),
     (["--builtin", "d5-prop", "--exact"], 0,
-     "8e84dfc9125ca47b5b41c02f4683b2e99b5b7127639a550a565cf92a449a821b"),
+     "2ba55a701055a11994065fe6c8636df4cd3befec60d188af7b015970fac94f53"),
     (["--file", "cycle3.qf"], 0,
      "3294898ec8128dffd2294e9c90ba52c7d1fda185dffde41dcdda8696edf8dc7f"),
 ]

@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -14,6 +15,7 @@ from qlfd.quiver import (
     support_subquiver,
     tits_form,
 )
+from qlfd.repmatrix import hom_ext_dims, random_representation
 from qlfd.roots import (
     brick_probe,
     highest_root,
@@ -134,6 +136,27 @@ def test_brick_probe_rank_nullity_invariant():
         d = d or dd
         cert = brick_probe(q, d, P, seed=13)
         assert cert.endomorphism_dim - cert.ext_dim == tits_form(q, d)
+
+
+@pytest.mark.parametrize("name,calls", [("star7", 1), ("tilde-d4-iv", 8)])
+def test_brick_probe_stops_at_the_first_brick_sample(name, calls, monkeypatch):
+    # a sample with dim End = 1 also has the least dim Ext, so the probe
+    # stops there; a non-brick runs all its trials
+    roots_module = importlib.import_module("qlfd.roots")
+    seen = []
+
+    def counted(w, v):
+        seen.append(1)
+        return hom_ext_dims(w, v)
+
+    q, d = builtin(name)
+    rng = Rng(101)
+    samples = [random_representation(q, d, P, rng.split(t).seed) for t in range(8)]
+    ends, exts = zip(*(hom_ext_dims(v, v) for v in samples))
+    monkeypatch.setattr(roots_module, "hom_ext_dims", counted)
+    cert = brick_probe(q, d, P, seed=101, trials=8)
+    assert (cert.endomorphism_dim, cert.ext_dim, cert.trials) == (min(ends), min(exts), 8)
+    assert len(seen) == calls
 
 
 def test_brick_probe_requires_large_prime():
