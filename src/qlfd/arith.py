@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -155,10 +156,19 @@ def rank_mod(mat, p: int) -> int:
 
 
 # Pivot plans of ``_solve_mod``, keyed by the shape and sparsity pattern of
-# A; beyond _PLAN_LIMIT patterns the oldest plan is evicted, by one popitem
-# call, which stays safe under concurrent use.  A plan changes no result.
+# A, each carrying the schedule compiled from it once it is replayed; beyond
+# _PLAN_LIMIT patterns the oldest plan and its schedule are evicted, by one
+# popitem call, which stays safe under concurrent use.  Neither changes a
+# result.
 _PLANS: OrderedDict = OrderedDict()
 _PLAN_LIMIT = 64
+
+
+class _Plan(tuple):
+    """The (row, column) pivot sequence of the first elimination of a
+    sparsity pattern; ``schedule`` is compiled from it on its first replay."""
+
+    schedule = None
 
 
 def _solve_mod(a, p: int, b=None):
@@ -167,97 +177,53 @@ def _solve_mod(a, p: int, b=None):
     A may be rectangular.  The determinant is 0 unless A is square and
     invertible; the solution is None unless, in addition, B is given.
 
-    The rows of A are held as {column: value} dicts, the rows of B as dense
-    lists riding along.  Each pivot is the entry of least Markowitz cost
-    (r - 1)(c - 1), with r and c the nonzero counts of its row and column,
-    among the entries that are nonzero at the actual values (Markowitz
-    1957).  Choosing on values matters: the action matrix repeats
-    coordinates, so entries cancel and an order fixed from the sparsity
-    pattern alone can meet a zero pivot.  Rows that cancel to zero leave
-    the elimination, so the pivot count is the rank.  Back substitution
-    through the pivot rows then gives the solution rows.
+    There are two paths.  The first sighting of a sparsity pattern (the
+    shape and the positions of the nonzero entries as given; an entry that
+    is a nonzero multiple of p only widens the pattern) runs the Markowitz
+    search of ``_search_mod`` and keeps its (row, column) pivot
+    sequence as the pattern's plan.  The first replay compiles the plan
+    into a fixed schedule (``_compile_schedule``), and every later A with
+    that pattern runs the schedule (``_run_schedule``): the symbolic
+    analysis is reused and only the numbers change, as in the refactor step
+    of sparse LU (Davis and Palamadai Natarajan 2010).  When a planned
+    pivot is zero mod p, or rows are left nonzero after a plan shorter than
+    A, the search runs from A and the plan is kept.  So a pattern seen once
+    compiles nothing.
 
-    The search is the costly part, and a certification meets only a few
-    sparsity patterns, so the (row, column) pivot sequence of the first
-    elimination of each pattern is kept as its plan.  A later A with the
-    same pattern replays the plan while each planned entry is still
-    nonzero, and searches from the first step that fails.  That check also
-    keeps the planned row active: the plan never repeats a row, and a row
-    that cancelled to zero holds no entry.  Rank, determinant and
-    A^{-1} B do not depend on the pivot order, so a replay changes no
-    result.
+    Back substitution through the pivot rows then gives the solution rows.
+    Rank, determinant and A^{-1} B do not depend on the pivot order or on
+    when entries are reduced, so the path changes no result.
     """
     m = len(a)
     n = len(a[0]) if a else 0
-    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
-    # without B every row of B is empty, so its updates cost nothing
-    rhs = [row[:] for row in b] if b is not None else [[] for _ in range(m)]
-    cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-
-    def col_count(j):
-        return len(cols[j])
-
-    key = (n, tuple(map(tuple, rows)))
+    # the key lists each row's nonzero columns, ending each row with -1:
+    # column indices below 257 are shared small ints, so a kept key costs
+    # one pointer per nonzero entry
+    key = [n]
+    cols = range(n)
+    for row in a:
+        key.extend(compress(cols, row))
+        key.append(-1)
+    key = tuple(key)
     plan = _PLANS.get(key)
-    replay = iter(plan or ())
-    active = {i for i, row in enumerate(rows) if row}
-    pivots = []
-    det = 1
-    while active:
-        step = next(replay, None)
-        if step and step[1] in rows[step[0]]:
-            r, c = step
-        else:
-            replay = iter(())
-            best = None
-            for i in active:
-                row = rows[i]
-                j = min(row, key=col_count)
-                cost = (len(row) - 1) * (len(cols[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-                    if not cost:
-                        break
-            _, r, c = best
-        prow = rows[r]
-        active.discard(r)
-        for j in prow:
-            cols[j].discard(r)
-        pv = prow.pop(c)  # the pivot row keeps only its off-pivot entries
-        inv = pow(pv, -1, p)
-        det = det * pv % p
-        pivots.append((r, c, inv))
-        # B's rows are reduced only when they become pivot rows
-        prhs = rhs[r] = [y % p for y in rhs[r]]
-        for i in list(cols[c]):
-            row = rows[i]
-            f = row.pop(c) * inv % p
-            cols[c].discard(i)
-            for j, y in prow.items():
-                x = (row.get(j, 0) - f * y) % p
-                if x:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = x
-                elif j in row:
-                    del row[j]
-                    cols[j].discard(i)
-            if not row:
-                active.discard(i)
-            rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
-    if plan is None:
-        if len(_PLANS) >= _PLAN_LIMIT:
-            _PLANS.popitem(last=False)
-        _PLANS[key] = tuple((r, c) for r, c, _ in pivots)
+    out = None
+    if plan is not None:
+        if plan.schedule is None:
+            plan.schedule = _compile_schedule(plan, a)
+        out = _run_schedule(plan.schedule, a, p, b)
+    if out is None:
+        out = _search_mod(a, p, b)
+        if plan is None:
+            if len(_PLANS) >= _PLAN_LIMIT:
+                _PLANS.popitem(last=False)
+            _PLANS[key] = _Plan((r, c) for r, c, _, _ in out[1])
+    det, pivots, rhs = out
     rank = len(pivots)
     if not rank == m == n:
         return rank, 0, None
     # sign of the permutation row r -> column c
     perm = [0] * n
-    for r, c, _ in pivots:
+    for r, c, _, _ in pivots:
         perm[r] = c
     seen = [False] * n
     for i in range(n):
@@ -273,12 +239,160 @@ def _solve_mod(a, p: int, b=None):
     if b is None:
         return rank, det % p, None
     x = [None] * n
-    for r, c, inv in reversed(pivots):
+    for r, c, inv, entries in reversed(pivots):
         acc = rhs[r]
-        for j, u in rows[r].items():
-            acc = [s - u * y for s, y in zip(acc, x[j])]
+        for j, u in entries:
+            if u:
+                acc = [s - u * y for s, y in zip(acc, x[j])]
         x[c] = [s % p * inv % p for s in acc]
     return rank, det % p, x
+
+
+def _search_mod(a, p: int, b):
+    """(det of the pivots, pivots, rows of B) by a Markowitz-pivoted sparse
+    elimination of A, for ``_solve_mod``.
+
+    The rows of A are held as {column: value} dicts, the rows of B as dense
+    lists riding along.  Each pivot is the entry of least Markowitz cost
+    (r - 1)(c - 1), with r and c the nonzero counts of its row and column,
+    among the entries that are nonzero at the actual values (Markowitz
+    1957).  Choosing on values matters: the action matrix repeats
+    coordinates, so entries cancel and an order fixed from the sparsity
+    pattern alone can meet a zero pivot.  Rows that cancel to zero leave
+    the elimination, so the pivot count is the rank.  Each pivot is listed
+    as (row, column, inverse, off-pivot (column, value) pairs).
+    """
+    n = len(a[0]) if a else 0
+    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
+    rhs = list(b) if b is not None else None  # its rows are replaced, never changed
+    cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def col_count(j):
+        return len(cols[j])
+
+    active = {i for i, row in enumerate(rows) if row}
+    pivots = []
+    det = 1
+    while active:
+        best = None
+        for i in active:
+            row = rows[i]
+            j = min(row, key=col_count)
+            cost = (len(row) - 1) * (len(cols[j]) - 1)
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+                if not cost:
+                    break
+        _, r, c = best
+        prow = rows[r]
+        active.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        pv = prow.pop(c)  # the pivot row keeps only its off-pivot entries
+        inv = pow(pv, -1, p)
+        det = det * pv % p
+        pivots.append((r, c, inv, prow.items()))
+        if rhs is not None:
+            # B's rows are reduced only when they become pivot rows
+            prhs = rhs[r] = [y % p for y in rhs[r]]
+        for i in list(cols[c]):
+            row = rows[i]
+            f = row.pop(c) * inv % p
+            cols[c].discard(i)
+            for j, y in prow.items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                active.discard(i)
+            if rhs is not None:
+                rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
+    return det, pivots, rhs
+
+
+def _compile_schedule(plan, a):
+    """The fixed elimination schedule of a pivot plan on the sparsity
+    pattern of A.
+
+    A symbolic elimination of the pattern, in plan order, gives each step
+    as (pivot row, pivot column, the pivot row's off-pivot columns after
+    fill, the rows the step updates), and lists each row the plan leaves
+    unpivoted with the columns it may hold at the end.
+    """
+    n = len(a[0]) if a else 0
+    pattern = [set(compress(range(n), row)) for row in a]  # as in the plan key
+    colrows = [set() for _ in range(n)]  # unpivoted rows holding each column
+    for i, row in enumerate(pattern):
+        for j in row:
+            colrows[j].add(i)
+    steps = []
+    for r, c in plan:
+        prow = pattern[r]
+        pattern[r] = set()
+        for j in prow:
+            colrows[j].discard(r)
+        prow.discard(c)
+        cols = tuple(sorted(prow))
+        targets = tuple(sorted(colrows[c]))
+        for i in targets:
+            row = pattern[i]
+            row.discard(c)
+            for j in cols:
+                if j not in row:
+                    row.add(j)
+                    colrows[j].add(i)
+        colrows[c].clear()
+        steps.append((r, c, cols, targets))
+    rest = tuple((i, tuple(sorted(row))) for i, row in enumerate(pattern) if row)
+    return tuple(steps), rest
+
+
+def _run_schedule(schedule, a, p: int, b):
+    """``_search_mod``'s result by a compiled schedule, or None when a
+    planned pivot is zero mod p or an unpivoted row is left nonzero.
+
+    The rows are plain lists sharing A's ints.  Reduction is lazy: a target
+    entry takes ``row[j] -= f * y`` with only the factor f and the pivot
+    row's entries y reduced, and a row is reduced when it becomes the pivot
+    row.
+    """
+    steps, rest = schedule
+    rows = [list(row) for row in a]
+    rhs = list(b) if b is not None else None  # its rows are replaced, never changed
+    pivots = []
+    det = 1
+    for r, c, cols, targets in steps:
+        prow = rows[r]
+        pv = prow[c] % p
+        if not pv:
+            return None
+        inv = pow(pv, -1, p)
+        det = det * pv % p
+        ys = [prow[j] % p for j in cols]
+        pivots.append((r, c, inv, zip(cols, ys)))
+        if rhs is not None:
+            prhs = rhs[r] = [y % p for y in rhs[r]]
+        for i in targets:
+            row = rows[i]
+            f = row[c] * inv % p
+            if f:
+                for j, y in zip(cols, ys):
+                    row[j] -= f * y
+                if rhs is not None:
+                    rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
+    for i, cols in rest:
+        row = rows[i]
+        if any(row[j] % p for j in cols):
+            return None
+    return det, pivots, rhs
 
 
 def det_exact(mat):

@@ -74,6 +74,11 @@ MAX_POINT_BOUND_LOG2 = -40
 # is not positive definite (a few seconds of scanning).
 MAX_BOX_SCAN_POINTS = 10**7
 
+# Most candidates the box scan may hand on: each one costs up to two witness
+# determinants in the nonvanishing filter, and the survivors feed the
+# semigroup basis (q3, the most of any builtin, has 39).
+MAX_ADVISORY_CANDIDATES = 200
+
 
 class CertifyError(RuntimeError):
     """Hard failure of a pipeline stage (inputs the pipeline cannot accept,
@@ -411,7 +416,8 @@ def _advisory_candidate_roots(q: Quiver, d) -> list[tuple[int, ...]]:
     The box is heuristic; completeness is validated downstream by the
     component-count check.  Soundness does not depend on it: candidates only
     enter the report after a nonzero witness value is observed.  A box of
-    more than ``MAX_BOX_SCAN_POINTS`` points is refused before scanning.
+    more than ``MAX_BOX_SCAN_POINTS`` points is refused before scanning, and
+    a scan yielding more than ``MAX_ADVISORY_CANDIDATES`` candidates after it.
     """
     n = q.node_count
     dmax = max(d)
@@ -453,6 +459,13 @@ def _advisory_candidate_roots(q: Quiver, d) -> list[tuple[int, ...]]:
         vec[x] = 0
 
     scan(0, 0)
+    if len(out) > MAX_ADVISORY_CANDIDATES:
+        raise CertifyError(
+            "orthogonal-roots",
+            f"candidate box scan found {len(out)} candidates (limit "
+            f"{MAX_ADVISORY_CANDIDATES}); it is needed because the Tits form is "
+            "not positive definite on the lattice orthogonal to d",
+        )
     return sorted(out)
 
 

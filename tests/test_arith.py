@@ -460,9 +460,10 @@ def test_det_pencil_poly_odd_and_even_sizes():
 
 
 def _pattern_key(m, p):
-    # the plan key of _solve_mod: the column count and each row's nonzero columns
+    # the plan key of _solve_mod: the column count, then the columns of each
+    # row's nonzero entries as given, each row ended by -1 (p is not needed)
     cols = len(m[0]) if m else 0
-    return cols, tuple(tuple(j for j, x in enumerate(row) if x % p) for row in m)
+    return (cols, *(j for row in m for j in [*(j for j, x in enumerate(row) if x), -1]))
 
 
 def _cramer(a, b, p):
@@ -530,7 +531,7 @@ def test_plan_replay_on_rectangular_rank_deficient_inputs():
         generic = [full_row() for _ in range(4)]
         order = [generic, deficient, third] if trial % 2 else [deficient, third, generic]
         for m in order:
-            assert _pattern_key(m, p) == (6, (tuple(range(6)),) * 4)
+            assert _pattern_key(m, p) == (6, *[0, 1, 2, 3, 4, 5, -1] * 4)
             assert rank_mod(m, p) == _rank_by_minors(m, p)
             assert rank_mod([row[:] for row in zip(*m)], p) == _rank_by_minors(m, p)
         assert len(arith._PLANS) == 2  # one 4 x 6 pattern and its transpose
@@ -549,6 +550,186 @@ def test_plan_cache_stays_within_its_bound():
     assert len(arith._PLANS) == limit
     assert keys[0] not in arith._PLANS and keys[-1] in arith._PLANS
     assert list(arith._PLANS) == keys[-limit:]  # the oldest plans went first
+
+
+def _sparse_pattern(rng, rows, cols):
+    # each row holds at least one position; about half the positions are set
+    pattern = [[bool(rng.below(2)) for _ in range(cols)] for _ in range(rows)]
+    for row in pattern:
+        row[rng.below(cols)] = True
+    return pattern
+
+
+def _member(rng, pattern, p):
+    # values in [1, p) on the pattern
+    return [[1 + rng.below(p - 1) if on else 0 for on in row] for row in pattern]
+
+
+def _check_against_oracles(m, p, b=None):
+    rank, det, x = _solve_mod(m, p, b)
+    assert rank == _rank_by_minors(m, p)
+    if len(m) == len(m[0]):
+        assert det == _det_cofactor(m, p)
+        if b is not None:
+            assert x == (_cramer(m, b, p) if det else None)
+    return rank, det, x
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    real = arith._search_mod
+
+    def spy(a, p, b):
+        calls.append(len(a))
+        return real(a, p, b)
+
+    monkeypatch.setattr(arith, "_search_mod", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", [13, 101, P])
+def test_schedule_matches_oracles_on_random_sparse_patterns(p, monkeypatch):
+    rng = Rng(1010 + p % 1000)
+    searches = _count_searches(monkeypatch)
+    for trial in range(30):
+        arith._PLANS.clear()
+        n = 1 + trial % 5
+        cols = n if trial % 3 else n + 1
+        pattern = _sparse_pattern(rng, n, cols)
+        first = _member(rng, pattern, p)
+        _check_against_oracles(first, p)
+        plan = arith._PLANS[_pattern_key(first, p)]
+        assert plan.schedule is None
+        full = len(plan) == n
+        for _ in range(4):
+            m = _member(rng, pattern, p)
+            b = [[rng.below(p) for _ in range(2)] for _ in range(n)] if cols == n else None
+            before = len(searches)
+            _check_against_oracles(m, p, b)
+            assert plan.schedule is not None
+            assert arith._PLANS[_pattern_key(m, p)] is plan  # the plan is kept
+            if full and p == P:
+                # at small p a planned pivot may cancel even at full rank
+                assert len(searches) == before  # the schedule alone
+
+
+def test_schedule_meets_a_pivot_that_cancels_mid_schedule(monkeypatch):
+    # the second planned pivot cancels once the first has been eliminated
+    p = 101
+    rng = Rng(1111)
+    n = 5
+    arith._PLANS.clear()
+    searches = _count_searches(monkeypatch)
+    first = [[1 + rng.below(p - 1) for _ in range(n)] for _ in range(n)]
+    _check_against_oracles(first, p)
+    plan = arith._PLANS[_pattern_key(first, p)]
+    (r1, c1), (r2, c2) = plan[:2]
+    generic = [[1 + rng.below(p - 1) for _ in range(n)] for _ in range(n)]
+    _check_against_oracles(generic, p)
+    assert plan.schedule is not None and len(searches) == 1
+    for _ in range(10):
+        m = [[1 + rng.below(p - 1) for _ in range(n)] for _ in range(n)]
+        m[r2][c2] = m[r2][c1] * m[r1][c2] * pow(m[r1][c1], -1, p) % p
+        assert _pattern_key(m, p) == _pattern_key(first, p)
+        b = [[rng.below(p) for _ in range(3)] for _ in range(n)]
+        before = len(searches)
+        _check_against_oracles(m, p, b)
+        assert len(searches) == before + 1  # the search ran from the original
+    assert arith._PLANS[_pattern_key(first, p)] is plan
+
+
+def test_schedule_on_singular_members_of_a_full_rank_pattern(monkeypatch):
+    # a full 5 x 5 pattern planned at full rank, then members of rank 4, 3
+    # and 1 whose entries are all nonzero: the schedule fails, the search
+    # gives the rank, and the plan stays
+    p = 13
+    rng = Rng(1212)
+    n = 5
+
+    def nonzero_row():
+        return [1 + rng.below(p - 1) for _ in range(n)]
+
+    def combo(rows):
+        # a random combination of the rows, with every entry nonzero
+        while True:
+            w = [0] * n
+            for row in rows:
+                c = 1 + rng.below(p - 1)
+                w = [(x + c * y) % p for x, y in zip(w, row)]
+            if all(w):
+                return w
+
+    arith._PLANS.clear()
+    searches = _count_searches(monkeypatch)
+    first = [nonzero_row() for _ in range(n)]
+    assert _check_against_oracles(first, p)[0] == n
+    plan = arith._PLANS[_pattern_key(first, p)]
+    for rank in (4, 3, 1, 5):
+        basis = [nonzero_row() for _ in range(rank)]
+        m = basis + [combo(basis) for _ in range(n - rank)]
+        before = len(searches)
+        assert _check_against_oracles(m, p, [nonzero_row() for _ in range(n)])[0] == rank
+        if rank < n:
+            assert len(searches) == before + 1
+    assert arith._PLANS[_pattern_key(first, p)] is plan and plan.schedule is not None
+
+
+def test_schedule_on_unreduced_and_negative_entries():
+    # the same positions hold values in [-3p, 3p): negative, above p, and
+    # nonzero multiples of p, which the schedule sees as zero mod p
+    rng = Rng(1313)
+    for p in (13, 101):
+        arith._PLANS.clear()
+        pattern = _sparse_pattern(rng, 5, 5)
+        for _ in range(30):
+            m = [[rng.randint(-3 * p, 3 * p - 1) or p if on else 0 for on in row]
+                 for row in pattern]
+            b = [[rng.randint(-3 * p, 3 * p - 1) for _ in range(2)] for _ in range(5)]
+            rank, det, x = _check_against_oracles(m, p, b)
+            reduced = [[v % p for v in row] for row in m]
+            assert (rank, det, x) == _solve_mod(reduced, p, [[v % p for v in row] for row in b])
+        assert arith._PLANS[_pattern_key(m, p)].schedule is not None
+
+
+def test_schedule_solves_pencil_members():
+    # A^{-1} B through a compiled schedule, on E7 action matrices that share
+    # one pattern, against the product A X = B
+    lfm = action_matrix(*builtin("e7-highroot"))
+    rng = Rng(1414)
+    arith._PLANS.clear()
+    mats = [lfm.evaluate([rng.below(P) for _ in range(lfm.coords.total)], P) for _ in range(3)]
+    for a, b in zip(mats, mats[1:] + mats[:1]):
+        rank, det, x = _solve_mod(a, P, b)
+        assert rank == len(a) and det == det_mod(a, P)
+        ax = [[sum(map(mul, row, col)) % P for col in zip(*x)] for row in a]
+        assert ax == b
+    assert arith._PLANS[_pattern_key(mats[0], P)].schedule is not None
+
+
+def test_patterns_seen_once_compile_nothing():
+    arith._PLANS.clear()
+    for k in range(1, 9):
+        m = [[1 if i == j or j == i + 1 else 0 for j in range(k)] for i in range(k)]
+        assert det_mod(m, P) == 1
+    assert len(arith._PLANS) == 8
+    assert all(plan.schedule is None for plan in arith._PLANS.values())
+    det_mod([[2, 3], [0, 5]], P)  # the 2 x 2 pattern again
+    assert [len(plan) for plan in arith._PLANS.values() if plan.schedule] == [2]
+
+
+def test_plans_and_schedules_share_the_cache_bound():
+    arith._PLANS.clear()
+    limit = arith._PLAN_LIMIT
+    keys = []
+    for k in range(limit + 10):
+        m = [[2 if i == j else 0 for j in range(k + 1)] for i in range(k + 1)]
+        m[0][k] += 1  # upper triangular: det 2^(k+1), or 3 when k = 0
+        # the first call keeps a plan, the second compiles and runs its schedule
+        assert det_mod(m, P) == det_mod(m, P) == (pow(2, k + 1, P) if k else 3)
+        keys.append(_pattern_key(m, P))
+        assert len(arith._PLANS) <= limit
+    assert list(arith._PLANS) == keys[-limit:]  # the oldest went first, schedule and all
+    assert all(plan.schedule is not None for plan in arith._PLANS.values())
 
 
 def test_charpoly_matches_determinant_evaluation():

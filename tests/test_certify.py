@@ -544,6 +544,19 @@ def test_box_scan_guard_fails_fast_on_ten_node_indefinite_input(tmp_path):
     assert main(["certify", "--file", str(path)]) == 1
 
 
+def test_advisory_candidate_limit_refuses_long_lists(monkeypatch, capsys):
+    # q3's box scan yields 39 candidates, one more than a limit of 38
+    from qlfd.cli import main
+
+    certify_module = importlib.import_module("qlfd.certify")
+    monkeypatch.setattr(certify_module, "MAX_ADVISORY_CANDIDATES", 38)
+    with pytest.raises(CertifyError, match=r"found 39 candidates \(limit 38\)") as exc:
+        certify(*builtin("q3"))
+    assert exc.value.stage == "orthogonal-roots"
+    assert main(["certify", "--builtin", "q3"]) == 1
+    assert "found 39 candidates (limit 38)" in capsys.readouterr().err
+
+
 def test_certify_star8_uses_lattice_roots():
     q, d = builtin("star8")
     assert q.node_count == 10

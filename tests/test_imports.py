@@ -1,0 +1,34 @@
+"""The package imports nothing outside the standard library."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Imports every module of the package and runs a small modular and exact
+# certification, so that imports made inside functions count too.  Names
+# loaded before qlfd (site hooks from .pth files) are left out.
+PROBE = """
+import importlib, io, pkgutil, sys
+from contextlib import redirect_stdout
+before = {name.partition(".")[0] for name in sys.modules}
+import qlfd
+for mod in pkgutil.iter_modules(qlfd.__path__):
+    importlib.import_module("qlfd." + mod.name)
+from qlfd.cli import main
+with redirect_stdout(io.StringIO()):
+    assert main(["certify", "--builtin", "a3", "--format", "json"]) == 0
+    assert main(["certify", "--builtin", "a3", "--exact", "--format", "json"]) == 0
+after = {name.partition(".")[0] for name in sys.modules}
+print(" ".join(sorted(after - before - set(sys.stdlib_module_names))))
+"""
+
+
+def test_package_imports_only_the_standard_library():
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.split() == ["qlfd"]

@@ -51,3 +51,18 @@ def test_certify_json_report_is_pinned(argv, code, digest, tmp_path, monkeypatch
     out = capsys.readouterr()
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+def test_cold_and_warm_plan_caches_give_the_same_report(capsys):
+    # the first pass fills the pivot plans, the second replays them through
+    # compiled schedules; neither may show in a report
+    from qlfd import arith
+
+    arith._PLANS.clear()
+    reports = []
+    for _ in range(2):
+        for name in ("e7-highroot", "star7"):
+            assert main(["certify", "--builtin", name, "--seed", "5", "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+    assert any(plan.schedule is not None for plan in arith._PLANS.values())
+    assert reports[:2] == reports[2:]
