@@ -2,11 +2,12 @@
 representations is a linear free divisor and emit the component table.
 
 Pipeline: support restriction, real-root check, orthogonal roots, semigroup
-basis, witnesses, degrees and weights, multiplicity vector, factorization
-verification, squarefree probe.  On a Dynkin support the component list is
-guaranteed; on other acyclic supports the pipeline runs in advisory mode and
-requires its two independent reducedness signals (integral multiplicities;
-random-line squarefreeness) to agree, reporting inconclusive otherwise.
+basis, witnesses, degrees and weights, multiplicity vector, squarefree probe,
+factorization identity on the probe's line.  On a Dynkin support the
+component list is guaranteed; on other acyclic supports the pipeline runs in
+advisory mode and requires its two independent reducedness signals (integral
+multiplicities; random-line squarefreeness) to agree, reporting inconclusive
+otherwise.
 
 The orthogonal roots come from ``lattice_roots``, which lists every real root
 in the lattice orthogonal to d whenever the Tits form is positive definite
@@ -30,6 +31,7 @@ from .arith import (
     poly_degree,
     poly_deriv,
     poly_gcd,
+    poly_mul,
     power,
     rank,
     reduce,
@@ -44,6 +46,7 @@ from .quiver import (
     tits_form,
 )
 from .repmatrix import (
+    RepCoordinates,
     action_matrix,
     defect_matrix,
     random_representation,
@@ -67,8 +70,11 @@ VERDICT_NOT_REDUCED = "not-reduced"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 # A modular verdict is definitive only when a false factorization identity
-# survives a ratio-check point with probability below 2**-40.
+# survives the probe line with probability below 2**-40.
 MAX_POINT_BOUND_LOG2 = -40
+
+# Over Q the line coordinates are drawn from [-R, R], a set of 2R + 1 values.
+EXACT_LINE_RANGE = 99
 
 # Largest box the candidate scan may visit on a lattice where the Tits form
 # is not positive definite (a few seconds of scanning).
@@ -93,7 +99,6 @@ class CertifyError(RuntimeError):
 class CertifyOptions:
     prime: int = DEFAULT_PRIME
     seed: int = DEFAULT_SEED
-    ratio_trials: int = 20
     # at most this many squarefree trials: the first squarefree line proves
     # the discriminant reduced, so only a not-reduced verdict uses them all
     squarefree_lines: int = 5
@@ -103,9 +108,10 @@ class CertifyOptions:
     cross_check_prime: int | None = None
 
     def __post_init__(self):
-        for name in ("ratio_trials", "squarefree_lines"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.squarefree_lines < 1:
+            raise ValueError(
+                f"squarefree_lines must be at least 1, got {self.squarefree_lines}"
+            )
         # the random streams use the seed modulo 2**64; a seed outside that
         # range would be reported as given but behave as another seed
         if not 0 <= self.seed < 1 << 64:
@@ -154,11 +160,9 @@ class Component:
 class VerificationStats:
     prime: int
     seed: int
-    ratio_trials: int
     squarefree_lines: int
     mode: str = ""
     unit_ratio: int | str | None = None
-    ratio_deviations: int | None = None
     ratio_point_bound_log2: float | None = None
     squarefree_votes: tuple = ()
     brick_endomorphism_dim: int | None = None
@@ -169,11 +173,9 @@ class VerificationStats:
         return {
             "prime": self.prime,
             "seed": self.seed,
-            "ratio_trials": self.ratio_trials,
             "squarefree_lines": self.squarefree_lines,
             "mode": self.mode,
             "unit_ratio": self.unit_ratio,
-            "ratio_deviations": self.ratio_deviations,
             "ratio_point_bound_log2": self.ratio_point_bound_log2,
             "squarefree_votes": list(self.squarefree_votes),
             "brick_endomorphism_dim": self.brick_endomorphism_dim,
@@ -219,15 +221,27 @@ class LfdReport:
 
 
 def _random_coordinate_vector(lfm, p: int | None, rng: Rng):
-    """Uniform over F_p, or in [-99, 99] over Q."""
+    """Uniform over F_p, or in [-r, r] over Q, r = EXACT_LINE_RANGE."""
+    r = EXACT_LINE_RANGE
     if p is None:
-        return [rng.randint(-99, 99) for _ in range(lfm.coords.total)]
+        return [rng.randint(-r, r) for _ in range(lfm.coords.total)]
     return [rng.below(p) for _ in range(lfm.coords.total)]
 
 
-def _line_restriction_poly(lfm, p: int | None, rng: Rng):
-    """det of the action matrix along a random affine line vec0 + t*vec1, as
-    a univariate polynomial over F_p or Q, when it has full degree
+def _restrict(f, vec0, vec1, degree: int, p: int | None):
+    """A function f of the coordinates, of degree at most ``degree``, along
+    the line vec0 + t*vec1: interpolated over F_p or Q from its values at
+    t = 0, ..., degree."""
+    points = [
+        (t, f([reduce(a + t * b, p) for a, b in zip(vec0, vec1)]))
+        for t in range(degree + 1)
+    ]
+    return interpolate(points, p)
+
+
+def _line_restriction_poly(lfm, p: int | None, vec0, vec1):
+    """det of the action matrix along the affine line vec0 + t*vec1, as a
+    univariate polynomial over F_p or Q, when it has full degree
     ``lfm.size``; None otherwise.
 
     Every cell of the action matrix A is a signed coordinate, so det A is
@@ -236,15 +250,11 @@ def _line_restriction_poly(lfm, p: int | None, rng: Rng):
     Over F_p the pencil kernel computes the restriction; over Q it is
     interpolated from size + 1 values.
     """
-    vec0 = _random_coordinate_vector(lfm, p, rng)
-    vec1 = _random_coordinate_vector(lfm, p, rng)
     if p is not None:
         return det_pencil_poly(lfm.evaluate(vec0, p), lfm.evaluate(vec1, p), p)
-    points = []
-    for t in range(lfm.size + 1):
-        vec = [a + t * b for a, b in zip(vec0, vec1)]
-        points.append((t, det(lfm.evaluate(vec, None), None)))
-    poly = interpolate(points)
+    poly = _restrict(
+        lambda vec: det(lfm.evaluate(vec, None), None), vec0, vec1, lfm.size, None
+    )
     return poly if poly_degree(poly) == lfm.size else None
 
 
@@ -321,42 +331,32 @@ def multiplicity_vector(q: Quiver, d, weights) -> list[int]:
     return out
 
 
-def verify_factorization(
-    q: Quiver,
-    d,
-    handles,
-    mults,
-    p: int | None,
-    trials: int,
-    seed: int,
-):
-    """Ratio-constancy check of the discriminant determinant against the
-    weighted product of the handle values, over F_p or Q (``p`` None), at
-    random points where every factor is nonzero.  Returns (ok, unit_ratio,
-    deviation_count), the last being the number of sampled points whose
-    ratio differed from the first."""
-    d = tuple(int(x) for x in d)
-    lfm = action_matrix(q, d)
-    rng = Rng(seed)
-    ratios = []
-    attempts = 0
-    budget = 10 * trials + 20
-    while len(ratios) < trials and attempts < budget:
-        v = random_representation(q, d, p, rng.split(attempts).seed)
-        attempts += 1
-        vals = [h.evaluate(v) for h in handles]
-        if any(val == 0 for val in vals):
-            continue
-        delta = det(lfm.evaluate(lfm.coords.flatten(v), p), p)
-        prod = 1
-        for val, a in zip(vals, mults):
-            prod = reduce(prod * power(val, a, p), p)
-        ratios.append(reduce(delta * power(prod, -1, p), p))
-    if len(ratios) < trials:
-        raise CertifyError("factorization", "all sampled points degenerate")
-    deviations = sum(1 for r in ratios if r != ratios[0])
-    ok = ratios[0] != 0 and deviations == 0
-    return ok, ratios[0], deviations
+def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
+    """The factorization identity Delta|_L = c * prod h_i|_L^{a_i}, over F_p
+    or Q (``p`` None), on the line (vec0, vec1, Delta|_L) that
+    ``squarefree_probe`` returns; each handle is restricted to the line from
+    deg h + 1 values.  Returns (ok, c), c the ratio of the leading
+    coefficients, or (False, None) when the product's degree is not Delta's.
+
+    If Delta and P = prod h_i^{a_i} are not proportional, the identity still
+    forces Delta(vec0) P(vec1) = P(vec0) Delta(vec1), a nonzero polynomial of
+    degree dim Rep in vec0 since Delta(vec1) != 0 on an accepted line.  So a
+    false accept has probability at most dim Rep / |S|, S being the set each
+    coordinate of vec0 is drawn from.
+    """
+    vec0, vec1, delta = line
+    coords = RepCoordinates(q, d)
+    prod = [1]
+    for h, a in zip(handles, mults):
+        hl = _restrict(
+            lambda vec: h.evaluate(coords.unflatten(vec, p)), vec0, vec1, h.degree, p
+        )
+        for _ in range(a):
+            prod = poly_mul(prod, hl, p)
+    if not prod or poly_degree(prod) != poly_degree(delta):
+        return False, None
+    c = reduce(delta[-1] * power(prod[-1], -1, p), p)
+    return all(reduce(x - c * y, p) == 0 for x, y in zip(delta, prod)), c
 
 
 def squarefree_probe(
@@ -368,7 +368,8 @@ def squarefree_probe(
 ):
     """Squarefreeness of the discriminant determinant over F_p, or over Q
     when ``p`` is None, from its restrictions to random affine lines.
-    Returns (squarefree, votes).
+    Returns (squarefree, votes, line), where line = (vec0, vec1, f) is the
+    first accepted line vec0 + t*vec1 and f the restriction on it.
 
     Each trial takes the first of 8 lines whose restriction f has full
     degree and votes gcd(f, f') = 1.  On such a line a repeated factor g^2
@@ -379,15 +380,16 @@ def squarefree_probe(
     """
     d = tuple(int(x) for x in d)
     lfm = action_matrix(q, d)
-    n = lfm.size
-    _require_prime_above_twice(p, n, "squarefree_probe")
-    if n == 0:
-        return True, [True] * trials
+    _require_prime_above_twice(p, lfm.size, "squarefree_probe")
     rng = Rng(seed)
     votes = []
+    line = None
     for trial in range(trials):
         for attempt in range(8):
-            poly = _line_restriction_poly(lfm, p, rng.split(trial, attempt))
+            stream = rng.split(trial, attempt)
+            vec0 = _random_coordinate_vector(lfm, p, stream)
+            vec1 = _random_coordinate_vector(lfm, p, stream)
+            poly = _line_restriction_poly(lfm, p, vec0, vec1)
             if poly is not None:
                 break
         else:
@@ -396,11 +398,12 @@ def squarefree_probe(
                 "the discriminant vanishes at the leading member A(vec1) of "
                 "every sampled line",
             )
+        line = line or (vec0, vec1, poly)
         g = poly_gcd(poly, poly_deriv(poly, p), p)
         votes.append(poly_degree(g) == 0)
         if votes[-1]:
             break
-    return any(votes), votes
+    return any(votes), votes, line
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +502,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     prime, seed = opts.prime, opts.seed
     p = None if opts.exact else prime  # the field of every evaluation
     stats = VerificationStats(
-        prime=prime,
-        seed=seed,
-        ratio_trials=opts.ratio_trials,
-        squarefree_lines=opts.squarefree_lines,
+        prime=prime, seed=seed, squarefree_lines=opts.squarefree_lines
     )
     notes: list[str] = []
 
@@ -655,20 +655,18 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             raise CertifyError("degrees", msg)
         return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
 
-    # stage: factorization verification
-    fact_ok, unit, deviations = verify_factorization(
-        q0, d0, handles, mults, p, opts.ratio_trials, derive_seed(seed, 30)
-    )
-    stats.unit_ratio = str(unit) if p is None else unit
-    stats.ratio_deviations = deviations
-    bound_num = dim_rep + total
-    stats.ratio_point_bound_log2 = (
-        math.log2(bound_num) - math.log2(prime) if bound_num > 0 else None
-    )
-
     # stage: squarefree probe
-    sqf, votes = squarefree_probe(q0, d0, p, opts.squarefree_lines, derive_seed(seed, 40))
+    sqf, votes, line = squarefree_probe(
+        q0, d0, p, opts.squarefree_lines, derive_seed(seed, 40)
+    )
     stats.squarefree_votes = tuple(votes)
+
+    # stage: factorization identity on the probe's first line, reported with
+    # the looser bound 2 dim Rep / |S| (see verify_factorization)
+    fact_ok, unit = verify_factorization(q0, d0, handles, mults, line, p)
+    stats.unit_ratio = str(unit) if p is None and unit is not None else unit
+    sample_size = prime if p is not None else 2 * EXACT_LINE_RANGE + 1
+    stats.ratio_point_bound_log2 = math.log2(2 * dim_rep) - math.log2(sample_size)
 
     # optional multi-prime consistency pass
     if opts.cross_check_prime is not None:
@@ -679,12 +677,11 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             h2 = SchofieldHandle(e, w2, d0)
             h2.degree = deg2
             handles2.append((h2, deg, deg2))
-        fact_ok2, _, _ = verify_factorization(
-            q0, d0, [h for h, _, _ in handles2], mults, p2, opts.ratio_trials,
-            derive_seed(seed, 51),
-        )
-        sqf2, _ = squarefree_probe(
+        sqf2, _, line2 = squarefree_probe(
             q0, d0, p2, opts.squarefree_lines, derive_seed(seed, 52)
+        )
+        fact_ok2, _ = verify_factorization(
+            q0, d0, [h for h, _, _ in handles2], mults, line2, p2
         )
         degree_agree = all(a == b for _, a, b in handles2)
         if not (fact_ok2 == fact_ok and sqf2 == sqf and degree_agree):
@@ -719,7 +716,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     if not fact_ok:
         return report(
             VERDICT_INCONCLUSIVE,
-            "factorization ratio not constant over sampled points",
+            "factorization identity fails on the probe line",
             components,
             dim_rep,
             disc_w,
@@ -737,7 +734,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     if p is not None and point_bound is not None and point_bound >= MAX_POINT_BOUND_LOG2:
         return report(
             VERDICT_INCONCLUSIVE,
-            f"per-point false-accept bound 2^{point_bound:.1f} is not below "
+            f"false-accept bound 2^{point_bound:.1f} is not below "
             f"2^{MAX_POINT_BOUND_LOG2}; use a larger prime",
             components,
             dim_rep,

@@ -62,6 +62,14 @@ class SystemExit2(Exception):
     """CLI-level error; rendered to stderr with exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 1, not argparse's usage dump and
+    exit code 2, which would read as an inconclusive verdict."""
+
+    def error(self, message):
+        raise SystemExit2(message)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -83,12 +91,7 @@ def _mat_lines(m) -> list[str]:
 
 
 def _options(args) -> CertifyOptions:
-    return CertifyOptions(
-        prime=args.prime,
-        seed=args.seed,
-        ratio_trials=args.trials,
-        exact=args.exact,
-    )
+    return CertifyOptions(prime=args.prime, seed=args.seed, exact=args.exact)
 
 
 def _cmd_euler(q, d, args) -> int:
@@ -205,8 +208,7 @@ def _cmd_certify(q, d, args) -> int:
     st = report.stats
     lines.append(
         f"stats: prime {st.prime}, seed {st.seed}, mode {st.mode}, "
-        f"ratio trials {st.ratio_trials}, unit {st.unit_ratio}, "
-        f"per-point bound 2^{st.ratio_point_bound_log2:.1f}"
+        f"unit {st.unit_ratio}, bound 2^{st.ratio_point_bound_log2:.1f}"
         if st.ratio_point_bound_log2 is not None
         else f"stats: prime {st.prime}, seed {st.seed}, mode {st.mode}"
     )
@@ -283,7 +285,7 @@ def _cmd_table(q, d, args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlfd",
         description=(
             "Representation spaces of quivers: discriminant equations, "
@@ -311,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", help="quiver file path")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--trials", type=int, default=20)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--exact", action="store_true",
                        help="exact rational checks (small Dynkin fixtures only)")

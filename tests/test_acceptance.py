@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line with
 its runtime.  All tolerances are exact (integer/boolean identities); the
-probabilistic checks run at the default 62-bit prime and report their
-per-point Schwartz-Zippel bounds, asserted below 2**-40 in criterion 11.
+probabilistic checks run at the default 62-bit prime, and the factorization
+identity, checked on one random line, reports its Schwartz-Zippel bound
+2 dim Rep / p, asserted below 2**-40 in criterion 11.
 """
 
 import time
@@ -108,12 +109,12 @@ def test_criterion_03_star_quivers():
 
     prod = mp_mul(mp_mul(minor(0, 1), minor(0, 2)), minor(1, 2))
     assert mp_equal_up_to_sign(det, prod)
-    # n = 3, 4: modular certification, ratio constant over 20 points
+    # n = 3, 4: modular certification, the identity on one random line
     for n in (3, 4):
         rep = fixture_report(f"star{n}")
         assert rep.verdict == "linear-free-divisor"
         assert rep.dim_rep == n * (n + 1)
-        assert rep.stats.ratio_trials == 20 and rep.stats.unit_ratio not in (None, 0)
+        assert rep.stats.unit_ratio not in (None, 0)
     assert time.monotonic() - t0 < 5.0
     _passed(3, "star quivers", t0)
 
@@ -172,7 +173,7 @@ def test_criterion_07_e7_table():
         assert tuple(-x for x in c.weight) == minus_w, root
         assert c.multiplicity == 1
     assert tuple(-x for x in rep.disc_weight) == E7_DELTA_MINUS_WEIGHT
-    assert rep.stats.ratio_trials == 20 and rep.stats.unit_ratio not in (None, 0)
+    assert rep.stats.unit_ratio not in (None, 0)
     _blocks_match_auto(
         "e7-highroot",
         [(0, 0, 1, 1, 1, 0, 1), (1, 1, 2, 2, 1, 1, 1)],
@@ -196,7 +197,7 @@ def test_criterion_08_e8_table():
         assert c.multiplicity == 1
     assert sum(c.degree for c in rep.components) == 118
     assert rep.disc_weight == E8_DELTA_WEIGHT
-    assert rep.stats.ratio_trials == 20 and rep.stats.unit_ratio not in (None, 0)
+    assert rep.stats.unit_ratio not in (None, 0)
     _blocks_match_auto(
         "e8-central-sink",
         [
@@ -334,5 +335,4 @@ def test_criterion_11_false_accept_budget():
         assert bound is not None, name
         assert bound < -40.0, (name, bound)
         assert rep.stats.prime.bit_length() == 62
-        assert rep.stats.ratio_trials == 20
     _passed(11, "false-accept budget", t0)

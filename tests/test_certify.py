@@ -1,4 +1,5 @@
 import importlib
+import math
 import time
 
 import pytest
@@ -40,7 +41,7 @@ def test_discriminant_degree_exact_mode_agrees():
     assert discriminant_degree(q, d, None) == discriminant_degree(q, d) == 18
 
 
-@pytest.mark.parametrize("field", ["ratio_trials", "squarefree_lines"])
+@pytest.mark.parametrize("field", ["squarefree_lines"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_certify_options_reject_counts_below_one(field, value):
     with pytest.raises(ValueError, match=field):
@@ -161,27 +162,71 @@ def test_verify_factorization_a3():
         h = SchofieldHandle(e, w, d)
         h.degree = deg
         handles.append(h)
-    ok, unit, _ = verify_factorization(q, d, handles, [1, 1], P, 20, seed=4)
+    _, _, line = squarefree_probe(q, d, P, trials=1, seed=4)
+    ok, unit = verify_factorization(q, d, handles, [1, 1], line, P)
     assert ok
     assert unit in (1, P - 1)
 
 
+def _identity_inputs(report_for, name, p):
+    """Handles over the component roots of a builtin's report, their
+    multiplicities, and the squarefree probe's line, over F_p or Q."""
+    q, d = builtin(name)
+    rep = report_for(name, exact=p is None)
+    handles = []
+    for c in rep.components:
+        w, deg = sample_generic_witness(q, c.root, d, p, seed=3)
+        h = SchofieldHandle(c.root, w, d)
+        h.degree = deg
+        handles.append(h)
+    _, _, line = squarefree_probe(q, d, p, trials=1, seed=5)
+    return q, d, handles, [c.multiplicity for c in rep.components], line
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("tilde-d4-ii", P), ("q3", P), ("e6-q1", None), ("d7-prop", None)],
+)
+def test_verify_factorization_holds_on_the_probe_line(report_for, name, p):
+    q, d, handles, mults, line = _identity_inputs(report_for, name, p)
+    ok, unit = verify_factorization(q, d, handles, mults, line, p)
+    assert ok and unit not in (None, 0)
+    # tilde-d4-ii and q3 each have a component of multiplicity 2
+    assert (max(mults) == 2) == (p is not None)
+
+
+def test_verify_factorization_rejects_a_wrong_factorization(report_for):
+    q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
+    assert verify_factorization(q, d, handles, mults, line, P)[0]
+    raised = [mults[0] + 1] + mults[1:]
+    assert not verify_factorization(q, d, handles, raised, line, P)[0]
+    assert not verify_factorization(q, d, handles[1:], mults[1:], line, P)[0]
+    # components are ordered by degree: the first two both have degree 6, so
+    # the swapped product still has full degree and only its values differ
+    assert handles[0].degree == handles[1].degree
+    swapped = [handles[1]] + handles[1:]
+    assert not verify_factorization(q, d, swapped, mults, line, P)[0]
+
+
 def test_squarefree_probe_fixtures():
     qa, da = builtin("a3")
-    ok, votes = squarefree_probe(qa, da, P, trials=5, seed=5)
+    ok, votes, _ = squarefree_probe(qa, da, P, trials=5, seed=5)
     assert ok and all(votes)
     qii, dii = builtin("tilde-d4-ii")
-    ok2, votes2 = squarefree_probe(qii, dii, P, trials=5, seed=6)
+    ok2, votes2, _ = squarefree_probe(qii, dii, P, trials=5, seed=6)
     assert not ok2 and not any(votes2)
     q6, d6 = builtin("e6-q1")
-    ok3, _ = squarefree_probe(q6, d6, P, trials=5, seed=7)
+    ok3, _, _ = squarefree_probe(q6, d6, P, trials=5, seed=7)
     assert ok3
     # over Q, by the integer remainder sequence of poly_gcd
-    ok4, votes4 = squarefree_probe(qii, dii, None, trials=3, seed=6)
+    ok4, votes4, _ = squarefree_probe(qii, dii, None, trials=3, seed=6)
     assert not ok4 and not any(votes4)
     q7, d7 = builtin("d7-prop")
-    ok5, votes5 = squarefree_probe(q7, d7, None, trials=3, seed=7)
+    ok5, votes5, line = squarefree_probe(q7, d7, None, trials=3, seed=7)
     assert ok5 and all(votes5)
+    # the line is returned with the restriction of the discriminant on it
+    vec0, vec1, poly = line
+    assert len(vec0) == len(vec1) == len(poly) - 1 == 18
 
 
 def test_squarefree_probe_one_squarefree_vote_proves_reduced(monkeypatch):
@@ -194,16 +239,17 @@ def test_squarefree_probe_one_squarefree_vote_proves_reduced(monkeypatch):
     drawn = iter(lines)
     certify_module = importlib.import_module("qlfd.certify")
     monkeypatch.setattr(certify_module, "_line_restriction_poly", lambda *_: next(drawn))
-    ok, votes = squarefree_probe(q, d, P, trials=5, seed=5)
+    ok, votes, line = squarefree_probe(q, d, P, trials=5, seed=5)
     # the probe stops at the proof: no line after the sixth is drawn
     assert ok and votes == [False, False, True]
+    assert line[2] is square  # the first accepted line is the one returned
     assert len(list(drawn)) == len(lines) - 6
 
 
 def test_squarefree_probe_not_reduced_runs_every_trial():
     # tilde-d4-ii has a component of multiplicity 2: no line votes squarefree
     q, d = builtin("tilde-d4-ii")
-    ok, votes = squarefree_probe(q, d, P, trials=4, seed=5)
+    ok, votes, _ = squarefree_probe(q, d, P, trials=4, seed=5)
     assert not ok and votes == [False] * 4
 
 
@@ -341,6 +387,15 @@ def test_certify_exact_mode_small_fixture():
     rep = certify(q, d, CertifyOptions(exact=True))
     assert rep.verdict == "linear-free-divisor"
     assert rep.stats.unit_ratio in ("1", "-1")
+
+
+def test_exact_bound_comes_from_the_line_sample_range(report_for):
+    # an exact line draws each coordinate from [-99, 99], 199 values, so the
+    # bound is 2 dim Rep / 199 and does not depend on the prime
+    rep = report_for("e6-q1", exact=True)
+    assert rep.verdict == "linear-free-divisor" and rep.dim_rep == 22
+    assert rep.stats.ratio_point_bound_log2 == math.log2(2 * 22) - math.log2(199)
+    assert round(rep.stats.ratio_point_bound_log2, 2) == -2.18
 
 
 def test_certify_exact_mode_guards():

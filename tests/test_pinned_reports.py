@@ -26,17 +26,17 @@ dim 3 2
 
 PINNED = [
     (["--builtin", "a5"], 0,
-     "27316eebb51c1eb7660bde7a40864891402dbcacb787855609472b24a7e47fc2"),
+     "4b89100331dbd28e5a2dda61ca56fb40c3d71015d88607c00b3366d5858fa6dd"),
     (["--builtin", "e7-highroot"], 0,
-     "5b7b7f36125d71c026801d6fc37c3d6d6b33fd98dc3123d766761bbf6fa8d47b"),
+     "34d7552c7175d74456a908b50d33d215559a0f06f609b1f2af45d3ab73757271"),
     (["--builtin", "q3"], 0,
-     "7cb3d2952f0ae61bb2e2b17a6a464f2f892beb1e5a27b981eb121b907ac448af"),
+     "cddbaec87e54fa57de2aa70bda8846911465d6243cd095895801ff0168a0c2ae"),
     (["--builtin", "tilde-d4-iv"], 2,
-     "0025d2f1fb8acd1c170cfd888e22c3cfc7c0eeb0cb0467b9379c3d632c2d127e"),
+     "51aae1c0478cc75676f613bee40dd70f1ebd46128228f8dfc1ae7db21266e273"),
     (["--builtin", "d5-prop", "--exact"], 0,
-     "2ba55a701055a11994065fe6c8636df4cd3befec60d188af7b015970fac94f53"),
+     "66edef2ab5eb627952474e0bb6b80085c3be431a223d6c27ec2f99950552cd2f"),
     (["--file", "cycle3.qf"], 0,
-     "3294898ec8128dffd2294e9c90ba52c7d1fda185dffde41dcdda8696edf8dc7f"),
+     "fbf3c4a0fb557637bfc23260b3d2738ae0d9e962c0143dbeed34cd8fda97df28"),
 ]
 
 
