@@ -59,7 +59,6 @@ from .semiinv import (
     root_support_type,
     sample_generic_witness,
     verify_weight,
-    weight_of_schofield,
     weight_support_type,
 )
 
@@ -625,19 +624,16 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             raise CertifyError("semigroup-basis", msg)
         return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
 
-    # stage: degrees and weights
+    # stage: weights (each degree came with its witness)
     handles = []
-    weights0 = []
-    degrees = []
     for i, (e, w, deg) in enumerate(picked):
         h = SchofieldHandle(e, w, d0)
         h.degree = deg
-        w0 = weight_of_schofield(q0, e)
-        if not verify_weight(h, w0, p, derive_seed(seed, 20, i), trials=1):
+        if not verify_weight(h, h.weight, p, derive_seed(seed, 20, i)):
             raise CertifyError("weights", f"weight check failed for root {e}")
         handles.append(h)
-        weights0.append(w0)
-        degrees.append(deg)
+    weights0 = [h.weight for h in handles]
+    degrees = [h.degree for h in handles]
 
     # stage: multiplicity vector
     try:
@@ -648,6 +644,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             raise CertifyError("multiplicities", msg)
         return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
 
+    # implied by the weights unless degree_of measured the degrees
     total = sum(a * deg for a, deg in zip(mults, degrees))
     if total != dim_rep:
         msg = f"weighted degree sum {total} != dim Rep = {dim_rep}"
@@ -673,18 +670,15 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         p2 = opts.cross_check_prime
         handles2 = []
         for e, _, deg in picked:
-            w2, deg2 = sample_generic_witness(q0, e, d0, p2, derive_seed(seed, 50, *e))
+            w2, _ = sample_generic_witness(q0, e, d0, p2, derive_seed(seed, 50, *e))
             h2 = SchofieldHandle(e, w2, d0)
-            h2.degree = deg2
-            handles2.append((h2, deg, deg2))
+            h2.degree = deg
+            handles2.append(h2)
         sqf2, _, line2 = squarefree_probe(
             q0, d0, p2, opts.squarefree_lines, derive_seed(seed, 52)
         )
-        fact_ok2, _ = verify_factorization(
-            q0, d0, [h for h, _, _ in handles2], mults, line2, p2
-        )
-        degree_agree = all(a == b for _, a, b in handles2)
-        if not (fact_ok2 == fact_ok and sqf2 == sqf and degree_agree):
+        fact_ok2, _ = verify_factorization(q0, d0, handles2, mults, line2, p2)
+        if not (fact_ok2 == fact_ok and sqf2 == sqf):
             return report(
                 VERDICT_INCONCLUSIVE,
                 f"cross-check prime {p2} disagrees with {prime}",

@@ -177,6 +177,33 @@ def euler_inverse(q: Quiver):
     return inv
 
 
+def level_function(q: Quiver) -> tuple[int, ...] | None:
+    """A level l with l(head) = l(tail) + 1 on every arrow, 0 at the first
+    node of each connected component; None when some cycle of the underlying
+    graph has unequal numbers of arrows in each direction.
+
+    Where it exists, V -> lam V is the action of lam**l(x) at every node x.
+    """
+    level: list[int | None] = [None] * q.node_count
+    for root in range(q.node_count):
+        if level[root] is not None:
+            continue
+        level[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for t, h in zip(q.tails, q.heads):
+                if x not in (t, h):
+                    continue
+                y, ly = (h, level[x] + 1) if t == x else (t, level[x] - 1)
+                if level[y] is None:
+                    level[y] = ly
+                    stack.append(y)
+                elif level[y] != ly:
+                    return None
+    return tuple(level)
+
+
 def euler_form(q: Quiver, e, d) -> int:
     """<e, d> = sum_x e_x d_x - sum_arrows e_tail d_head."""
     e = _check_vector(q, e, nonneg=False)

@@ -1,6 +1,7 @@
 """Determinantal semi-invariants of a representation space: weight formulas,
 handles built from a generic witness representation, hard-coded block-matrix
-recipes, degrees read off one scaled value, and operational weight checks.
+recipes, degrees from the weight and a level function (read off one scaled
+value only on an unbalanced cycle), and a weight check by one joint scaling.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .quiver import (
     euler_inverse,
     euler_matrix,
     in_out_degree,
+    level_function,
 )
 from .repmatrix import Representation, defect_matrix, random_representation
 
@@ -259,51 +261,54 @@ def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
 def sample_generic_witness(
     q: Quiver, e, d, prime: int | None, seed: int, retries: int = 32
 ) -> tuple[Representation, int]:
-    """Random witness over the orthogonal root e, re-sampled until the handle
-    is nonzero and two independent witnesses agree on the degree."""
+    """Random witness W over the orthogonal root e, re-sampled until c^W is
+    nonzero at a random point, and the degree of c^W.  Any such W gives the
+    component: c^W has weight w = -e E, a one-dimensional weight space.  The
+    degree is sum_x w_x l(x) d_x for a level function l; only without one
+    (an unbalanced cycle) does ``degree_of`` measure it."""
     if euler_form(q, e, d) != 0:
         raise ValueError("sample_generic_witness needs an orthogonal root")
+    levels = level_function(q)
     rng = Rng(seed)
     for attempt in range(retries):
-        w1 = random_representation(q, e, prime, rng.split(attempt, 0).seed)
-        w2 = random_representation(q, e, prime, rng.split(attempt, 1).seed)
-        try:
-            d1 = degree_of(SchofieldHandle(e, w1, d), prime, rng.split(attempt, 2).seed)
-            d2 = degree_of(SchofieldHandle(e, w2, d), prime, rng.split(attempt, 3).seed)
-        except DegenerateWitnessError:
-            continue
-        if d1 == d2:
-            return w1, d1
+        w = random_representation(q, e, prime, rng.split(attempt, 0).seed)
+        h = SchofieldHandle(e, w, d)
+        if levels is None:
+            try:
+                return w, degree_of(h, prime, rng.split(attempt, 2).seed)
+            except DegenerateWitnessError:
+                continue
+        v = random_representation(q, d, prime, rng.split(attempt, 2, 0).seed)
+        if h.evaluate(v):
+            return w, sum(wx * lx * dx for wx, lx, dx in zip(h.weight, levels, d))
     raise DegenerateWitnessError(
         f"no generic witness found for root {tuple(e)} after {retries} attempts"
     )
 
 
-def verify_weight(handle, declared, p: int | None, seed: int, trials: int = 2) -> bool:
+def verify_weight(handle, declared, p: int | None, seed: int) -> bool:
     """Check the declared weight operationally, over F_p or Q (``p`` None):
-    acting by the group element diag(lambda, 1, ..., 1) at node x must scale
-    the value by lambda**w(x)."""
-    q = handle.quiver
-    d = handle.dims
-    declared = tuple(declared)
+    acting by diag(lam_x, 1, ..., 1) at every support node x at once must
+    scale a nonzero value by prod_x lam_x**w(x).  A weight off by
+    delta_x != 0 at x passes only if lam_x**delta_x hits one value, with
+    probability at most |delta_x|/(p - 3) over lam_x (Schwartz-Zippel); over
+    Q, lam_x in [2, 19], at most 1/18."""
+    q, d = handle.quiver, handle.dims
     rng = Rng(seed)
-    for trial in range(trials):
-        base = 0
-        for attempt in range(6):
-            v = random_representation(q, d, p, rng.split(trial, 0, attempt).seed)
-            base = handle.evaluate(v)
-            if base:
-                break
-        if not base:
-            return False
-        for x, node in enumerate(q.nodes):
-            if d[x] == 0:
-                continue
-            lam = random_scalar(rng.split(trial, 1, x), p)
-            expect = reduce(base * power(lam, declared[x], p), p)
-            if handle.evaluate(v.scale_first_coordinate(node, lam)) != expect:
-                return False
-    return True
+    for attempt in range(6):
+        v = random_representation(q, d, p, rng.split(0, attempt).seed)
+        base = handle.evaluate(v)
+        if base:
+            break
+    else:
+        return False
+    expect = base
+    for x, node in enumerate(q.nodes):
+        if d[x]:
+            lam = random_scalar(rng.split(1, x), p)
+            v = v.scale_first_coordinate(node, lam)
+            expect = reduce(expect * power(lam, declared[x], p), p)
+    return handle.evaluate(v) == expect
 
 
 # ---------------------------------------------------------------------------

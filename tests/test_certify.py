@@ -533,30 +533,39 @@ def test_certify_unbalanced_cycle_not_reduced():
     assert [(c.degree, c.multiplicity) for c in rep.components] == [(1, 1), (2, 2)]
 
 
-def _potential(q):
-    """phi with phi(head) - phi(tail) = 1 on every arrow of a tree quiver."""
-    phi = {q.nodes[0]: 0}
-    while len(phi) < q.node_count:
-        for a in q.arrows:
-            if a.tail in phi and a.head not in phi:
-                phi[a.head] = phi[a.tail] + 1
-            elif a.head in phi and a.tail not in phi:
-                phi[a.tail] = phi[a.head] - 1
-    return [phi[x] for x in q.nodes]
-
-
-def test_reported_degrees_match_tree_potential_formula(report_for):
+def test_reported_degrees_match_degree_of_on_a_fresh_witness(report_for):
+    # reported degrees come from the level-function formula; degree_of
+    # measures them on a witness the pipeline never drew
     from qlfd.fixtures import builtin_names
+    from qlfd.repmatrix import random_representation
+    from qlfd.semiinv import degree_of
 
     checked = 0
     for name in builtin_names():
         q, d = builtin(name)
-        assert q.arrow_count == q.node_count - 1  # every builtin is a tree
-        phi = _potential(q)
-        for c in report_for(name).components:
-            assert c.degree == sum(f * x * w for f, x, w in zip(phi, d, c.weight)), name
+        for i, c in enumerate(report_for(name).components):
+            w = random_representation(q, c.root, P, seed=1000 + i)
+            assert degree_of(SchofieldHandle(c.root, w, d), P, seed=2000 + i) == c.degree, name
             checked += 1
     assert checked >= 100
+
+
+def test_degree_of_runs_only_on_an_unbalanced_cycle(monkeypatch):
+    semiinv = importlib.import_module("qlfd.semiinv")
+    calls = []
+    real = semiinv.degree_of
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].root)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semiinv, "degree_of", counting)
+    assert certify(*builtin("e7-highroot")).verdict == "linear-free-divisor"
+    assert calls == []
+    cycle3 = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    rep = certify(cycle3, (1, 1, 2))
+    assert [c.degree for c in rep.components] == [1, 2]
+    assert sorted(calls) == sorted(c.root for c in rep.components)
 
 
 def test_small_prime_verdict_is_inconclusive(report_for):

@@ -34,7 +34,7 @@ PINNED = [
     (["--builtin", "tilde-d4-iv"], 2,
      "51aae1c0478cc75676f613bee40dd70f1ebd46128228f8dfc1ae7db21266e273"),
     (["--builtin", "d5-prop", "--exact"], 0,
-     "66edef2ab5eb627952474e0bb6b80085c3be431a223d6c27ec2f99950552cd2f"),
+     "4b43ecefec53b201c0c1b257c3399ebe365ab93e8ff8926d3b14eb3146f0111e"),
     (["--file", "cycle3.qf"], 0,
      "fbf3c4a0fb557637bfc23260b3d2738ae0d9e962c0143dbeed34cd8fda97df28"),
 ]

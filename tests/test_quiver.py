@@ -13,6 +13,7 @@ from qlfd.quiver import (
     in_out_degree,
     is_acyclic,
     kac_criterion_applicable,
+    level_function,
     opposite_quiver,
     support_subquiver,
     tits_form,
@@ -71,6 +72,27 @@ def test_euler_inverse_is_inverse_on_all_builtins():
             for i in range(n)
         ]
         assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_level_function_on_builtins_and_an_unbalanced_cycle():
+    from qlfd.fixtures import builtin_names
+
+    for name in builtin_names() + ["star7"]:
+        q, _ = builtin(name)
+        levels = level_function(q)
+        assert levels is not None, name
+        assert all(levels[h] == levels[t] + 1 for t, h in zip(q.tails, q.heads)), name
+    # the triangle 1->2->3, 1->3: two arrows one way round the cycle, one the other
+    cycle3 = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    assert level_function(cycle3) is None
+    # a balanced square 1->2->4, 1->3->4 has one; so does each of two components
+    square = build_quiver(
+        ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]
+    )
+    assert level_function(square) == (0, 1, 1, 2)
+    assert level_function(build_quiver(["1", "2", "3"], [("a", "2", "1")])) == (0, -1, 0)
+    loop = build_quiver(["1"], [("a", "1", "1")], allow_cycles=True)
+    assert level_function(loop) is None
 
 
 def test_euler_form_examples():

@@ -143,14 +143,47 @@ def test_verify_weight_a3_and_identity():
     q, _ = builtin("a3")
     w = random_representation(q, (1, 0, 0), P, seed=3)
     h = SchofieldHandle((1, 0, 0), w, (1, 1, 1))
-    assert verify_weight(h, (-1, 1, 0), P, seed=4, trials=2)
-    assert not verify_weight(h, (1, 1, 0), P, seed=4, trials=2)
+    assert verify_weight(h, (-1, 1, 0), P, seed=4)
+    assert not verify_weight(h, (1, 1, 0), P, seed=4)
+
+
+def test_verify_weight_sees_an_error_only_the_joint_scaling_can_see():
+    # delta = (1, -2, 1) pairs to zero with d = (1, 1, 1) and with
+    # l * d = (0, 1, 2), so neither a scalar lam nor V -> lam V detects it
+    q, d = builtin("a3")
+    declared = (0, -1, 1)
+    delta = [a - b for a, b in zip(declared, weight_of_schofield(q, (1, 0, 0)))]
+    assert delta == [1, -2, 1]
+    assert sum(x * y for x, y in zip(delta, d)) == 0
+    assert sum(x * y * z for x, y, z in zip(delta, (0, 1, 2), d)) == 0
+    for p in (P, None):
+        w = random_representation(q, (1, 0, 0), p, seed=3)
+        h = SchofieldHandle((1, 0, 0), w, d)
+        for seed in range(5):
+            assert verify_weight(h, (-1, 1, 0), p, seed=seed)
+            assert not verify_weight(h, declared, p, seed=seed)
+
+
+def test_witness_and_weight_evaluate_the_handle_once_and_twice(monkeypatch):
+    q, d = builtin("e7-highroot")
+    root = next(iter(E7_TABLE))
+    values = []
+    evaluate = SchofieldHandle.evaluate
+    monkeypatch.setattr(
+        SchofieldHandle, "evaluate", lambda h, v: values.append(evaluate(h, v)) or values[-1]
+    )
+    w, deg = sample_generic_witness(q, root, d, P, seed=5)
+    assert deg == E7_TABLE[root][0]
+    assert len(values) == 1 and values[0] != 0
+    values.clear()
+    assert verify_weight(SchofieldHandle(root, w, d), weight_of_schofield(q, root), P, seed=6)
+    assert len(values) == 2 and values[0] != 0
 
 
 def test_verify_weight_block_handles():
     for name in ["e7-highroot", "e8-central-sink"]:
         for root, bh in block_handles(name).items():
-            assert verify_weight(bh, bh.weight, P, seed=15, trials=1), (name, root)
+            assert verify_weight(bh, bh.weight, P, seed=15), (name, root)
 
 
 def test_block_recipe_identity_cells_and_unknown_arrows():
@@ -330,3 +363,32 @@ def test_degree_of_skips_scalars_with_colliding_powers():
             assert degree_of(_PolyHandle([0, 0, 0, 1], 3), 7, seed=seed) == 3
         except DegenerateWitnessError:
             pass
+
+
+def _random_tree(rng, n):
+    """A tree on n nodes, each node after the first joined to an earlier one
+    by an arrow of random direction."""
+    arrows = []
+    for y in range(1, n):
+        x = rng.below(y)
+        tail, head = (x, y) if rng.below(2) else (y, x)
+        arrows.append((f"a{y}", str(tail), str(head)))
+    return build_quiver([str(i) for i in range(n)], arrows)
+
+
+def test_level_formula_matches_degree_of_on_random_trees():
+    from qlfd.roots import lattice_roots
+
+    rng = Rng(41)
+    checked = 0
+    for trial in range(30):
+        q = _random_tree(rng, 3 + rng.below(4))
+        d = tuple(1 + rng.below(3) for _ in range(q.node_count))
+        for i, root in enumerate((lattice_roots(q, d) or [])[:4]):
+            try:
+                w, deg = sample_generic_witness(q, root, d, P, seed=trial, retries=2)
+            except DegenerateWitnessError:
+                continue  # c^W vanishes identically for this root
+            assert degree_of(SchofieldHandle(root, w, d), P, seed=i) == deg, (q.arrows, d, root)
+            checked += 1
+    assert checked >= 20
