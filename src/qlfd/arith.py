@@ -10,16 +10,18 @@ Conventions used throughout the package:
 * a univariate polynomial is a coefficient list, constant term first,
   with trailing zeros trimmed (the zero polynomial is ``[]``);
 * a field argument ``p`` is a prime for F_p or None for Q; ``det``,
-  ``rank``, ``reduce``, ``power`` and ``random_scalar`` make that choice
-  once, so that callers keep one code path for both fields.
+  ``rank``, ``reduce``, ``power``, ``random_scalar`` and
+  ``det_pencil_poly`` make that choice once, so that callers keep one code
+  path for both fields.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
+from functools import cache
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 # 2**62 - 57, the default modulus for all randomized checks.  62 bits keeps
@@ -138,24 +140,20 @@ def derive_seed(seed: int, *indices: int) -> int:
 # Modular linear algebra
 
 
-def mat_copy(m):
-    return [row[:] for row in m]
-
-
 def det_mod(mat, p: int) -> int:
-    """Determinant over F_p, by the sparse elimination of ``_solve_mod``."""
+    """Determinant over F_p, by the sparse elimination of ``_factor_mod``."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    return _solve_mod(mat, p)[1]
+    return _factor_mod(mat, p)[1]
 
 
 def rank_mod(mat, p: int) -> int:
-    """Rank over F_p, by the sparse elimination of ``_solve_mod``."""
-    return _solve_mod(mat, p)[0]
+    """Rank over F_p, by the sparse elimination of ``_factor_mod``."""
+    return _factor_mod(mat, p)[0]
 
 
-# Pivot plans of ``_solve_mod``, keyed by the shape and sparsity pattern of
+# Pivot plans of ``_factor_mod``, keyed by the shape and sparsity pattern of
 # A, each carrying the schedule compiled from it once it is replayed; beyond
 # _PLAN_LIMIT patterns the oldest plan and its schedule are evicted, by one
 # popitem call, which stays safe under concurrent use.  Neither changes a
@@ -171,11 +169,17 @@ class _Plan(tuple):
     schedule = None
 
 
-def _solve_mod(a, p: int, b=None):
-    """(rank A, det A, A^{-1} B) over F_p by one sparse elimination.
+def _factor_mod(a, p: int, lower: bool = False):
+    """(rank A, det A, LU factors of A) over F_p by one sparse elimination.
 
     A may be rectangular.  The determinant is 0 unless A is square and
-    invertible; the solution is None unless, in addition, B is given.
+    invertible; the factors are None unless, in addition, ``lower`` asks
+    for them.  They are the elimination itself, as ``_lu_solve`` uses it:
+    the forward steps (pivot row, the earlier steps whose pivot rows
+    updated it, their multipliers) in pivot order, and the backward steps
+    (pivot column, inverse pivot, the pivot row's off-pivot columns and
+    values) in reverse order.  Only a solve needs the multipliers, so a
+    determinant or rank does not record them.
 
     There are two paths.  The first sighting of a sparsity pattern (the
     shape and the positions of the nonzero entries as given; an entry that
@@ -190,9 +194,9 @@ def _solve_mod(a, p: int, b=None):
     A, the search runs from A and the plan is kept.  So a pattern seen once
     compiles nothing.
 
-    Back substitution through the pivot rows then gives the solution rows.
-    Rank, determinant and A^{-1} B do not depend on the pivot order or on
-    when entries are reduced, so the path changes no result.
+    Rank, determinant and the solves through the factors do not depend on
+    the pivot order or on when entries are reduced, so the path changes no
+    result.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -210,20 +214,20 @@ def _solve_mod(a, p: int, b=None):
     if plan is not None:
         if plan.schedule is None:
             plan.schedule = _compile_schedule(plan, a)
-        out = _run_schedule(plan.schedule, a, p, b)
+        out = _run_schedule(plan.schedule, a, p, lower)
     if out is None:
-        out = _search_mod(a, p, b)
+        out = _search_mod(a, p, lower)
         if plan is None:
             if len(_PLANS) >= _PLAN_LIMIT:
                 _PLANS.popitem(last=False)
-            _PLANS[key] = _Plan((r, c) for r, c, _, _ in out[1])
-    det, pivots, rhs = out
+            _PLANS[key] = _Plan(out[1])
+    det, pivots, lu = out
     rank = len(pivots)
     if not rank == m == n:
         return rank, 0, None
     # sign of the permutation row r -> column c
     perm = [0] * n
-    for r, c, _, _ in pivots:
+    for r, c in pivots:
         perm[r] = c
     seen = [False] * n
     for i in range(n):
@@ -236,35 +240,58 @@ def _solve_mod(a, p: int, b=None):
                 length += 1
             if length % 2 == 0:
                 det = -det
-    if b is None:
-        return rank, det % p, None
-    x = [None] * n
-    for r, c, inv, entries in reversed(pivots):
-        acc = rhs[r]
-        for j, u in entries:
-            if u:
-                acc = [s - u * y for s, y in zip(acc, x[j])]
-        x[c] = [s % p * inv % p for s in acc]
-    return rank, det % p, x
+    return rank, det % p, lu
 
 
-def _search_mod(a, p: int, b):
-    """(det of the pivots, pivots, rows of B) by a Markowitz-pivoted sparse
-    elimination of A, for ``_solve_mod``.
+def _solve_mod(a, p: int, b=None):
+    """(rank A, det A, A^{-1} B) over F_p, B's columns solved through the
+    LU factors of ``_factor_mod``; the solution is None unless A is square
+    and invertible and B is given."""
+    rank, det, lu = _factor_mod(a, p, b is not None)
+    if lu is None:
+        return rank, det, None
+    x = [[] for _ in a]
+    for col in zip(*b):
+        for row, v in zip(x, _lu_solve(lu, col, p)):
+            row.append(v)
+    return rank, det, x
 
-    The rows of A are held as {column: value} dicts, the rows of B as dense
-    lists riding along.  Each pivot is the entry of least Markowitz cost
-    (r - 1)(c - 1), with r and c the nonzero counts of its row and column,
-    among the entries that are nonzero at the actual values (Markowitz
-    1957).  Choosing on values matters: the action matrix repeats
-    coordinates, so entries cancel and an order fixed from the sparsity
-    pattern alone can meet a zero pivot.  Rows that cancel to zero leave
-    the elimination, so the pivot count is the rank.  Each pivot is listed
-    as (row, column, inverse, off-pivot (column, value) pairs).
+
+def _lu_solve(lu, w, p: int):
+    """A^{-1} w over F_p for the factors ``lu`` of ``_factor_mod``.
+
+    The forward pass replays the row operations on w, one gathered dot
+    product per pivot row; the backward pass solves the pivot rows in
+    reverse, one gathered dot product per column.
+    """
+    forward, backward = lu
+    y = []
+    get = y.__getitem__
+    for r, steps, fs in forward:
+        y.append((w[r] - sum(map(mul, fs, map(get, steps)))) % p)
+    x = [0] * len(y)
+    get = x.__getitem__
+    for yk, (c, inv, cols, vals) in zip(reversed(y), backward):
+        x[c] = (yk - sum(map(mul, vals, map(get, cols)))) * inv % p
+    return x
+
+
+def _search_mod(a, p: int, lower: bool):
+    """(det of the pivots, pivots, factors) by a Markowitz-pivoted sparse
+    elimination of A, for ``_factor_mod``.
+
+    The rows of A are held as {column: value} dicts.  Each pivot is the
+    entry of least Markowitz cost (r - 1)(c - 1), with r and c the nonzero
+    counts of its row and column, among the entries that are nonzero at the
+    actual values (Markowitz 1957).  Choosing on values matters: the action
+    matrix repeats coordinates, so entries cancel and an order fixed from
+    the sparsity pattern alone can meet a zero pivot.  Rows that cancel to
+    zero leave the elimination, so the pivot count is the rank.  Each pivot
+    is listed as (row, column); the factors, as ``_factor_mod`` describes
+    them, are None unless ``lower``.
     """
     n = len(a[0]) if a else 0
     rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
-    rhs = list(b) if b is not None else None  # its rows are replaced, never changed
     cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
     for i, row in enumerate(rows):
         for j in row:
@@ -276,6 +303,9 @@ def _search_mod(a, p: int, b):
     active = {i for i, row in enumerate(rows) if row}
     pivots = []
     det = 1
+    if lower:
+        lrows = [([], []) for _ in a]  # (earlier steps, multipliers) per row
+        forward, backward = [], []
     while active:
         best = None
         for i in active:
@@ -294,14 +324,18 @@ def _search_mod(a, p: int, b):
         pv = prow.pop(c)  # the pivot row keeps only its off-pivot entries
         inv = pow(pv, -1, p)
         det = det * pv % p
-        pivots.append((r, c, inv, prow.items()))
-        if rhs is not None:
-            # B's rows are reduced only when they become pivot rows
-            prhs = rhs[r] = [y % p for y in rhs[r]]
+        step = len(pivots)
+        pivots.append((r, c))
+        if lower:
+            forward.append((r, *lrows[r]))
+            backward.append((c, inv, tuple(prow), tuple(prow.values())))
         for i in list(cols[c]):
             row = rows[i]
             f = row.pop(c) * inv % p
             cols[c].discard(i)
+            if lower:
+                lrows[i][0].append(step)
+                lrows[i][1].append(f)
             for j, y in prow.items():
                 x = (row.get(j, 0) - f * y) % p
                 if x:
@@ -313,9 +347,7 @@ def _search_mod(a, p: int, b):
                     cols[j].discard(i)
             if not row:
                 active.discard(i)
-            if rhs is not None:
-                rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
-    return det, pivots, rhs
+    return det, pivots, (forward, backward[::-1]) if lower else None
 
 
 def _compile_schedule(plan, a):
@@ -355,7 +387,7 @@ def _compile_schedule(plan, a):
     return tuple(steps), rest
 
 
-def _run_schedule(schedule, a, p: int, b):
+def _run_schedule(schedule, a, p: int, lower: bool):
     """``_search_mod``'s result by a compiled schedule, or None when a
     planned pivot is zero mod p or an unpivoted row is left nonzero.
 
@@ -366,10 +398,12 @@ def _run_schedule(schedule, a, p: int, b):
     """
     steps, rest = schedule
     rows = [list(row) for row in a]
-    rhs = list(b) if b is not None else None  # its rows are replaced, never changed
     pivots = []
     det = 1
-    for r, c, cols, targets in steps:
+    if lower:
+        lrows = [([], []) for _ in a]  # (earlier steps, multipliers) per row
+        forward, backward = [], []
+    for step, (r, c, cols, targets) in enumerate(steps):
         prow = rows[r]
         pv = prow[c] % p
         if not pv:
@@ -377,22 +411,24 @@ def _run_schedule(schedule, a, p: int, b):
         inv = pow(pv, -1, p)
         det = det * pv % p
         ys = [prow[j] % p for j in cols]
-        pivots.append((r, c, inv, zip(cols, ys)))
-        if rhs is not None:
-            prhs = rhs[r] = [y % p for y in rhs[r]]
+        pivots.append((r, c))
+        if lower:
+            forward.append((r, *lrows[r]))
+            backward.append((c, inv, cols, ys))
         for i in targets:
             row = rows[i]
             f = row[c] * inv % p
             if f:
                 for j, y in zip(cols, ys):
                     row[j] -= f * y
-                if rhs is not None:
-                    rhs[i] = [x - f * y for x, y in zip(rhs[i], prhs)]
+                if lower:
+                    lrows[i][0].append(step)
+                    lrows[i][1].append(f)
     for i, cols in rest:
         row = rows[i]
         if any(row[j] % p for j in cols):
             return None
-    return det, pivots, rhs
+    return det, pivots, (forward, backward[::-1]) if lower else None
 
 
 def det_exact(mat):
@@ -500,14 +536,6 @@ def poly_trim(f):
 def poly_degree(f) -> int:
     """Degree, with the convention deg 0 = -1."""
     return len(f) - 1
-
-
-def poly_add(f, g, p=None):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    if p is not None:
-        out = [x % p for x in out]
-    return poly_trim(out)
 
 
 def poly_scale(f, c, p=None):
@@ -631,28 +659,36 @@ def interpolate(points, p=None):
     """Lagrange interpolation through (t, f(t)) pairs.
 
     Over F_p when ``p`` is given, otherwise exact over Fractions.  Raises on
-    duplicate abscissae.
+    duplicate abscissae.  With P(t) = prod_j (t - t_j), built once, the
+    basis polynomial of node i is P(t) / ((t - t_i) P'(t_i)): one synthetic
+    division and one value of P' per node, O(k^2) for k points.
     """
     ts = [t for t, _ in points]
     if len(set(ts)) != len(ts):
         raise ValueError("duplicate abscissa in interpolation data")
-    result = []
-    for i, (ti, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = [1]
-        denom = 1
-        for j, (tj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [-tj, 1], p)
-            denom = (denom * (ti - tj)) % p if p is not None else denom * (ti - tj)
+    full = [1]  # P
+    for t in ts:
+        full = [b - t * a for a, b in zip(full + [0], [0] + full)]
         if p is not None:
-            c = yi * pow(denom, -1, p) % p
-        else:
-            c = Fraction(yi, 1) / denom
-        result = poly_add(result, poly_scale(basis, c, p), p)
-    return result
+            full = [x % p for x in full]
+    deriv = poly_deriv(full, p)
+    acc = [0] * len(points)
+    for t, y in points:
+        if y == 0:
+            continue
+        quot = [0] * len(points)  # P / (t - t_i), by synthetic division
+        carry = 0
+        for j in range(len(points), 0, -1):
+            carry = full[j] + t * carry
+            if p is not None:
+                carry %= p
+            quot[j - 1] = carry
+        denom = poly_eval(deriv, t, p)
+        c = y * pow(denom, -1, p) % p if p is not None else Fraction(y) / denom
+        acc = [a + c * b for a, b in zip(acc, quot)]
+    if p is not None:
+        acc = [x % p for x in acc]
+    return poly_trim(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -660,16 +696,24 @@ def interpolate(points, p=None):
 
 
 def charpoly_mod(mat, p: int):
-    """Coefficients of det(t*I - A) over F_p, via Hessenberg reduction.
+    """Coefficients of det(t*I - A) over F_p for a dense matrix A, by the
+    Hessenberg reduction of ``_charpoly_op``."""
+    return _charpoly_op(lambda u: [sum(map(mul, row, u)) for row in mat], len(mat), p)
+
+
+def _charpoly_op(apply, n: int, p: int):
+    """Coefficients of det(t*I - A) over F_p, A an n x n operator given by
+    ``apply(u) = A u`` (any ints, reduced here), via Hessenberg reduction.
 
     A left-looking pass (Cohen, *A Course in Computational Algebraic Number
     Theory*, section 2.2) solves A*L = L*H one column at a time, with L
     unit lower triangular and H upper Hessenberg.  Column k of H comes from
-    the mat-vec A*l_k and a unit triangular solve against the rows of L;
+    the product A*l_k and a unit triangular solve against the rows of L;
     the residual below gives the subdiagonal entry H[k+1][k] and l_{k+1}.
     When the residual vanishes at k+1, index k+1 is swapped with a later
-    one where it does not; when it vanishes everywhere, l_{k+1} = e_{k+1}
-    starts a new Krylov block with H[k+1][k] = 0.
+    one where it does not, a symmetric permutation of A kept in ``perm``;
+    when it vanishes everywhere, l_{k+1} = e_{k+1} starts a new Krylov
+    block with H[k+1][k] = 0.
 
     Each column of H feeds the recurrence for the characteristic
     polynomials of the leading principal minors as soon as it is made, so
@@ -678,8 +722,7 @@ def charpoly_mod(mat, p: int):
     order at least j, which makes each step of the recurrence one dot
     product per coefficient.  All loops over n are such dot products.
     """
-    n = len(mat)
-    a = mat
+    perm = list(range(n))  # index i of the permuted operator is perm[i] of A
     lrows = [[] for _ in range(n)]  # row j of L left of its diagonal 1
     sub = [0] * n  # sub[k] = H[k][k-1]
     coeffs = [[1]]  # the charpoly of the 0x0 minor
@@ -687,7 +730,10 @@ def charpoly_mod(mat, p: int):
     for k in range(n):
         for j in range(k + 1, n):
             lrows[j].append(lk[j - k])
-        v = [sum(map(mul, row[k:], lk)) for row in a]
+        u = [0] * n
+        for i, x in zip(perm[k:], lk):
+            u[i] = x
+        v = list(map(apply(u).__getitem__, perm))
         h = []  # column k of H, rows 0..k
         for j in range(k + 1):
             h.append((v[j] - sum(map(mul, h, lrows[j]))) % p)
@@ -711,11 +757,7 @@ def charpoly_mod(mat, p: int):
         else:
             if piv:
                 j = k + 1 + piv
-                if a is mat:
-                    a = mat_copy(mat)
-                a[k + 1], a[j] = a[j], a[k + 1]
-                for row in a:
-                    row[k + 1], row[j] = row[j], row[k + 1]
+                perm[k + 1], perm[j] = perm[j], perm[k + 1]
                 lrows[k + 1], lrows[j] = lrows[j], lrows[k + 1]
                 res[0], res[piv] = res[piv], res[0]
             sub[k + 1] = res[0]
@@ -724,22 +766,81 @@ def charpoly_mod(mat, p: int):
     return [cj[-1] for cj in coeffs]
 
 
-def det_pencil_poly(m0, m1, p: int):
-    """Coefficients of f(t) = det(M0 + t*M1) over F_p, or None when M1 is
-    singular.
+def det_pencil_poly(m0, m1, p: int | None):
+    """Coefficients of f(t) = det(M0 + t*M1) over F_p, or over Q (``p``
+    None, integer entries), or None when M1 is singular.
 
-    det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0), so ``_solve_mod``
-    solves M1 against M0, and with X = M1^{-1} M0,
-    det(t I + X) = (-1)^n chi_X(-t) flips the signs of alternate
+    det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0).  Over F_p,
+    ``_factor_mod`` factors M1, and the Hessenberg reduction of
+    ``_charpoly_op`` takes X = M1^{-1} M0 as an operator: the sparse rows
+    of M0, then the triangular solves of ``_lu_solve``, so X is never
+    formed.  det(t I + X) = (-1)^n chi_X(-t) flips the signs of alternate
     coefficients of the characteristic polynomial of X.  The leading
     coefficient is det M1, so f has full degree whenever it is returned.
+
+    Over Q the same kernel runs at the primes of ``_crt_prime``, skipping
+    those that divide det M1, and the coefficients are lifted by the
+    Chinese remainder theorem to symmetric residues.  Expanding the
+    determinant row by row, c_k is a sum of determinants that take each
+    row from M0 or from M1, so by Hadamard's inequality
+    |c_k| <= prod_i (|row_i M0|_2 + |row_i M1|_2), and primes are added
+    until their product exceeds twice that bound.
     """
     n = len(m0)
     if n == 0:
         return [1]
-    _, det_m1, x = _solve_mod(m1, p, m0)
-    if x is None:
+    if p is None:
+        return _det_pencil_poly_q(m0, m1)
+    _, det_m1, lu = _factor_mod(m1, p, True)
+    if lu is None:
         return None
-    chi = charpoly_mod(x, p)
+    cols = range(n)
+    rows = []
+    for row in m0:
+        support = tuple(compress(cols, row))
+        rows.append((support, [row[j] for j in support]))
+
+    def apply(u):
+        get = u.__getitem__
+        return _lu_solve(lu, [sum(map(mul, vals, map(get, support))) for support, vals in rows], p)
+
+    chi = _charpoly_op(apply, n, p)
     neg = (p - det_m1) % p
     return [c * (neg if (n - i) % 2 else det_m1) % p for i, c in enumerate(chi)]
+
+
+@cache
+def _crt_prime(i: int) -> int:
+    """The i-th prime of the multimodular pencil over Q, stepping down from
+    DEFAULT_PRIME, which is prime 0."""
+    if i == 0:
+        return DEFAULT_PRIME
+    q = _crt_prime(i - 1) - 2
+    while not is_prime(q):
+        q -= 2
+    return q
+
+
+def _det_pencil_poly_q(m0, m1):
+    """``det_pencil_poly`` over Q for integer M0 and M1."""
+    det_m1 = det_exact(m1)
+    if not det_m1:
+        return None
+    bound = 1
+    for r0, r1 in zip(m0, m1):
+        # isqrt(s) + 1 exceeds the norm sqrt(s)
+        bound *= isqrt(sum(x * x for x in r0)) + isqrt(sum(x * x for x in r1)) + 2
+    coeffs = [0] * (len(m0) + 1)
+    modulus = 1
+    i = 0
+    while modulus <= 2 * bound:
+        q = _crt_prime(i)
+        i += 1
+        if det_m1 % q == 0:
+            continue
+        # Garner's step: keep each residue mod modulus, add the one mod q
+        inv = pow(modulus, -1, q)
+        f = det_pencil_poly(m0, m1, q)
+        coeffs = [c + modulus * ((r - c) * inv % q) for c, r in zip(coeffs, f)]
+        modulus *= q
+    return [c - modulus if 2 * c > modulus else c for c in coeffs]

@@ -245,16 +245,11 @@ def _line_restriction_poly(lfm, p: int | None, vec0, vec1):
 
     Every cell of the action matrix A is a signed coordinate, so det A is
     homogeneous of degree ``size`` and its coefficient of t^size along the
-    line is det A(vec1): a line counts exactly when A(vec1) is invertible.
-    Over F_p the pencil kernel computes the restriction; over Q it is
-    interpolated from size + 1 values.
+    line is det A(vec1): a line counts exactly when A(vec1) is invertible,
+    which is when the pencil kernel ``det_pencil_poly`` returns a
+    polynomial, over either field.
     """
-    if p is not None:
-        return det_pencil_poly(lfm.evaluate(vec0, p), lfm.evaluate(vec1, p), p)
-    poly = _restrict(
-        lambda vec: det(lfm.evaluate(vec, None), None), vec0, vec1, lfm.size, None
-    )
-    return poly if poly_degree(poly) == lfm.size else None
+    return det_pencil_poly(lfm.evaluate(vec0, p), lfm.evaluate(vec1, p), p)
 
 
 def _require_prime_above_twice(p: int | None, degree: int, what: str):

@@ -801,8 +801,8 @@ def _action_pencils(name, seed):
     return lfm, [(lfm.evaluate(a, P), lfm.evaluate(b, P)) for a, b in lines]
 
 
-def _pencil_at(m0, m1, t):
-    return [[(a + t * b) % P for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+def _pencil_at(m0, m1, t, p=P):
+    return [[(a + t * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
 
 
 def test_det_pencil_poly_action_matrices_match_interpolation():
@@ -828,6 +828,130 @@ def test_det_pencil_poly_e8_pointwise():
     for _ in range(3):
         t = rng.below(P)
         assert poly_eval(f, t, P) == det_mod(_pencil_at(m0, m1, t), P)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_det_pencil_poly_operator_matches_pointwise_at_small_primes(p):
+    # n < p, so the p values over F_p determine f.  M0 = M1 X with X a
+    # multiple of I (the Krylov space of e_0 is a line: a restart at every
+    # step), the shift e_j -> e_{j+2} (X e_0 = e_2: a swap at the first
+    # step), or random, where small p makes restarts and swaps common
+    rng = Rng(1800 + p)
+    for trial in range(150):
+        n = 1 + trial % (p - 1)
+        kind = trial % 3
+        m1 = [[rng.below(p) if rng.below(3) else 0 for _ in range(n)] for _ in range(n)]
+        if kind == 0:
+            c = rng.below(p)
+            x = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+        elif kind == 1:
+            x = [[1 if i == (j + 2) % n else 0 for j in range(n)] for i in range(n)]
+        else:
+            x = [[rng.below(p) if rng.below(2) else 0 for _ in range(n)] for _ in range(n)]
+        m0 = [[sum(map(mul, row, col)) % p for col in zip(*x)] for row in m1]
+        f = det_pencil_poly(m0, m1, p)
+        if det_mod(m1, p) == 0:
+            assert f is None
+            continue
+        assert poly_degree(f) == n
+        for t in range(p):
+            assert poly_eval(f, t, p) == det_mod(_pencil_at(m0, m1, t, p), p)
+
+
+def test_det_pencil_poly_through_a_compiled_schedule(monkeypatch):
+    # q3's lines share one sparsity pattern: the first M1 is factored by the
+    # search, the second compiles its plan, the third runs the schedule
+    lfm = action_matrix(*builtin("q3"))
+    n = lfm.size
+    rng = Rng(1919)
+    arith._PLANS.clear()
+    searches = _count_searches(monkeypatch)
+    pencils = []
+    for _ in range(3):
+        m0, m1 = (lfm.evaluate([rng.below(P) for _ in range(lfm.coords.total)], P)
+                  for _ in range(2))
+        pencils.append((m0, m1, det_pencil_poly(m0, m1, P)))
+    assert searches == [n]
+    assert arith._PLANS[_pattern_key(m1, P)].schedule is not None
+    for m0, m1, f in pencils:
+        points = [(t, det_mod(_pencil_at(m0, m1, t), P)) for t in range(n + 1)]
+        assert poly_degree(f) == n and f == interpolate(points, P)
+
+
+def _pencil_by_interpolation(m0, m1):
+    """det(M0 + t M1) over Q as an independent oracle: n + 1 Bareiss
+    determinants and interpolation, None unless the degree is full."""
+    n = len(m0)
+    points = [
+        (t, det_exact([[a + t * b for a, b in zip(r0, r1)] for r0, r1 in zip(m0, m1)]))
+        for t in range(n + 1)
+    ]
+    f = interpolate(points)
+    return f if poly_degree(f) == n else None
+
+
+def _int_matrix(rng, n, r=99):
+    return [[rng.randint(-r, r) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_pencil_poly_over_q_matches_interpolation():
+    rng = Rng(1515)
+    for trial in range(80):
+        n = 1 + trial % 10
+        m0, m1 = _int_matrix(rng, n), _int_matrix(rng, n)
+        if trial % 4 == 1:
+            m0[0] = [0] * n  # a singular M0 does not matter
+        f = det_pencil_poly(m0, m1, None)
+        assert f == _pencil_by_interpolation(m0, m1)
+        # a 1 x 1 M1 may be [0]
+        assert f[-1] == det_exact(m1) if f else det_exact(m1) == 0
+
+
+def test_det_pencil_poly_over_q_singular_m1():
+    rng = Rng(1616)
+    for n in range(2, 8):
+        m0, m1 = _int_matrix(rng, n), _int_matrix(rng, n)
+        m1[-1] = [a - 2 * b for a, b in zip(m1[0], m1[1 % (n - 1)])]
+        assert det_exact(m1) == 0 and det_exact(m0) != 0
+        assert det_pencil_poly(m0, m1, None) is None
+        assert _pencil_by_interpolation(m0, m1) is None
+
+
+def test_det_pencil_poly_over_q_skips_primes_dividing_det_m1(monkeypatch):
+    # det M1 a multiple of the first CRT prime, then of the first two
+    rng = Rng(1717)
+    used = []
+    real = arith.det_pencil_poly
+
+    def spy(m0, m1, p):
+        used.append(p)
+        return real(m0, m1, p)
+
+    monkeypatch.setattr(arith, "det_pencil_poly", spy)
+    first, second = arith._crt_prime(0), arith._crt_prime(1)
+    for factors in ((first,), (first, second), (first, 3)):
+        n = 6
+        diag = [*factors] + [rng.randint(1, 99) for _ in range(n - len(factors))]
+        upper = [[diag[i] if i == j else rng.randint(-99, 99) if j > i else 0
+                  for j in range(n)] for i in range(n)]
+        m1 = [upper[i] for i in (3, 0, 5, 1, 4, 2)]
+        m0 = _int_matrix(rng, n)
+        assert det_exact(m1) % first == 0 and real(m0, m1, first) is None
+        used.clear()
+        f = real(m0, m1, None)
+        assert f == _pencil_by_interpolation(m0, m1) and poly_degree(f) == n
+        skipped = [q for q in factors if q in (first, second)]
+        assert used and not set(skipped) & set(used)
+        assert used == [arith._crt_prime(i) for i in range(len(skipped), len(skipped) + len(used))]
+
+
+def test_det_pencil_poly_over_q_at_the_exact_mode_size():
+    # exact mode admits dim Rep <= 24; entries of +-99 make the largest bound
+    rng = Rng(1818)
+    n = 24
+    m0, m1 = ([[rng.below(2) * 198 - 99 for _ in range(n)] for _ in range(n)] for _ in range(2))
+    f = det_pencil_poly(m0, m1, None)
+    assert f == _pencil_by_interpolation(m0, m1) and poly_degree(f) == n
 
 
 def test_mpoly_det_matches_exact_on_constants():

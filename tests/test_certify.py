@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME
+from qlfd import arith
+from qlfd.arith import DEFAULT_PRIME, Rng, poly_degree
 from qlfd.certify import (
     MAX_BOX_SCAN_POINTS,
     CertifyError,
@@ -17,6 +18,7 @@ from qlfd.certify import (
 )
 from qlfd.fixtures import builtin
 from qlfd.quiver import build_quiver, opposite_quiver, tits_form
+from qlfd.repmatrix import action_matrix
 from qlfd.roots import lattice_roots
 from qlfd.semiinv import SchofieldHandle, sample_generic_witness, weight_of_schofield
 
@@ -251,6 +253,31 @@ def test_squarefree_probe_not_reduced_runs_every_trial():
     q, d = builtin("tilde-d4-ii")
     ok, votes, _ = squarefree_probe(q, d, P, trials=4, seed=5)
     assert not ok and votes == [False] * 4
+
+
+def test_exact_line_restriction_is_one_multimodular_pencil(monkeypatch):
+    # over Q the restriction is the F_p pencil lifted by CRT: one exact
+    # det M1 and no interpolation, and it reduces to the F_p restriction
+    certify_module = importlib.import_module("qlfd.certify")
+    sizes = []
+    real = arith.det_exact
+    monkeypatch.setattr(arith, "det_exact", lambda m: sizes.append(len(m)) or real(m))
+
+    def refuse(*_):
+        raise AssertionError("interpolation on an exact line")
+
+    monkeypatch.setattr(arith, "interpolate", refuse)
+    monkeypatch.setattr(certify_module, "interpolate", refuse)
+    lfm = action_matrix(*builtin("e6-q1"))
+    rng = Rng(31)
+    vec0, vec1 = ([rng.randint(-99, 99) for _ in range(lfm.coords.total)] for _ in range(2))
+    f = certify_module._line_restriction_poly(lfm, None, vec0, vec1)
+    assert poly_degree(f) == lfm.size == 22 and sizes == [22]
+    assert all(type(c) is int for c in f)
+    modular = certify_module._line_restriction_poly(
+        lfm, P, [x % P for x in vec0], [x % P for x in vec1]
+    )
+    assert [c % P for c in f] == modular
 
 
 def test_e8_report_needs_one_squarefree_line(report_for):

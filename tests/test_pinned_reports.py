@@ -37,12 +37,21 @@ PINNED = [
      "4b43ecefec53b201c0c1b257c3399ebe365ab93e8ff8926d3b14eb3146f0111e"),
     (["--file", "cycle3.qf"], 0,
      "fbf3c4a0fb557637bfc23260b3d2738ae0d9e962c0143dbeed34cd8fda97df28"),
+    (["--builtin", "e8-central-sink"], 0,
+     "45e84f6b0656af026e46df765e4a28bbf05a5919b11b998e814e5ac42cd71fe6"),
+    (["--builtin", "d7-prop", "--exact"], 0,
+     "06868bbd3442c3bfff98dfdf556bf5724428eb6ef18be5fe4d4c562a707a3d12"),
+    (["--builtin", "e6-q1", "--exact"], 0,
+     "d5ecca253dba13b8788ebb7edbf8f47d6983867e8acb0041ebb84360c5e4b7d7"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,code,digest", PINNED,
-    ids=["a5", "e7-highroot", "q3", "tilde-d4-iv", "d5-prop-exact", "cycle3"],
+    ids=[
+        "a5", "e7-highroot", "q3", "tilde-d4-iv", "d5-prop-exact", "cycle3",
+        "e8-central-sink", "d7-prop-exact", "e6-q1-exact",
+    ],
 )
 def test_certify_json_report_is_pinned(argv, code, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
