@@ -655,42 +655,6 @@ def _pseudo_remainder(f, g):
     return r
 
 
-def interpolate(points, p=None):
-    """Lagrange interpolation through (t, f(t)) pairs.
-
-    Over F_p when ``p`` is given, otherwise exact over Fractions.  Raises on
-    duplicate abscissae.  With P(t) = prod_j (t - t_j), built once, the
-    basis polynomial of node i is P(t) / ((t - t_i) P'(t_i)): one synthetic
-    division and one value of P' per node, O(k^2) for k points.
-    """
-    ts = [t for t, _ in points]
-    if len(set(ts)) != len(ts):
-        raise ValueError("duplicate abscissa in interpolation data")
-    full = [1]  # P
-    for t in ts:
-        full = [b - t * a for a, b in zip(full + [0], [0] + full)]
-        if p is not None:
-            full = [x % p for x in full]
-    deriv = poly_deriv(full, p)
-    acc = [0] * len(points)
-    for t, y in points:
-        if y == 0:
-            continue
-        quot = [0] * len(points)  # P / (t - t_i), by synthetic division
-        carry = 0
-        for j in range(len(points), 0, -1):
-            carry = full[j] + t * carry
-            if p is not None:
-                carry %= p
-            quot[j - 1] = carry
-        denom = poly_eval(deriv, t, p)
-        c = y * pow(denom, -1, p) % p if p is not None else Fraction(y) / denom
-        acc = [a + c * b for a, b in zip(acc, quot)]
-    if p is not None:
-        acc = [x % p for x in acc]
-    return poly_trim(acc)
-
-
 # ---------------------------------------------------------------------------
 # Characteristic polynomial and determinant of a matrix pencil
 
@@ -774,9 +738,12 @@ def det_pencil_poly(m0, m1, p: int | None):
     ``_factor_mod`` factors M1, and the Hessenberg reduction of
     ``_charpoly_op`` takes X = M1^{-1} M0 as an operator: the sparse rows
     of M0, then the triangular solves of ``_lu_solve``, so X is never
-    formed.  det(t I + X) = (-1)^n chi_X(-t) flips the signs of alternate
-    coefficients of the characteristic polynomial of X.  The leading
-    coefficient is det M1, so f has full degree whenever it is returned.
+    formed.  X is zero on every column where M0 is, so with the m live
+    columns of M0 first, det(t I + X) = t^(n-m) det(t I_m + X[live, live]),
+    and the reduction runs on the live block only.  det(t I + X) =
+    (-1)^n chi_X(-t) flips the signs of alternate coefficients of the
+    characteristic polynomial of X.  The leading coefficient is det M1, so
+    f has full degree whenever it is returned.
 
     Over Q the same kernel runs at the primes of ``_crt_prime``, skipping
     those that divide det M1, and the coefficients are lifted by the
@@ -795,16 +762,20 @@ def det_pencil_poly(m0, m1, p: int | None):
     if lu is None:
         return None
     cols = range(n)
-    rows = []
-    for row in m0:
-        support = tuple(compress(cols, row))
-        rows.append((support, [row[j] for j in support]))
+    supports = [tuple(compress(cols, row)) for row in m0]
+    live = sorted(set().union(*supports))
+    at = {j: i for i, j in enumerate(live)}  # column of M0 -> index in u
+    rows = [
+        (tuple(map(at.__getitem__, support)), [row[j] for j in support])
+        for row, support in zip(m0, supports)
+    ]
 
     def apply(u):
         get = u.__getitem__
-        return _lu_solve(lu, [sum(map(mul, vals, map(get, support))) for support, vals in rows], p)
+        x = _lu_solve(lu, [sum(map(mul, vals, map(get, support))) for support, vals in rows], p)
+        return list(map(x.__getitem__, live))
 
-    chi = _charpoly_op(apply, n, p)
+    chi = [0] * (n - len(live)) + _charpoly_op(apply, len(live), p)
     neg = (p - det_m1) % p
     return [c * (neg if (n - i) % 2 else det_m1) % p for i, c in enumerate(chi)]
 

@@ -27,7 +27,6 @@ from .arith import (
     derive_seed,
     det,
     det_pencil_poly,
-    interpolate,
     poly_degree,
     poly_deriv,
     poly_gcd,
@@ -227,17 +226,6 @@ def _random_coordinate_vector(lfm, p: int | None, rng: Rng):
     return [rng.below(p) for _ in range(lfm.coords.total)]
 
 
-def _restrict(f, vec0, vec1, degree: int, p: int | None):
-    """A function f of the coordinates, of degree at most ``degree``, along
-    the line vec0 + t*vec1: interpolated over F_p or Q from its values at
-    t = 0, ..., degree."""
-    points = [
-        (t, f([reduce(a + t * b, p) for a, b in zip(vec0, vec1)]))
-        for t in range(degree + 1)
-    ]
-    return interpolate(points, p)
-
-
 def _line_restriction_poly(lfm, p: int | None, vec0, vec1):
     """det of the action matrix along the affine line vec0 + t*vec1, as a
     univariate polynomial over F_p or Q, when it has full degree
@@ -328,9 +316,12 @@ def multiplicity_vector(q: Quiver, d, weights) -> list[int]:
 def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
     """The factorization identity Delta|_L = c * prod h_i|_L^{a_i}, over F_p
     or Q (``p`` None), on the line (vec0, vec1, Delta|_L) that
-    ``squarefree_probe`` returns; each handle is restricted to the line from
-    deg h + 1 values.  Returns (ok, c), c the ratio of the leading
-    coefficients, or (False, None) when the product's degree is not Delta's.
+    ``squarefree_probe`` returns; each handle is restricted to the line by
+    one pencil (``SchofieldHandle.line``).  Returns (ok, c), c the ratio of
+    the leading coefficients, or (False, None) when some h_i vanishes at
+    vec1, is not of its declared degree, or the product's degree is not
+    Delta's.  ``handles`` (``SchofieldHandle``s) and ``mults`` must have the
+    same length.
 
     If Delta and P = prod h_i^{a_i} are not proportional, the identity still
     forces Delta(vec0) P(vec1) = P(vec0) Delta(vec1), a nonzero polynomial of
@@ -340,14 +331,16 @@ def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
     """
     vec0, vec1, delta = line
     coords = RepCoordinates(q, d)
+    v0, v1 = coords.unflatten(vec0, p), coords.unflatten(vec1, p)
+    pairs = list(zip(handles, mults, strict=True))  # unequal lengths raise here
     prod = [1]
-    for h, a in zip(handles, mults):
-        hl = _restrict(
-            lambda vec: h.evaluate(coords.unflatten(vec, p)), vec0, vec1, h.degree, p
-        )
+    for h, a in pairs:
+        hl = h.line(v0, v1)
+        if hl is None:
+            return False, None
         for _ in range(a):
             prod = poly_mul(prod, hl, p)
-    if not prod or poly_degree(prod) != poly_degree(delta):
+    if poly_degree(prod) != poly_degree(delta):
         return False, None
     c = reduce(delta[-1] * power(prod[-1], -1, p), p)
     return all(reduce(x - c * y, p) == 0 for x, y in zip(delta, prod)), c

@@ -6,7 +6,7 @@ value only on an unbalanced cycle), and a weight check by one joint scaling.
 
 from __future__ import annotations
 
-from .arith import Rng, det, power, random_scalar, reduce
+from .arith import Rng, det, det_pencil_poly, power, random_scalar, reduce
 from .quiver import (
     Classification,
     Quiver,
@@ -74,6 +74,26 @@ class SchofieldHandle:
 
     def evaluate(self, v: Representation):
         return det(defect_matrix(self.witness, v), v.modulus)
+
+    def line(self, v0: Representation, v1: Representation):
+        """h(V0 + t V1) as a polynomial in t over V0's field, from one
+        pencil; None when h(V1) = 0 or h is not of the degree k declared in
+        ``self.degree``.
+
+        The defect matrix is M(W, V) = B(W) - A(V), linear in each argument,
+        and h is homogeneous of degree k, so with n = ``degree_bound``
+        det(M(0, V0) + t M(W, V1)) = t^n h(V1 + V0/t) = t^(n-k) h(V0 + t V1).
+        The pencil has full degree exactly when h(V1) != 0, and its lowest
+        n - k coefficients vanish when k is the degree.
+        """
+        p = v0.modulus
+        zero_mats = [[[0] * len(row) for row in m] for m in self.witness.mats]
+        zero = Representation(self.quiver, self.root, p, zero_mats)
+        f = det_pencil_poly(defect_matrix(zero, v0), defect_matrix(self.witness, v1), p)
+        low = self.degree_bound - self.degree
+        if f is None or low < 0 or any(f[:low]):
+            return None
+        return f[low:]
 
 
 class BlockRecipe:

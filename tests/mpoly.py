@@ -1,10 +1,16 @@
-"""Sparse multivariate polynomials over the integers, for the symbolic
-checks of small discriminants.
+"""Polynomial oracles for the tests: sparse multivariate polynomials over
+the integers, for the symbolic checks of small discriminants, and Lagrange
+interpolation, for checking line restrictions against pointwise values.
 
-A polynomial is a dict from exponent tuples to nonzero int coefficients.
-``mpoly_matrix`` turns the linear-form entries of an action matrix into such
-polynomials, so that ``mp_det`` expands its determinant symbolically.
+A multivariate polynomial is a dict from exponent tuples to nonzero int
+coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
+matrix into such polynomials, so that ``mp_det`` expands its determinant
+symbolically.
 """
+
+from fractions import Fraction
+
+from qlfd.arith import poly_deriv, poly_eval, poly_trim
 
 
 def mp_zero():
@@ -94,3 +100,39 @@ def mpoly_matrix(lfm):
                 acc[mono] = acc.get(mono, 0) + sign * coef
         m[r][c] = {k: v for k, v in acc.items() if v}
     return m
+
+
+def interpolate(points, p=None):
+    """Lagrange interpolation through (t, f(t)) pairs.
+
+    Over F_p when ``p`` is given, otherwise exact over Fractions.  Raises on
+    duplicate abscissae.  With P(t) = prod_j (t - t_j), built once, the
+    basis polynomial of node i is P(t) / ((t - t_i) P'(t_i)): one synthetic
+    division and one value of P' per node, O(k^2) for k points.
+    """
+    ts = [t for t, _ in points]
+    if len(set(ts)) != len(ts):
+        raise ValueError("duplicate abscissa in interpolation data")
+    full = [1]  # P
+    for t in ts:
+        full = [b - t * a for a, b in zip(full + [0], [0] + full)]
+        if p is not None:
+            full = [x % p for x in full]
+    deriv = poly_deriv(full, p)
+    acc = [0] * len(points)
+    for t, y in points:
+        if y == 0:
+            continue
+        quot = [0] * len(points)  # P / (t - t_i), by synthetic division
+        carry = 0
+        for j in range(len(points), 0, -1):
+            carry = full[j] + t * carry
+            if p is not None:
+                carry %= p
+            quot[j - 1] = carry
+        denom = poly_eval(deriv, t, p)
+        c = y * pow(denom, -1, p) % p if p is not None else Fraction(y) / denom
+        acc = [a + c * b for a, b in zip(acc, quot)]
+    if p is not None:
+        acc = [x % p for x in acc]
+    return poly_trim(acc)

@@ -14,7 +14,6 @@ from qlfd.arith import (
     det_exact,
     det_mod,
     det_pencil_poly,
-    interpolate,
     is_prime,
     poly_degree,
     poly_deriv,
@@ -28,7 +27,7 @@ from qlfd.arith import _solve_mod
 from qlfd.fixtures import builtin
 from qlfd.repmatrix import action_matrix
 
-from mpoly import mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_var
+from mpoly import interpolate, mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_var
 
 P = DEFAULT_PRIME
 
@@ -952,6 +951,36 @@ def test_det_pencil_poly_over_q_at_the_exact_mode_size():
     m0, m1 = ([[rng.below(2) * 198 - 99 for _ in range(n)] for _ in range(n)] for _ in range(2))
     f = det_pencil_poly(m0, m1, None)
     assert f == _pencil_by_interpolation(m0, m1) and poly_degree(f) == n
+
+
+def test_det_pencil_poly_runs_the_hessenberg_pass_on_live_columns(monkeypatch):
+    # X = M1^{-1} M0 vanishes on the zero columns of M0, so the pencil is
+    # t^(n - m) times the charpoly of the m x m live block of X
+    sizes = []
+    real = arith._charpoly_op
+    monkeypatch.setattr(arith, "_charpoly_op", lambda apply, n, p: sizes.append(n) or real(apply, n, p))
+    rng = Rng(2024)
+    for trial in range(40):
+        n = 1 + trial % 9
+        dead = {j for j in range(n) if rng.below(2)}
+        exact = trial % 2
+        if exact:
+            m0, m1 = _int_matrix(rng, n), _int_matrix(rng, n)
+        else:
+            m0, m1 = rand_matrix(rng, n), rand_matrix(rng, n)
+        for row in m0:
+            for j in dead:
+                row[j] = 0
+        sizes.clear()
+        if exact:
+            f = det_pencil_poly(m0, m1, None)
+            assert f == _pencil_by_interpolation(m0, m1)
+        else:
+            f = det_pencil_poly(m0, m1, P)
+            points = [(t, det_mod(_pencil_at(m0, m1, t), P)) for t in range(n + 1)]
+            assert f == interpolate(points, P)
+        assert poly_degree(f) == n and not any(f[:len(dead)])
+        assert sizes and set(sizes) == {n - len(dead)}
 
 
 def test_mpoly_det_matches_exact_on_constants():

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from qlfd import arith
-from qlfd.arith import DEFAULT_PRIME, Rng, poly_degree
+from qlfd.arith import DEFAULT_PRIME, Rng, poly_degree, reduce
 from qlfd.certify import (
     MAX_BOX_SCAN_POINTS,
     CertifyError,
@@ -18,9 +18,11 @@ from qlfd.certify import (
 )
 from qlfd.fixtures import builtin
 from qlfd.quiver import build_quiver, opposite_quiver, tits_form
-from qlfd.repmatrix import action_matrix
+from qlfd.repmatrix import RepCoordinates, action_matrix
 from qlfd.roots import lattice_roots
 from qlfd.semiinv import SchofieldHandle, sample_generic_witness, weight_of_schofield
+
+from mpoly import interpolate
 
 P = DEFAULT_PRIME
 
@@ -210,6 +212,105 @@ def test_verify_factorization_rejects_a_wrong_factorization(report_for):
     assert not verify_factorization(q, d, swapped, mults, line, P)[0]
 
 
+def _handle_values_on_line(q, d, h, line, p):
+    """h restricted to the line by interpolation from deg h + 1 values."""
+    vec0, vec1, _ = line
+    coords = RepCoordinates(q, d)
+    points = [
+        (t, h.evaluate(coords.unflatten([reduce(a + t * b, p) for a, b in zip(vec0, vec1)], p)))
+        for t in range(h.degree + 1)
+    ]
+    return interpolate(points, p)
+
+
+@pytest.mark.parametrize("name, p", [("e7-highroot", P), ("q3", P), ("e6-q1", None)])
+def test_verify_factorization_restricts_each_handle_by_one_pencil(
+    report_for, monkeypatch, name, p
+):
+    q, d, handles, mults, line = _identity_inputs(report_for, name, p)
+    expected = [_handle_values_on_line(q, d, h, line, p) for h in handles]
+    semiinv = importlib.import_module("qlfd.semiinv")
+    pencils, lines = [], []
+    real_pencil, real_line = semiinv.det_pencil_poly, SchofieldHandle.line
+    monkeypatch.setattr(
+        semiinv, "det_pencil_poly", lambda m0, m1, f: pencils.append(len(m0)) or real_pencil(m0, m1, f)
+    )
+    monkeypatch.setattr(
+        SchofieldHandle, "line", lambda h, v0, v1: lines.append(real_line(h, v0, v1)) or lines[-1]
+    )
+
+    def refuse(*_):
+        raise AssertionError("handle evaluated on the identity line")
+
+    monkeypatch.setattr(SchofieldHandle, "evaluate", refuse)
+    ok, unit = verify_factorization(q, d, handles, mults, line, p)
+    assert ok and unit not in (None, 0)
+    assert pencils == [h.degree_bound for h in handles]
+    assert lines == expected
+    assert all(poly_degree(hl) == h.degree for hl, h in zip(lines, handles))
+    # q3 raises a handle's line to the power 2
+    assert (max(mults) == 2) == (name == "q3")
+
+
+def test_star7_handle_pencils_have_as_many_live_columns_as_the_degree(
+    report_for, monkeypatch
+):
+    # M(0, V0) is nonzero only in the columns of tail nodes: on star7 the
+    # Hessenberg pass of each 49 x 49 handle pencil runs on deg h = 7 columns
+    q, d, handles, mults, line = _identity_inputs(report_for, "star7", P)
+    sizes = []
+    real = arith._charpoly_op
+    monkeypatch.setattr(arith, "_charpoly_op", lambda apply, n, f: sizes.append(n) or real(apply, n, f))
+    assert verify_factorization(q, d, handles, mults, line, P)[0]
+    assert {h.degree_bound for h in handles} == {49}
+    assert sizes == [h.degree for h in handles] == [7] * 8
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_verify_factorization_rejects_a_wrong_declared_degree(report_for, shift):
+    q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
+    true_degree = handles[0].degree
+    handles[0].degree = true_degree + shift
+    try:
+        assert verify_factorization(q, d, handles, mults, line, P) == (False, None)
+    finally:
+        handles[0].degree = true_degree
+
+
+def test_verify_factorization_rejects_a_handle_vanishing_at_vec1(report_for):
+    # h is homogeneous of positive degree, so it vanishes at vec1 = 0; a
+    # vec1 that is zero on one arm of e6-q1 kills only some handles
+    q, d, handles, mults, line = _identity_inputs(report_for, "e6-q1", P)
+    vec0, vec1, delta = line
+    assert verify_factorization(q, d, handles, mults, (vec0, [0] * len(vec1), delta), P) == (
+        False, None
+    )
+    coords = RepCoordinates(q, d)
+    cut = coords.offsets[1]
+    arm = [0] * cut + vec1[cut:]
+    v0, v1 = coords.unflatten(vec0, P), coords.unflatten(arm, P)
+    vanishing = [h for h in handles if h.line(v0, v1) is None]
+    assert vanishing and all(h.evaluate(v1) == 0 for h in vanishing)
+    assert verify_factorization(q, d, handles, mults, (vec0, arm, delta), P) == (False, None)
+
+
+def test_verify_factorization_refuses_unpaired_handles_and_multiplicities(
+    report_for, monkeypatch
+):
+    # a plain zip would drop the unpaired tail; the mismatch raises before
+    # any handle is restricted
+    q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
+
+    def refuse(*_):
+        raise AssertionError("handle restricted before the pairing was checked")
+
+    monkeypatch.setattr(SchofieldHandle, "line", refuse)
+    with pytest.raises(ValueError):
+        verify_factorization(q, d, handles, mults[:-1], line, P)
+    with pytest.raises(ValueError):
+        verify_factorization(q, d, handles[:-1], mults, line, P)
+
+
 def test_squarefree_probe_fixtures():
     qa, da = builtin("a3")
     ok, votes, _ = squarefree_probe(qa, da, P, trials=5, seed=5)
@@ -257,17 +358,11 @@ def test_squarefree_probe_not_reduced_runs_every_trial():
 
 def test_exact_line_restriction_is_one_multimodular_pencil(monkeypatch):
     # over Q the restriction is the F_p pencil lifted by CRT: one exact
-    # det M1 and no interpolation, and it reduces to the F_p restriction
+    # det M1, and it reduces to the F_p restriction
     certify_module = importlib.import_module("qlfd.certify")
     sizes = []
     real = arith.det_exact
     monkeypatch.setattr(arith, "det_exact", lambda m: sizes.append(len(m)) or real(m))
-
-    def refuse(*_):
-        raise AssertionError("interpolation on an exact line")
-
-    monkeypatch.setattr(arith, "interpolate", refuse)
-    monkeypatch.setattr(certify_module, "interpolate", refuse)
     lfm = action_matrix(*builtin("e6-q1"))
     rng = Rng(31)
     vec0, vec1 = ([rng.randint(-99, 99) for _ in range(lfm.coords.total)] for _ in range(2))

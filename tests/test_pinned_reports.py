@@ -43,6 +43,10 @@ PINNED = [
      "06868bbd3442c3bfff98dfdf556bf5724428eb6ef18be5fe4d4c562a707a3d12"),
     (["--builtin", "e6-q1", "--exact"], 0,
      "d5ecca253dba13b8788ebb7edbf8f47d6983867e8acb0041ebb84360c5e4b7d7"),
+    (["--builtin", "star7"], 0,
+     "ab9542c398f4bf5cbb1edb45a75d2c0ceee760845d1891fd661ef1c769e9ffac"),
+    (["--builtin", "q2"], 0,
+     "2f75cdf48b9acc874d795addc769b5c741eedcde3f2f2649d8224d3a47d6dc0c"),
 ]
 
 
@@ -50,7 +54,7 @@ PINNED = [
     "argv,code,digest", PINNED,
     ids=[
         "a5", "e7-highroot", "q3", "tilde-d4-iv", "d5-prop-exact", "cycle3",
-        "e8-central-sink", "d7-prop-exact", "e6-q1-exact",
+        "e8-central-sink", "d7-prop-exact", "e6-q1-exact", "star7", "q2",
     ],
 )
 def test_certify_json_report_is_pinned(argv, code, digest, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME, Rng, interpolate
+from qlfd.arith import DEFAULT_PRIME, Rng
 from qlfd.fixtures import block_handles, builtin
 from qlfd.quiver import build_quiver
 from qlfd.repmatrix import Representation, random_representation
@@ -17,6 +17,8 @@ from qlfd.semiinv import (
     weight_of_schofield,
     weight_support_type,
 )
+
+from mpoly import interpolate
 
 P = DEFAULT_PRIME
 
