@@ -43,10 +43,9 @@ from .roots import (
     highest_root,
     is_imaginary_root,
     is_real_root,
-    lattice_roots,
     orthogonal_roots,
+    perpendicular_simples,
     positive_roots,
-    semigroup_basis,
 )
 from .semiinv import (
     BlockHandle,

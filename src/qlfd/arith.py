@@ -243,20 +243,6 @@ def _factor_mod(a, p: int, lower: bool = False):
     return rank, det % p, lu
 
 
-def _solve_mod(a, p: int, b=None):
-    """(rank A, det A, A^{-1} B) over F_p, B's columns solved through the
-    LU factors of ``_factor_mod``; the solution is None unless A is square
-    and invertible and B is given."""
-    rank, det, lu = _factor_mod(a, p, b is not None)
-    if lu is None:
-        return rank, det, None
-    x = [[] for _ in a]
-    for col in zip(*b):
-        for row, v in zip(x, _lu_solve(lu, col, p)):
-            row.append(v)
-    return rank, det, x
-
-
 def _lu_solve(lu, w, p: int):
     """A^{-1} w over F_p for the factors ``lu`` of ``_factor_mod``.
 
@@ -556,15 +542,6 @@ def poly_mul(f, g, p=None):
     if p is not None:
         out = [x % p for x in out]
     return poly_trim(out)
-
-
-def poly_eval(f, t, p=None):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * t + c
-        if p is not None:
-            acc %= p
-    return acc
 
 
 def poly_deriv(f, p=None):

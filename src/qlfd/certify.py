@@ -1,18 +1,15 @@
 """End-to-end certification: decide whether the discriminant of non-rigid
 representations is a linear free divisor and emit the component table.
 
-Pipeline: support restriction, real-root check, orthogonal roots, semigroup
-basis, witnesses, degrees and weights, multiplicity vector, squarefree probe,
-factorization identity on the probe's line.  On a Dynkin support the
-component list is guaranteed; on other acyclic supports the pipeline runs in
-advisory mode and requires its two independent reducedness signals (integral
-multiplicities; random-line squarefreeness) to agree, reporting inconclusive
-otherwise.
-
-The orthogonal roots come from ``lattice_roots``, which lists every real root
-in the lattice orthogonal to d whenever the Tits form is positive definite
-there (always on a Dynkin support).  Only a lattice where it is indefinite
-falls back to the heuristic box scan of ``_advisory_candidate_roots``.
+Pipeline: support restriction, real-root check, component roots, witnesses,
+degrees and weights, multiplicity vector, squarefree probe, factorization
+identity on the probe's line.  The component roots are the simples of the
+perpendicular category of a general representation, read off by
+``perpendicular_simples``: the list is complete on every acyclic support
+where d is a real Schur root.  On a non-Dynkin support a brick probe must
+certify that first, and the pipeline runs in advisory mode: its two
+independent reducedness signals (integral multiplicities; random-line
+squarefreeness) must agree, or the verdict is inconclusive.
 """
 
 from __future__ import annotations
@@ -39,18 +36,12 @@ from .quiver import (
     Quiver,
     classify_underlying_graph,
     embed_vector,
-    euler_matrix,
     is_acyclic,
     support_subquiver,
     tits_form,
 )
-from .repmatrix import (
-    RepCoordinates,
-    action_matrix,
-    defect_matrix,
-    random_representation,
-)
-from .roots import brick_probe, lattice_roots, semigroup_basis
+from .repmatrix import RepCoordinates, action_matrix
+from .roots import brick_probe, perpendicular_simples
 from .semiinv import (
     DegenerateWitnessError,
     SchofieldHandle,
@@ -73,15 +64,6 @@ MAX_POINT_BOUND_LOG2 = -40
 
 # Over Q the line coordinates are drawn from [-R, R], a set of 2R + 1 values.
 EXACT_LINE_RANGE = 99
-
-# Largest box the candidate scan may visit on a lattice where the Tits form
-# is not positive definite (a few seconds of scanning).
-MAX_BOX_SCAN_POINTS = 10**7
-
-# Most candidates the box scan may hand on: each one costs up to two witness
-# determinants in the nonvanishing filter, and the survivors feed the
-# semigroup basis (q3, the most of any builtin, has 39).
-MAX_ADVISORY_CANDIDATES = 200
 
 
 class CertifyError(RuntimeError):
@@ -394,87 +376,6 @@ def squarefree_probe(
 
 
 # ---------------------------------------------------------------------------
-# Advisory-mode candidate roots
-
-
-def _advisory_candidate_roots(q: Quiver, d) -> list[tuple[int, ...]]:
-    """Orthogonal real-root candidates on a sincere acyclic support whose
-    Tits form is not positive definite on {e : <e, d> = 0}, from the box
-    0 <= e_x <= d_x + max(d).  A definite lattice never gets here: there
-    ``lattice_roots`` lists every candidate.
-
-    The box is heuristic; completeness is validated downstream by the
-    component-count check.  Soundness does not depend on it: candidates only
-    enter the report after a nonzero witness value is observed.  A box of
-    more than ``MAX_BOX_SCAN_POINTS`` points is refused before scanning, and
-    a scan yielding more than ``MAX_ADVISORY_CANDIDATES`` candidates after it.
-    """
-    n = q.node_count
-    dmax = max(d)
-    bounds = [d[x] + dmax for x in range(n)]
-    e_mat = euler_matrix(q)
-    coeff = [sum(e_mat[x][y] * d[y] for y in range(n)) for x in range(n)]
-    pivot = max(range(n), key=lambda x: abs(coeff[x]))
-    if coeff[pivot] == 0:
-        raise CertifyError("orthogonal-roots", "degenerate Euler pairing with d")
-    others = [x for x in range(n) if x != pivot]
-    points = math.prod(bounds[x] + 1 for x in others)
-    if points > MAX_BOX_SCAN_POINTS:
-        raise CertifyError(
-            "orthogonal-roots",
-            f"candidate box scan would visit {points} points (limit "
-            f"{MAX_BOX_SCAN_POINTS}); it is needed because the Tits form is "
-            "not positive definite on the lattice orthogonal to d",
-        )
-    out = []
-    vec = [0] * n
-
-    def scan(k: int, partial: int):
-        if k == len(others):
-            num = -partial
-            if num % coeff[pivot]:
-                return
-            val = num // coeff[pivot]
-            if 0 <= val <= bounds[pivot]:
-                vec[pivot] = val
-                e = tuple(vec)
-                if any(e) and tits_form(q, e) == 1:
-                    out.append(e)
-                vec[pivot] = 0
-            return
-        x = others[k]
-        for v in range(bounds[x] + 1):
-            vec[x] = v
-            scan(k + 1, partial + coeff[x] * v)
-        vec[x] = 0
-
-    scan(0, 0)
-    if len(out) > MAX_ADVISORY_CANDIDATES:
-        raise CertifyError(
-            "orthogonal-roots",
-            f"candidate box scan found {len(out)} candidates (limit "
-            f"{MAX_ADVISORY_CANDIDATES}); it is needed because the Tits form is "
-            "not positive definite on the lattice orthogonal to d",
-        )
-    return sorted(out)
-
-
-def _nonvanishing_filter(q: Quiver, d, candidates, prime: int, seed: int):
-    """Keep candidates whose witness determinant is nonzero at some random
-    point (a certain, one-sided check); two attempts per candidate."""
-    rng = Rng(seed)
-    kept = []
-    for i, e in enumerate(candidates):
-        for attempt in range(2):
-            w = random_representation(q, e, prime, rng.split(i, attempt, 0).seed)
-            v = random_representation(q, d, prime, rng.split(i, attempt, 1).seed)
-            if det(defect_matrix(w, v), prime):
-                kept.append(e)
-                break
-    return kept
-
-
-# ---------------------------------------------------------------------------
 # The pipeline
 
 
@@ -531,6 +432,12 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         _require_prime_above_twice(
             opts.cross_check_prime, dim_rep, "option cross_check_prime"
         )
+        # and the brick probe of a non-Dynkin support needs one above 2**40
+        if cls.kind != "dynkin" and prime <= 2**40:
+            raise ValueError(
+                f"option prime needs a prime above 2**40 on a non-Dynkin "
+                f"support: {prime} <= 2**40"
+            )
     if cls.kind == "dynkin":
         mode = "dynkin"
         stats.mode = mode
@@ -555,62 +462,25 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     disc_w0 = discriminant_weight(q0, d0)
     disc_w = embed_vector(q, q0, disc_w0)
 
-    # stage: orthogonal roots (complete unless q is indefinite on d-perp,
-    # which never happens on a Dynkin support)
-    candidates = lattice_roots(q0, d0)
-    if mode == "advisory":
-        scanned = candidates
-        if scanned is None:
-            scanned = _advisory_candidate_roots(q0, d0)
-        candidates = _nonvanishing_filter(q0, d0, scanned, prime, derive_seed(seed, 2))
-        notes.append(
-            f"advisory candidate roots scanned: {len(scanned)}, "
-            f"with nonzero witness values: {len(candidates)}"
-        )
-    if not candidates:
-        if q0.node_count == 1:
-            # zero-dimensional representation space: empty discriminant
-            return report(VERDICT_LFD, None, [], dim_rep, disc_w)
-        return report(
-            VERDICT_INCONCLUSIVE, "no orthogonal roots found", [], dim_rep, disc_w
-        )
+    # stage: component roots, the simples of the perpendicular category
+    try:
+        simples = perpendicular_simples(q0, d0)
+    except ValueError as exc:
+        raise CertifyError("orthogonal-roots", str(exc)) from None
+    if not simples:
+        # a single node: zero-dimensional representation space, empty discriminant
+        return report(VERDICT_LFD, None, [], dim_rep, disc_w)
 
-    # stage: semigroup basis + witnesses (advisory mode may drop candidates
-    # whose semi-invariant vanishes identically)
-    cand = set(candidates)
+    # stage: one witness per component
     picked = []
-    while True:
-        basis = semigroup_basis(sorted(cand))
-        picked = []
-        failed = None
-        for e in basis:
-            try:
-                w, deg = sample_generic_witness(
-                    q0, e, d0, p, derive_seed(seed, 10, *e)
-                )
-            except DegenerateWitnessError:
-                failed = e
-                break
-            picked.append((e, w, deg))
-        if failed is None:
-            break
-        if mode == "dynkin":
+    for e in simples:
+        try:
+            w, deg = sample_generic_witness(q0, e, d0, p, derive_seed(seed, 10, *e))
+        except DegenerateWitnessError:
             raise CertifyError(
-                "witnesses", f"no generic witness for orthogonal root {failed}"
-            )
-        cand.discard(failed)
-        notes.append(f"dropped candidate root {failed}: semi-invariant vanishes")
-        if not cand:
-            return report(
-                VERDICT_INCONCLUSIVE, "all candidate roots degenerate", [], dim_rep, disc_w
-            )
-
-    expected = q0.node_count - 1
-    if len(picked) != expected:
-        msg = f"component count {len(picked)} != support size - 1 = {expected}"
-        if mode == "dynkin":
-            raise CertifyError("semigroup-basis", msg)
-        return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
+                "witnesses", f"no generic witness for orthogonal root {e}"
+            ) from None
+        picked.append((e, w, deg))
 
     # stage: weights (each degree came with its witness)
     handles = []

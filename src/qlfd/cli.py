@@ -27,13 +27,14 @@ from .qfile import QuiverFileError, parse_path, serialize
 from .quiver import (
     cartan_matrix,
     classify_underlying_graph,
+    embed_vector,
     euler_inverse,
     euler_matrix,
     is_acyclic,
     support_subquiver,
     tits_form,
 )
-from .roots import highest_root, lattice_roots, positive_roots, semigroup_basis
+from .roots import highest_root, orthogonal_roots, perpendicular_simples, positive_roots
 from .semiinv import discriminant_weight
 
 _LAYOUT_NOTE = (
@@ -126,37 +127,31 @@ def _cmd_euler(q, d, args) -> int:
 
 def _cmd_roots(q, d, args) -> int:
     sub, dsub = support_subquiver(q, d)
-    ortho = lattice_roots(q, d)
-    if ortho is None:
-        raise SystemExit2(
-            "the Tits form is not positive definite on the lattice "
-            "orthogonal to d, so its real roots are not a finite list"
-        )
-    basis = semigroup_basis(ortho) if ortho else []
+    simples = [embed_vector(q, sub, s) for s in perpendicular_simples(sub, dsub)]
     payload = {
         "command": "roots",
         "quiver": q.name,
         "support_nodes": list(sub.nodes),
-        "orthogonal_roots": [list(r) for r in ortho],
-        "semigroup_basis": [list(r) for r in basis],
+        "semigroup_basis": [list(r) for r in simples],
     }
     cls = classify_underlying_graph(sub)
+    listed = []
     if not isinstance(cls, list) and cls.kind == "dynkin":
         roots = positive_roots(sub)
         top = highest_root(sub)
+        ortho = orthogonal_roots(q, d)
         payload["positive_root_count"] = len(roots)
         payload["positive_roots"] = [list(r) for r in roots]
         payload["highest_root"] = list(top)
+        payload["orthogonal_roots"] = [list(r) for r in ortho]
         head = f"{len(roots)} positive roots, highest root {_vec(top)}"
+        listed = [f"orthogonal to d = {_vec(dsub)}: {len(ortho)} roots"]
+        listed += ["  " + _vec(r) for r in ortho]
     else:
         head = "not a connected Dynkin diagram"
-    lines = [
-        f"support {', '.join(sub.nodes)}: {head}",
-        f"orthogonal to d = {_vec(dsub)}: {len(ortho)} roots",
-    ]
-    lines += ["  " + _vec(r) for r in ortho]
-    lines.append(f"semigroup basis ({len(basis)}):")
-    lines += ["  " + _vec(r) for r in basis]
+    lines = [f"support {', '.join(sub.nodes)}: {head}", *listed]
+    lines.append(f"semigroup basis ({len(simples)}):")
+    lines += ["  " + _vec(r) for r in simples]
     _emit(args, payload, "\n".join(lines))
     return 0
 

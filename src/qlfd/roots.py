@@ -1,13 +1,13 @@
 """Positive roots of Dynkin diagrams, real/imaginary/Schur root tests, roots
-orthogonal to a dimension vector, and the semigroup basis that indexes
-discriminant components.
+orthogonal to a dimension vector, and the simples of the perpendicular
+category of a general representation, which index the discriminant's
+components.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import Rng
 from .quiver import (
@@ -17,12 +17,16 @@ from .quiver import (
     classify_underlying_graph,
     embed_vector,
     euler_form,
-    euler_matrix,
+    is_acyclic,
     kac_criterion_applicable,
     support_subquiver,
     tits_form,
 )
 from .repmatrix import hom_ext_dims, random_representation
+
+# Most (orientation, dimension vector) states one ``perpendicular_simples``
+# call may visit in its search for an (A) or (D) move.
+MAX_REFLECTION_STATES = 10_000
 
 
 def positive_roots(q: Quiver) -> list[tuple[int, ...]]:
@@ -136,129 +140,109 @@ def orthogonal_roots(q: Quiver, d) -> list[tuple[int, ...]]:
     return out
 
 
-def lattice_roots(q: Quiver, d) -> list[tuple[int, ...]] | None:
-    """Sorted nonnegative, nonzero e supported on supp d with <e, d> = 0 and
-    q(e) = 1, embedded into full-length vectors; None when the Tits form is
-    not positive definite on L = {e : <e, d> = 0}.
+def perpendicular_simples(q: Quiver, d) -> list[tuple[int, ...]]:
+    """Sorted dimension vectors of the n - 1 simple objects of the category
+    perp(E) = {W : Hom(W, E) = Ext(W, E) = 0} of a general representation E
+    of the real Schur root d of the acyclic quiver q (Schofield 1991): the
+    semi-invariants c^W, W in perp(E), are the ones nonzero at E, and the
+    simples give the components of the discriminant.
 
-    The simples of the perpendicular category of E_d have real-root
-    dimension vectors in L, so on a definite L this list contains them all.
-    A Z-basis of L comes from unimodular column operations on the row
-    (<e_x, d>)_x; the symmetrized Euler form on that basis is factored as
-    LDL^T over Fraction, and every y with y^T G y = 2 is enumerated with
-    exact integer bounds (Fincke & Pohst, Math. Comp. 44, 1985).
+    Three moves on (orientation, d) alone:
+    (A) d = e_z: W is in perp(S_z) exactly when the arrows into z give a
+        bijection from the sum of their tails onto W_z, so the simples are
+        e_y + #(arrows y -> z) e_z for y != z.
+    (D) <e_z, d> = 0 for some z: the map from E_z to the sum over arrows
+        z -> y is then bijective, so S_z is a simple, and E lies in
+        S_z^perp, which is rep Q^z: q without z plus one arrow t -> y for
+        each path t -> z -> y.  A simple X of the recursion on Q^z lifts by
+        X_z = sum over arrows z -> y of X_y, less max(0, <X, e_z>) e_z, which
+        leaves X_z = min(sum over z -> y of X_y, sum over t -> z of X_t).
+    (R) otherwise no S_x lies in perp(E), so at every sink or source x the
+        APR tilt maps perp(E) onto perp(E') for E' of dimension s_x d on the
+        reflected orientation, simples to simples; the Cartan reflection s_x
+        maps the answer back.
+    The search for an (A) or (D) state takes states in order of |d|, so a
+    reflection that lowers |d| goes first.  Termination is not proven for
+    regular roots on wild supports: past ``MAX_REFLECTION_STATES`` states,
+    or on a d that is not a positive real root, ValueError is raised.
     """
-    sub, dsub = support_subquiver(q, d)
-    n = sub.node_count
-    e_mat = euler_matrix(sub)
-    row = [sum(e_mat[x][y] * dsub[y] for y in range(n)) for x in range(n)]
-    basis = _kernel_basis(row)
-    cartan = cartan_matrix(sub)
-    images = [[sum(cartan[x][y] * b[y] for y in range(n)) for x in range(n)] for b in basis]
-    gram = [[sum(a[x] * cb[x] for x in range(n)) for cb in images] for a in basis]
-    found = _norm_two_vectors(gram)
-    if found is None:
-        return None
-    out = []
-    for y in found:
-        e = [sum(c * b[x] for c, b in zip(y, basis)) for x in range(n)]
-        if max(e) <= 0:
-            e = [-v for v in e]
-        if min(e) >= 0:
-            out.append(embed_vector(q, sub, e))
-    return sorted(out)
+    d = tuple(int(x) for x in d)
+    if not is_acyclic(q) or tits_form(q, d) != 1 or min(d) < 0:
+        raise ValueError(
+            "perpendicular_simples needs a positive real root of an acyclic quiver"
+        )
+    budget = [MAX_REFLECTION_STATES]
+    return sorted(_simples(q.node_count, tuple(zip(q.tails, q.heads)), d, budget))
 
 
-def _kernel_basis(row) -> list[list[int]]:
-    """A Z-basis of {e : sum_x row[x] e[x] = 0}.  Column operations that add
-    an integer multiple of one column to another keep the columns a basis of
-    Z^n; they run Euclid's algorithm on the row until one column is left
-    with a nonzero entry, and the others span the kernel."""
-    n = len(row)
-    cols = [[row[x], [int(x == y) for y in range(n)]] for x in range(n)]
-    live = [c for c in cols if c[0]]
-    while len(live) > 1:
-        piv = min(live, key=lambda c: abs(c[0]))
-        for c in live:
-            if c is not piv:
-                k = c[0] // piv[0]
-                c[0] -= k * piv[0]
-                c[1] = [a - k * b for a, b in zip(c[1], piv[1])]
-        live = [c for c in live if c[0]]
-    return [c[1] for c in cols if not c[0]]
+def _simples(n: int, arrows, d, budget) -> list[tuple[int, ...]]:
+    """The simples of perp(E_d) on nodes 0..n-1 with (tail, head) ``arrows``;
+    ``budget`` holds the number of search states left."""
+    parent = {(arrows, d): None}
+    heap = [(sum(d), 0, arrows, d)]
+    while heap:
+        _, _, arr, v = heapq.heappop(heap)
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ValueError(
+                f"no (A) or (D) move within {MAX_REFLECTION_STATES} reflection "
+                "states; d may not be a Schur root"
+            )
+        found = _direct_simples(n, arr, v, budget)
+        if found is not None:
+            break
+        for x in range(n):
+            if all(h != x for _, h in arr) or all(t != x for t, _ in arr):
+                w = _reflect(x, arr, v)
+                if w[x] < 0:
+                    raise ValueError(
+                        "a reflection leaves the positive roots; d is not a real "
+                        "Schur root"
+                    )
+                state = (tuple((h, t) if x in (t, h) else (t, h) for t, h in arr), w)
+                if state not in parent:
+                    parent[state] = (arr, v, x)
+                    heapq.heappush(heap, (sum(w), len(parent), *state))
+    else:
+        raise ValueError(
+            "no (A) or (D) move in a finite reflection orbit; d may not be a "
+            "Schur root"
+        )
+    while parent[arr, v] is not None:
+        arr, v, x = parent[arr, v]
+        found = [_reflect(x, arr, s) for s in found]
+    return found
 
 
-def _norm_two_vectors(gram) -> list[list[int]] | None:
-    """One of each pair +-y of integer vectors with y^T gram y = 2, or None
-    when the integer matrix ``gram`` is not positive definite.
-
-    With gram = L D L^T, y^T gram y = sum_j D_j (y_j + c_j)^2 where
-    c_j = sum_{i>j} L_ij y_i.  Scaling column j of L by the lcm den_j of its
-    denominators and the whole form by M makes every term an integer
-    W_j (den_j y_j + s_j)^2, so each coordinate range is an isqrt.
-    """
-    m = len(gram)
-    low = [[Fraction(0)] * m for _ in range(m)]
-    diag = []
-    for j in range(m):
-        dj = Fraction(gram[j][j]) - sum(low[j][k] ** 2 * diag[k] for k in range(j))
-        if dj <= 0:
-            return None
-        diag.append(dj)
-        for i in range(j + 1, m):
-            acc = gram[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            low[i][j] = acc / dj
-    den = [math.lcm(1, *(low[i][j].denominator for i in range(j + 1, m))) for j in range(m)]
-    scaled = [[int(low[i][j] * den[j]) for j in range(m)] for i in range(m)]
-    weight = [diag[j] / den[j] ** 2 for j in range(m)]
-    big = math.lcm(1, *(w.denominator for w in weight))
-    weight = [int(w * big) for w in weight]
-    out = []
-    y = [0] * m
-
-    def level(j: int, rest: int, leading: bool):
-        # leading: y_i = 0 for all i > j, so only y_j >= 0 is enumerated
-        if j < 0:
-            if rest == 0:
-                out.append(list(y))
-            return
-        s = sum(scaled[i][j] * y[i] for i in range(j + 1, m))
-        r = math.isqrt(rest // weight[j])
-        lo = 0 if leading else -((s + r) // den[j])
-        for v in range(lo, (r - s) // den[j] + 1):
-            y[j] = v
-            u = den[j] * v + s
-            level(j - 1, rest - weight[j] * u * u, leading and v == 0)
-        y[j] = 0
-
-    level(m - 1, 2 * big, True)
-    return out
+def _reflect(x: int, arrows, v) -> tuple[int, ...]:
+    """The Cartan reflection s_x(v) = v - (Cv)_x e_x."""
+    w = list(v)
+    w[x] = sum(v[h] if t == x else v[t] for t, h in arrows if x in (t, h)) - v[x]
+    return tuple(w)
 
 
-def semigroup_basis(roots) -> list[tuple[int, ...]]:
-    """Minimal generating set of the additive semigroup spanned by the
-    nonnegative, nonzero vectors ``roots``.
-
-    An input element is dropped exactly when it is a sum of two nonzero
-    semigroup elements, that is when it equals s + w for an input s and a
-    semigroup element w.  Membership is decided by a memoized search that
-    subtracts inputs, so it visits only vectors below the element tested.
-    """
-    roots = [tuple(r) for r in roots]
-    if not roots:
-        raise ValueError("semigroup_basis needs a non-empty root list")
-    inputs = set(roots)
-    memo = {}
-
-    def decomposable(v) -> bool:
-        if v not in memo:
-            memo[v] = False
-            for s in inputs:
-                if s != v and all(x >= y for x, y in zip(v, s)):
-                    w = tuple(x - y for x, y in zip(v, s))
-                    if w in inputs or decomposable(w):
-                        memo[v] = True
-                        break
-        return memo[v]
-
-    return sorted(r for r in roots if not decomposable(r))
+def _direct_simples(n: int, arrows, d, budget):
+    """The simples by move (A) or (D), or None when neither applies."""
+    if sum(d) == 1:
+        z = d.index(1)
+        return [
+            tuple(int(x == y) + (x == z) * arrows.count((y, z)) for x in range(n))
+            for y in range(n)
+            if y != z
+        ]
+    for z in range(n):
+        if d[z] == sum(d[h] for t, h in arrows if t == z):
+            keep = [x for x in range(n) if x != z]
+            pos = {x: i for i, x in enumerate(keep)}
+            sub = [(pos[t], pos[h]) for t, h in arrows if z not in (t, h)]
+            sub += [(pos[t], pos[h]) for t, a in arrows if a == z for b, h in arrows if b == z]
+            out = [tuple(int(x == z) for x in range(n))]
+            for s in _simples(n - 1, tuple(sub), tuple(d[x] for x in keep), budget):
+                e = [s[pos[x]] if x != z else 0 for x in range(n)]
+                e[z] = min(
+                    sum(e[h] for t, h in arrows if t == z),
+                    sum(e[t] for t, h in arrows if h == z),
+                )
+                out.append(tuple(e))
+            return out
+    return None

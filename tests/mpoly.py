@@ -1,6 +1,7 @@
 """Polynomial oracles for the tests: sparse multivariate polynomials over
-the integers, for the symbolic checks of small discriminants, and Lagrange
-interpolation, for checking line restrictions against pointwise values.
+the integers, for the symbolic checks of small discriminants, Lagrange
+interpolation and Horner evaluation, for checking line restrictions against
+pointwise values, and a linear solve through the F_p LU factors.
 
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
@@ -10,7 +11,7 @@ symbolically.
 
 from fractions import Fraction
 
-from qlfd.arith import poly_deriv, poly_eval, poly_trim
+from qlfd.arith import _factor_mod, _lu_solve, poly_deriv, poly_trim
 
 
 def mp_zero():
@@ -100,6 +101,29 @@ def mpoly_matrix(lfm):
                 acc[mono] = acc.get(mono, 0) + sign * coef
         m[r][c] = {k: v for k, v in acc.items() if v}
     return m
+
+
+def poly_eval(f, t, p=None):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * t + c
+        if p is not None:
+            acc %= p
+    return acc
+
+
+def _solve_mod(a, p: int, b=None):
+    """(rank A, det A, A^{-1} B) over F_p, B's columns solved through the
+    LU factors of ``_factor_mod``; the solution is None unless A is square
+    and invertible and B is given."""
+    rank, det, lu = _factor_mod(a, p, b is not None)
+    if lu is None:
+        return rank, det, None
+    x = [[] for _ in a]
+    for col in zip(*b):
+        for row, v in zip(x, _lu_solve(lu, col, p)):
+            row.append(v)
+    return rank, det, x
 
 
 def interpolate(points, p=None):

@@ -17,17 +17,24 @@ from qlfd.arith import (
     is_prime,
     poly_degree,
     poly_deriv,
-    poly_eval,
     poly_gcd,
     poly_mul,
     rank_exact,
     rank_mod,
 )
-from qlfd.arith import _solve_mod
 from qlfd.fixtures import builtin
 from qlfd.repmatrix import action_matrix
 
-from mpoly import interpolate, mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_var
+from mpoly import (
+    _solve_mod,
+    interpolate,
+    mp_const,
+    mp_det,
+    mp_equal_up_to_sign,
+    mp_mul,
+    mp_var,
+    poly_eval,
+)
 
 P = DEFAULT_PRIME
 

@@ -7,7 +7,6 @@ import pytest
 from qlfd import arith
 from qlfd.arith import DEFAULT_PRIME, Rng, poly_degree, reduce
 from qlfd.certify import (
-    MAX_BOX_SCAN_POINTS,
     CertifyError,
     CertifyOptions,
     certify,
@@ -17,10 +16,14 @@ from qlfd.certify import (
     verify_factorization,
 )
 from qlfd.fixtures import builtin
-from qlfd.quiver import build_quiver, opposite_quiver, tits_form
+from qlfd.quiver import build_quiver, opposite_quiver
 from qlfd.repmatrix import RepCoordinates, action_matrix
-from qlfd.roots import lattice_roots
-from qlfd.semiinv import SchofieldHandle, sample_generic_witness, weight_of_schofield
+from qlfd.semiinv import (
+    DegenerateWitnessError,
+    SchofieldHandle,
+    sample_generic_witness,
+    weight_of_schofield,
+)
 
 from mpoly import interpolate
 
@@ -128,7 +131,8 @@ def _refuse_sampling(monkeypatch):
 
     certify_module = importlib.import_module("qlfd.certify")
     monkeypatch.setattr(certify_module, "sample_generic_witness", refuse)
-    monkeypatch.setattr(certify_module, "lattice_roots", refuse)
+    monkeypatch.setattr(certify_module, "perpendicular_simples", refuse)
+    monkeypatch.setattr(certify_module, "brick_probe", refuse)
 
 
 def test_certify_checks_the_prime_before_any_stage(monkeypatch):
@@ -148,6 +152,32 @@ def test_certify_checks_the_cross_check_prime_before_any_stage(monkeypatch):
         certify(q, d, CertifyOptions(cross_check_prime=41))
     assert str(err.value) == (
         "option cross_check_prime needs a prime above twice the degree: 41 <= 2 * 22"
+    )
+
+
+@pytest.mark.parametrize("name,prime", [("q3", 101), ("star3", 1000003)])
+def test_certify_checks_the_brick_probe_prime_before_any_stage(monkeypatch, name, prime):
+    # the brick probe of a non-Dynkin support needs a prime above 2**40
+    _refuse_sampling(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        certify(*builtin(name), CertifyOptions(prime=prime))
+    assert str(err.value) == (
+        f"option prime needs a prime above 2**40 on a non-Dynkin support: "
+        f"{prime} <= 2**40"
+    )
+
+
+@pytest.mark.parametrize("command", ["certify", "semiinv"])
+def test_cli_refuses_a_small_prime_on_a_non_dynkin_support(monkeypatch, capsys, command):
+    from qlfd.cli import main
+
+    _refuse_sampling(monkeypatch)
+    assert main([command, "--builtin", "q3", "--prime", "101"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: option prime needs a prime above 2**40 on a non-Dynkin support: "
+        "101 <= 2**40\n"
     )
 
 
@@ -704,43 +734,70 @@ def test_small_prime_verdict_is_inconclusive(report_for):
 
 def _ten_node_indefinite():
     # s0, s1 -> 6 and t0..t5 -> 7 -> 6 with d = 1 everywhere except d_7 = 6:
-    # q(d) = 1 and a brick, but q is indefinite on d-perp and the candidate
-    # box has about 2.2e8 points
+    # q(d) = 1 and a brick, with q indefinite on d-perp; a box of candidate
+    # roots 0 <= e_x <= d_x + max(d) would hold about 2.2e8 points
     nodes = ["s0", "s1"] + [f"t{i}" for i in range(6)] + ["6", "7"]
     arrows = [(f"a{i}", f"s{i}", "6") for i in range(2)]
     arrows += [(f"b{i}", f"t{i}", "7") for i in range(6)] + [("c", "7", "6")]
     return build_quiver(nodes, arrows, name="ten-node"), (1,) * 9 + (6,)
 
 
-def test_box_scan_guard_fails_fast_on_ten_node_indefinite_input(tmp_path):
+def _wide_box_tree():
+    # a random tree, indefinite on d-perp, with 2847 candidate roots in the
+    # box 0 <= e_x <= d_x + max(d)
+    arrows = ["01", "12", "32", "14", "52", "26", "07"]
+    nodes = [str(i) for i in range(8)]
+    q = build_quiver(nodes, [(f"a{i}", t, h) for i, (t, h) in enumerate(arrows)], name="tree")
+    return q, (3, 4, 4, 4, 2, 2, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "make,mults",
+    [(_ten_node_indefinite, [1, 1, 1, 1, 1, 1, 1, 1, 5]), (_wide_box_tree, [1, 1, 1, 1, 2, 3, 4])],
+    ids=["ten-node", "tree"],
+)
+def test_indefinite_inputs_certify_in_seconds(make, mults, tmp_path):
+    # q is indefinite on d-perp for both; the simples need no enumeration
     from qlfd.cli import main
     from qlfd.qfile import serialize
 
-    q, d = _ten_node_indefinite()
-    assert tits_form(q, d) == 1 and lattice_roots(q, d) is None
+    q, d = make()
     start = time.perf_counter()
-    with pytest.raises(CertifyError, match=r"would visit 218103808 points") as exc:
-        certify(q, d)
+    rep = certify(q, d)
     assert time.perf_counter() - start < 5
-    assert exc.value.stage == "orthogonal-roots"
-    assert "not positive definite" in str(exc.value)
-    assert str(MAX_BOX_SCAN_POINTS) in str(exc.value)
-    path = tmp_path / "ten.quiver"
+    assert rep.verdict == "not-reduced"
+    assert sorted(c.multiplicity for c in rep.components) == mults
+    path = tmp_path / "input.quiver"
     path.write_text(serialize(q, d))
-    assert main(["certify", "--file", str(path)]) == 1
+    start = time.perf_counter()
+    assert main(["certify", "--file", str(path)]) == 0
+    assert time.perf_counter() - start < 5
 
 
-def test_advisory_candidate_limit_refuses_long_lists(monkeypatch, capsys):
-    # q3's box scan yields 39 candidates, one more than a limit of 38
+def test_reflection_state_bound_is_an_orthogonal_roots_error(monkeypatch, capsys):
+    # q3's search visits 8 states
     from qlfd.cli import main
 
-    certify_module = importlib.import_module("qlfd.certify")
-    monkeypatch.setattr(certify_module, "MAX_ADVISORY_CANDIDATES", 38)
-    with pytest.raises(CertifyError, match=r"found 39 candidates \(limit 38\)") as exc:
+    roots_module = importlib.import_module("qlfd.roots")
+    monkeypatch.setattr(roots_module, "MAX_REFLECTION_STATES", 5)
+    with pytest.raises(CertifyError, match="within 5 reflection states") as exc:
         certify(*builtin("q3"))
     assert exc.value.stage == "orthogonal-roots"
     assert main(["certify", "--builtin", "q3"]) == 1
-    assert "found 39 candidates (limit 38)" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: [orthogonal-roots] no (A) or (D) move")
+
+
+@pytest.mark.parametrize("name", ["e6-q1", "q2"])
+def test_degenerate_witness_is_a_witness_error_in_both_modes(monkeypatch, name):
+    certify_module = importlib.import_module("qlfd.certify")
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateWitnessError("no witness")
+
+    monkeypatch.setattr(certify_module, "sample_generic_witness", degenerate)
+    with pytest.raises(CertifyError) as exc:
+        certify(*builtin(name))
+    assert exc.value.stage == "witnesses"
 
 
 def test_certify_star8_uses_lattice_roots():
@@ -749,20 +806,3 @@ def test_certify_star8_uses_lattice_roots():
     rep = certify(q, d)
     assert rep.verdict == "linear-free-divisor"
     assert len(rep.components) == 9
-
-
-def test_box_scan_only_on_indefinite_lattices(monkeypatch):
-    # the package exports the function ``certify`` under the module's name
-    certify_module = importlib.import_module("qlfd.certify")
-    scanned = []
-    real_scan = certify_module._advisory_candidate_roots
-
-    def spy(q, d):
-        scanned.append(q.name)
-        return real_scan(q, d)
-
-    monkeypatch.setattr(certify_module, "_advisory_candidate_roots", spy)
-    for name in ["a4", "star4", "q2", "tilde-d4-ii", "q3"]:
-        q, d = builtin(name)
-        certify(q, d)
-    assert scanned == ["q3"]

@@ -30,13 +30,13 @@ PINNED = [
     (["--builtin", "e7-highroot"], 0,
      "34d7552c7175d74456a908b50d33d215559a0f06f609b1f2af45d3ab73757271"),
     (["--builtin", "q3"], 0,
-     "cddbaec87e54fa57de2aa70bda8846911465d6243cd095895801ff0168a0c2ae"),
+     "58d2b7ed3ba2f92717174986e6eec1ae27f4e0f607ab82f85e48b223c479f667"),
     (["--builtin", "tilde-d4-iv"], 2,
      "51aae1c0478cc75676f613bee40dd70f1ebd46128228f8dfc1ae7db21266e273"),
     (["--builtin", "d5-prop", "--exact"], 0,
      "4b43ecefec53b201c0c1b257c3399ebe365ab93e8ff8926d3b14eb3146f0111e"),
     (["--file", "cycle3.qf"], 0,
-     "fbf3c4a0fb557637bfc23260b3d2738ae0d9e962c0143dbeed34cd8fda97df28"),
+     "ce8cbb3f877c11c69bfc77c4c865ec81fe5c0761b752ea93220f7b8502544729"),
     (["--builtin", "e8-central-sink"], 0,
      "45e84f6b0656af026e46df765e4a28bbf05a5919b11b998e814e5ac42cd71fe6"),
     (["--builtin", "d7-prop", "--exact"], 0,
@@ -44,9 +44,9 @@ PINNED = [
     (["--builtin", "e6-q1", "--exact"], 0,
      "d5ecca253dba13b8788ebb7edbf8f47d6983867e8acb0041ebb84360c5e4b7d7"),
     (["--builtin", "star7"], 0,
-     "ab9542c398f4bf5cbb1edb45a75d2c0ceee760845d1891fd661ef1c769e9ffac"),
+     "7cbe6b3efc5dd83f02a957633c375045f630fc49cdcd52d27d3a7cf9982216d5"),
     (["--builtin", "q2"], 0,
-     "2f75cdf48b9acc874d795addc769b5c741eedcde3f2f2649d8224d3a47d6dc0c"),
+     "f8df4d294a9a634316173af535028509a04c89486e0a56f4f7d3d4fde0d49466"),
 ]
 
 

@@ -146,21 +146,38 @@ def test_cli_roots_on_definite_non_dynkin_support(capsys):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert "positive_roots" not in doc and "highest_root" not in doc
+    assert "orthogonal_roots" not in doc
     leaves = [tuple(1 - (i == j) for j in range(6)) for i in range(6)]
-    expected = sorted(list(v) + [4] for v in leaves)
-    assert doc["orthogonal_roots"] == expected
-    assert doc["semigroup_basis"] == expected
+    assert doc["semigroup_basis"] == sorted(list(v) + [4] for v in leaves)
     code, out, _ = run_cli(capsys, "roots", "--builtin", "star5")
     assert code == 0
     assert out.splitlines()[0] == "support 1, 2, 3, 4, 5, 6, 7: not a connected Dynkin diagram"
 
 
-@pytest.mark.parametrize("name", ["q3", "tilde-d4-iv"])
+@pytest.mark.parametrize("name", ["tilde-d4-iv"])
 def test_cli_roots_rejects_non_definite_lattice(capsys, name):
+    # d is a real root but not a Schur root there
     code, out, err = run_cli(capsys, "roots", "--builtin", name)
     assert code == 1 and out == ""
-    assert err.startswith("error: the Tits form is not positive definite")
-    assert "Traceback" not in err
+    assert err == (
+        "error: no (A) or (D) move in a finite reflection orbit; d may not be "
+        "a Schur root\n"
+    )
+
+
+def test_cli_roots_lists_the_q3_components(capsys, report_for):
+    # q is indefinite on d-perp for q3; the simples are its 6 component roots
+    code, out, err = run_cli(capsys, "roots", "--builtin", "q3", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert "orthogonal_roots" not in doc
+    components = sorted(list(c.root) for c in report_for("q3").components)
+    assert doc["semigroup_basis"] == components and len(components) == 6
+    code, out, _ = run_cli(capsys, "roots", "--builtin", "q3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["semigroup basis (6):"] + [
+        "  (" + ",".join(map(str, r)) + ")" for r in components
+    ]
 
 
 def test_cli_seed_env_override(capsys, monkeypatch):

@@ -4,14 +4,16 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
+from qlfd import roots as roots_module
 from qlfd.arith import DEFAULT_PRIME, Rng
-from qlfd.certify import _advisory_candidate_roots
+from qlfd.certify import multiplicity_vector
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.quiver import (
     build_quiver,
     classify_underlying_graph,
     euler_form,
     euler_matrix,
+    level_function,
     support_subquiver,
     tits_form,
 )
@@ -21,11 +23,14 @@ from qlfd.roots import (
     highest_root,
     is_imaginary_root,
     is_real_root,
-    lattice_roots,
     orthogonal_roots,
+    perpendicular_simples,
     positive_roots,
-    semigroup_basis,
 )
+from qlfd.semiinv import discriminant_weight, root_from_weight, weight_of_schofield
+
+from randquiver import random_real_roots
+from roots_oracle import lattice_roots, old_components, semigroup_basis
 
 P = DEFAULT_PRIME
 
@@ -319,15 +324,6 @@ def box_oracle(name):
     return box_candidates(q, d)
 
 
-def test_box_oracles_match_scan():
-    for name in ["q1", "q2", "q3", "star4", "star5", "tilde-d4-ii", "tilde-d4-iv"]:
-        q, d = builtin(name)
-        assert box_candidates(q, d) == set(_advisory_candidate_roots(q, d)), name
-    for n in (3, 4, 5):
-        q, d = builtin(f"star{n}")
-        assert star_box_candidates(n) == set(_advisory_candidate_roots(q, d)), n
-
-
 LATTICE_EXTRAS = {
     "q2": {(2, 2, 2, 3, 3, 7, 9), (2, 2, 2, 3, 3, 8, 9)},
     "tilde-d4-ii": {(4, 3, 3, 3, 7)},
@@ -397,7 +393,7 @@ def test_semigroup_basis_matches_closure_reference():
             assert semigroup_basis(roots) == closure_semigroup_basis(roots), roots
     for name in ["a8", "d8-prop", "e8-central-sink", "q2", "q3", "tilde-d4-ii"]:
         q, d = builtin(name)
-        roots = lattice_roots(q, d) or _advisory_candidate_roots(q, d)
+        roots = lattice_roots(q, d) or sorted(box_candidates(q, d))
         assert semigroup_basis(roots) == closure_semigroup_basis(roots), name
 
 
@@ -416,3 +412,101 @@ def test_semigroup_basis_of_wide_lattice_root_list():
         (1, 1, 1, 1, 0, 1, 1, 0), (1, 1, 1, 1, 1, 0, 1, 0), (2, 1, 1, 0, 1, 1, 0, 0),
         (2, 2, 1, 1, 1, 1, 0, 0),
     ]
+
+
+Q3_COMPONENTS = [
+    (0, 0, 0, 0, 0, 0, 1), (0, 1, 1, 1, 1, 3, 2), (1, 0, 1, 1, 1, 3, 2),
+    (1, 1, 0, 1, 1, 3, 2), (1, 1, 1, 0, 1, 3, 1), (1, 1, 1, 1, 0, 3, 1),
+]
+
+
+def _assert_simples(q, d, simples):
+    """The simples of perp(E_d) for a real Schur root d: n - 1 real roots in
+    d-perp, <s_i, s_j> <= 0 for i != j, and positive integer multiplicities
+    a with sum a_i s_i the root of the discriminant's weight."""
+    n = q.node_count
+    assert len(simples) == n - 1
+    for a in simples:
+        assert euler_form(q, a, d) == 0 and euler_form(q, a, a) == 1
+        assert all(euler_form(q, a, b) <= 0 for b in simples if b != a)
+    mults = multiplicity_vector(q, d, [weight_of_schofield(q, s) for s in simples])
+    assert min(mults, default=1) >= 1
+    total = tuple(sum(a * s[x] for a, s in zip(mults, simples)) for x in range(n))
+    assert total == root_from_weight(q, discriminant_weight(q, d))
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "tilde-d4-iv"] + ["star7"])
+def test_perpendicular_simples_on_builtins(name):
+    # the old pipeline's answer wherever q is definite on d-perp; q3 is not,
+    # and its components are those of the pinned q3 report
+    q, d = builtin(name)
+    simples = perpendicular_simples(q, d)
+    _assert_simples(q, d, simples)
+    old = old_components(q, d, P, seed=2)
+    assert simples == (Q3_COMPONENTS if name == "q3" else old)
+    assert (old is None) == (name == "q3")
+
+
+def test_perpendicular_simples_on_random_acyclic_quivers():
+    checked = definite = unbalanced = 0
+    for i, (q, d) in enumerate(random_real_roots(15, 150)):
+        if brick_probe(q, d, P, seed=i).verdict != "brick":
+            continue
+        simples = perpendicular_simples(q, d)
+        _assert_simples(q, d, simples)
+        old = old_components(q, d, P, seed=i)
+        if old is not None:
+            assert simples == old, (q.arrows, d)
+            definite += 1
+        unbalanced += level_function(q) is None
+        checked += 1
+    assert checked >= 80 and definite >= 30 and checked - definite >= 30
+    assert unbalanced >= 10
+
+
+def test_move_a_reads_the_simples_off_a_simple_root():
+    # d = e_2 on 1 => 2 -> 3: e_y + #(arrows y -> 2) e_2 for y = 1, 3
+    q = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")])
+    assert perpendicular_simples(q, (0, 1, 0)) == [(0, 0, 1), (1, 2, 0)]
+
+
+def test_move_d_lifts_the_recursion():
+    # on a3 every step is a (D) move: S_1, then S_2 of the recursion on
+    # {2, 3}, lifted to (1, 1, 0) and reduced by <(1, 1, 0), e_1> = 1
+    q, d = builtin("a3")
+    assert perpendicular_simples(q, d) == [(0, 1, 0), (1, 0, 0)]
+    q, d = builtin("a2")
+    assert perpendicular_simples(q, d) == [(1, 0)]
+
+
+def test_move_r_maps_back_by_the_cartan_reflection():
+    # star2 with d = (1, 1, 1, 2) has no (A) or (D) move in either
+    # orientation of its three arms: sources into the sink 4, or 4 a source
+    q, d = builtin("star2")
+    assert perpendicular_simples(q, d) == [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
+    flipped = build_quiver(q.nodes, [(a.name, a.head, a.tail) for a in q.arrows])
+    simples = perpendicular_simples(flipped, d)
+    assert simples == [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1)]
+    assert simples == old_components(flipped, d, P, seed=3)
+
+
+def test_perpendicular_simples_refusals():
+    # tilde-d4-iv: a real root that is not a Schur root
+    with pytest.raises(ValueError, match="Schur root"):
+        perpendicular_simples(*builtin("tilde-d4-iv"))
+    q, _ = builtin("a3")
+    with pytest.raises(ValueError, match="positive real root"):
+        perpendicular_simples(q, (1, 2, 1))
+    cycle = build_quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")], allow_cycles=True)
+    with pytest.raises(ValueError, match="acyclic"):
+        perpendicular_simples(cycle, (1, 0))
+
+
+def test_perpendicular_simples_state_bound(monkeypatch):
+    # E8 visits 50 states; a bound of 20 stops it
+    q, d = builtin("e8-central-sink")
+    monkeypatch.setattr(roots_module, "MAX_REFLECTION_STATES", 20)
+    with pytest.raises(ValueError, match="within 20 reflection states"):
+        perpendicular_simples(q, d)
+    monkeypatch.setattr(roots_module, "MAX_REFLECTION_STATES", 50)
+    assert len(perpendicular_simples(q, d)) == 7

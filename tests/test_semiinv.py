@@ -98,10 +98,10 @@ def test_degree_of_e7_roots():
 
 def test_degree_of_e6_component_degrees():
     q, d = builtin("e6-q1")
-    from qlfd.roots import orthogonal_roots, semigroup_basis
+    from qlfd.roots import perpendicular_simples
 
     degrees = []
-    for root in semigroup_basis(orthogonal_roots(q, d)):
+    for root in perpendicular_simples(q, d):
         _, deg = sample_generic_witness(q, root, d, P, seed=8)
         degrees.append(deg)
     assert sorted(degrees) == [4, 4, 4, 4, 6]
@@ -109,9 +109,9 @@ def test_degree_of_e6_component_degrees():
 
 def test_evaluate_homogeneous_scaling():
     q, d = builtin("e6-q2")
-    from qlfd.roots import orthogonal_roots, semigroup_basis
+    from qlfd.roots import perpendicular_simples
 
-    root = semigroup_basis(orthogonal_roots(q, d))[0]
+    root = perpendicular_simples(q, d)[0]
     w, deg = sample_generic_witness(q, root, d, P, seed=9)
     h = SchofieldHandle(root, w, d)
     rng = Rng(10)
@@ -134,9 +134,9 @@ def test_evaluate_zero_at_origin():
             for a in range(q.arrow_count)
         ],
     )
-    from qlfd.roots import orthogonal_roots, semigroup_basis
+    from qlfd.roots import perpendicular_simples
 
-    root = semigroup_basis(orthogonal_roots(q, d))[0]
+    root = perpendicular_simples(q, d)[0]
     w, _ = sample_generic_witness(q, root, d, P, seed=13)
     assert SchofieldHandle(root, w, d).evaluate(zero) == 0
 
@@ -313,10 +313,10 @@ def test_degree_of_matches_lagrange_cycle_quiver():
 
 
 def test_degree_of_matches_lagrange_d5_exact():
-    from qlfd.roots import orthogonal_roots, semigroup_basis
+    from qlfd.roots import perpendicular_simples
 
     q, d = builtin("d5-prop")
-    roots = semigroup_basis(orthogonal_roots(q, d))
+    roots = perpendicular_simples(q, d)
     assert roots
     for i, root in enumerate(roots):
         _assert_degree_matches_oracle(q, d, root, None, seed=300 + 10 * i)
@@ -379,7 +379,7 @@ def _random_tree(rng, n):
 
 
 def test_level_formula_matches_degree_of_on_random_trees():
-    from qlfd.roots import lattice_roots
+    from roots_oracle import lattice_roots
 
     rng = Rng(41)
     checked = 0
