@@ -9,8 +9,8 @@ from .certify import (
     LfdReport,
     certify,
     discriminant_degree,
+    line_certificate,
     multiplicity_vector,
-    squarefree_probe,
     verify_factorization,
 )
 from .fixtures import block_handles, builtin, builtin_names

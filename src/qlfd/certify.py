@@ -2,28 +2,35 @@
 representations is a linear free divisor and emit the component table.
 
 Pipeline: support restriction, real-root check, component roots, witnesses,
-degrees and weights, multiplicity vector, squarefree probe, factorization
-identity on the probe's line.  The component roots are the simples of the
-perpendicular category of a general representation, read off by
-``perpendicular_simples``: the list is complete on every acyclic support
-where d is a real Schur root.  On a non-Dynkin support a brick probe must
-certify that first, and the pipeline runs in advisory mode: its two
-independent reducedness signals (integral multiplicities; random-line
-squarefreeness) must agree, or the verdict is inconclusive.
+degrees and weights, multiplicity vector, and the line certificate.  The
+component roots are the simples of the perpendicular category of a general
+representation, read off by ``perpendicular_simples``: the list is complete
+on every acyclic support where d is a real Schur root.  On a non-Dynkin
+support a brick probe must certify that first, and the pipeline runs in
+advisory mode.
+
+The line certificate (``line_certificate``) never restricts the
+discriminant Delta itself to a line.  It checks Delta = c * P, with
+P = prod h_i^{a_i} over the handles, at the two ends of one random line,
+one determinant of Delta per end, and restricts only the handles to the
+line.  Once the identity holds, Delta|_L = c * P|_L, so the
+reducedness signal is the squarefreeness of P|_L.  It must agree with the
+other signal, all multiplicities 1, or the verdict is inconclusive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import (
     DEFAULT_PRIME,
     PrimeField,
     Rng,
+    _crt_prime,
     derive_seed,
     det,
-    det_pencil_poly,
     poly_degree,
     poly_deriv,
     poly_gcd,
@@ -65,6 +72,11 @@ MAX_POINT_BOUND_LOG2 = -40
 # Over Q the line coordinates are drawn from [-R, R], a set of 2R + 1 values.
 EXACT_LINE_RANGE = 99
 
+# At most this many lines are drawn while every multiplicity is 1 and the
+# handles' product is not squarefree on the line; then the verdict is
+# inconclusive.
+CERTIFICATE_LINES = 3
+
 
 class CertifyError(RuntimeError):
     """Hard failure of a pipeline stage (inputs the pipeline cannot accept,
@@ -79,36 +91,17 @@ class CertifyError(RuntimeError):
 class CertifyOptions:
     prime: int = DEFAULT_PRIME
     seed: int = DEFAULT_SEED
-    # at most this many squarefree trials: the first squarefree line proves
-    # the discriminant reduced, so only a not-reduced verdict uses them all
-    squarefree_lines: int = 5
     exact: bool = False  # exact rational evaluations; small Dynkin fixtures only
-    # optional paranoia: repeat the factorization and squarefree checks under
-    # a second prime and require agreement
-    cross_check_prime: int | None = None
 
     def __post_init__(self):
-        if self.squarefree_lines < 1:
-            raise ValueError(
-                f"squarefree_lines must be at least 1, got {self.squarefree_lines}"
-            )
         # the random streams use the seed modulo 2**64; a seed outside that
         # range would be reported as given but behave as another seed
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.exact and self.cross_check_prime is not None:
-            raise ValueError(
-                "cross_check_prime repeats modular checks; exact mode has none "
-                "to repeat"
-            )
-        for name in ("prime", "cross_check_prime"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            PrimeField(value)
-            if value < 5:
-                # random_scalar draws from [2, p - 2]
-                raise ValueError(f"{name} must be at least 5, got {value}")
+        PrimeField(self.prime)
+        if self.prime < 5:
+            # random_scalar draws from [2, p - 2]
+            raise ValueError(f"prime must be at least 5, got {self.prime}")
 
 
 @dataclass
@@ -140,11 +133,10 @@ class Component:
 class VerificationStats:
     prime: int
     seed: int
-    squarefree_lines: int
     mode: str = ""
     unit_ratio: int | str | None = None
     ratio_point_bound_log2: float | None = None
-    squarefree_votes: tuple = ()
+    lines_used: int = 0
     brick_endomorphism_dim: int | None = None
     brick_ext_dim: int | None = None
     notes: tuple = ()
@@ -153,11 +145,10 @@ class VerificationStats:
         return {
             "prime": self.prime,
             "seed": self.seed,
-            "squarefree_lines": self.squarefree_lines,
             "mode": self.mode,
             "unit_ratio": self.unit_ratio,
             "ratio_point_bound_log2": self.ratio_point_bound_log2,
-            "squarefree_votes": list(self.squarefree_votes),
+            "lines_used": self.lines_used,
             "brick_endomorphism_dim": self.brick_endomorphism_dim,
             "brick_ext_dim": self.brick_ext_dim,
             "notes": list(self.notes),
@@ -182,7 +173,7 @@ class LfdReport:
 
     def to_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "quiver": self.quiver_name,
             "nodes": list(self.nodes),
             "dimension_vector": list(self.dims),
@@ -208,18 +199,28 @@ def _random_coordinate_vector(lfm, p: int | None, rng: Rng):
     return [rng.below(p) for _ in range(lfm.coords.total)]
 
 
-def _line_restriction_poly(lfm, p: int | None, vec0, vec1):
-    """det of the action matrix along the affine line vec0 + t*vec1, as a
-    univariate polynomial over F_p or Q, when it has full degree
-    ``lfm.size``; None otherwise.
+def _probe_line(lfm, p: int | None, rng: Rng, trial: int):
+    """The first of 8 lines vec0 + t*vec1, drawn on ``rng.split(trial,
+    attempt)``, where Delta(vec1) = det A(vec1) is nonzero, as
+    (vec0, vec1, Delta(vec0), Delta(vec1)).
 
-    Every cell of the action matrix A is a signed coordinate, so det A is
-    homogeneous of degree ``size`` and its coefficient of t^size along the
-    line is det A(vec1): a line counts exactly when A(vec1) is invertible,
-    which is when the pencil kernel ``det_pencil_poly`` returns a
-    polynomial, over either field.
+    Every cell of the action matrix A is a signed coordinate, so Delta is
+    homogeneous of degree ``lfm.size`` and Delta(vec1) is the leading
+    coefficient of Delta|_L: each accepted line proves deg Delta = dim Rep.
     """
-    return det_pencil_poly(lfm.evaluate(vec0, p), lfm.evaluate(vec1, p), p)
+    for attempt in range(8):
+        stream = rng.split(trial, attempt)
+        vec0 = _random_coordinate_vector(lfm, p, stream)
+        vec1 = _random_coordinate_vector(lfm, p, stream)
+        delta1 = det(lfm.evaluate(vec1, p), p)
+        if delta1:
+            # A(vec0) has the sparsity pattern of A(vec1): it replays its plan
+            return vec0, vec1, det(lfm.evaluate(vec0, p), p), delta1
+    raise CertifyError(
+        "line",
+        "the discriminant vanishes at the leading member A(vec1) of every "
+        "sampled line",
+    )
 
 
 def _require_prime_above_twice(p: int | None, degree: int, what: str):
@@ -238,9 +239,9 @@ def discriminant_degree(
     is None: sum over arrows of d(tail) * d(head), proved by one
     determinant.
 
-    det A is homogeneous of degree ``size`` (see ``_line_restriction_poly``),
-    so one nonzero det A(v) at a random point proves that the degree equals
-    the formula value.
+    det A is homogeneous of degree ``size`` (see ``_probe_line``), so one
+    nonzero det A(v) at a random point proves that the degree equals the
+    formula value.
     """
     d = tuple(int(x) for x in d)
     formula = sum(d[t] * d[h] for t, h in zip(q.tails, q.heads))
@@ -295,23 +296,35 @@ def multiplicity_vector(q: Quiver, d, weights) -> list[int]:
     return out
 
 
-def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
-    """The factorization identity Delta|_L = c * prod h_i|_L^{a_i}, over F_p
-    or Q (``p`` None), on the line (vec0, vec1, Delta|_L) that
-    ``squarefree_probe`` returns; each handle is restricted to the line by
-    one pencil (``SchofieldHandle.line``).  Returns (ok, c), c the ratio of
-    the leading coefficients, or (False, None) when some h_i vanishes at
-    vec1, is not of its declared degree, or the product's degree is not
-    Delta's.  ``handles`` (``SchofieldHandle``s) and ``mults`` must have the
-    same length.
+def _ends_agree(delta0, delta1, prod, p: int | None):
+    """The identity Delta = c * P at the two ends of a line:
+    Delta(vec0) P(vec1) = P(vec0) Delta(vec1), where P(vec0) and P(vec1)
+    are the constant and the leading coefficient of P|_L = ``prod``.
+    Returns (ok, c) with c = Delta(vec1) / P(vec1)."""
+    c = reduce(delta1 * power(prod[-1], -1, p), p)
+    return reduce(delta0 * prod[-1] - prod[0] * delta1, p) == 0, c
 
-    If Delta and P = prod h_i^{a_i} are not proportional, the identity still
-    forces Delta(vec0) P(vec1) = P(vec0) Delta(vec1), a nonzero polynomial of
-    degree dim Rep in vec0 since Delta(vec1) != 0 on an accepted line.  So a
-    false accept has probability at most dim Rep / |S|, S being the set each
-    coordinate of vec0 is drawn from.
+
+def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
+    """The factorization identity Delta = c * prod h_i^{a_i}, over F_p or Q
+    (``p`` None), at the two ends of the line (vec0, vec1, Delta(vec0),
+    Delta(vec1)) that ``_probe_line`` draws.  Each handle is restricted to
+    the line by one pencil (``SchofieldHandle.line``), and P|_L is the
+    product of the restrictions.  Returns (ok, c, P|_L), with c the ratio
+    Delta(vec1) / P(vec1); (False, None, None) when some h_i vanishes at
+    vec1 or is not of its declared degree, or deg P is not dim Rep.
+    ``handles`` (``SchofieldHandle``s) and ``mults`` must have the same
+    length.
+
+    P is homogeneous of degree N = dim Rep, so the constant and leading
+    coefficients of P|_L are P(vec0) and P(vec1), and ``_ends_agree``
+    checks Delta(vec0) P(vec1) = P(vec0) Delta(vec1).  If Delta and P are
+    not proportional, that is a nonzero polynomial of degree N in vec0,
+    since Delta(vec1) != 0 on an accepted line.  So a false accept has
+    probability at most N / |S|, S being the set each coordinate of vec0 is
+    drawn from.
     """
-    vec0, vec1, delta = line
+    vec0, vec1, delta0, delta1 = line
     coords = RepCoordinates(q, d)
     v0, v1 = coords.unflatten(vec0, p), coords.unflatten(vec1, p)
     pairs = list(zip(handles, mults, strict=True))  # unequal lengths raise here
@@ -319,60 +332,89 @@ def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
     for h, a in pairs:
         hl = h.line(v0, v1)
         if hl is None:
-            return False, None
+            return False, None, None
         for _ in range(a):
             prod = poly_mul(prod, hl, p)
-    if poly_degree(prod) != poly_degree(delta):
-        return False, None
-    c = reduce(delta[-1] * power(prod[-1], -1, p), p)
-    return all(reduce(x - c * y, p) == 0 for x, y in zip(delta, prod)), c
+    if poly_degree(prod) != coords.total:
+        return False, None, None
+    return (*_ends_agree(delta0, delta1, prod, p), prod)
 
 
-def squarefree_probe(
+def _squarefree(f, p: int | None) -> bool:
+    """gcd(f, f') = 1 over F_p, or over Q (``p`` None) for integer
+    coefficients.
+
+    Over Q, f is first reduced modulo the first prime of ``_crt_prime``
+    that does not divide its leading coefficient.  A unit gcd there means
+    that disc(f) is nonzero modulo that prime, hence nonzero, so f is
+    squarefree.  A common factor modulo the prime may come from the prime
+    alone, so that case is decided by the rational gcd: the modular test
+    never answers "not squarefree" by itself.
+    """
+    if p is None:
+        i = 0
+        while f[-1] % _crt_prime(i) == 0:
+            i += 1
+        q = _crt_prime(i)
+        if _squarefree([c % q for c in f], q):
+            return True
+    return poly_degree(poly_gcd(f, poly_deriv(f, p), p)) == 0
+
+
+class LineCertificate(NamedTuple):
+    """What ``line_certificate`` found: the identity on every line drawn,
+    the squarefreeness of P|_L on the last one, the ratio c of the first
+    line (None when P|_L could not be formed) and the number of lines."""
+
+    identity: bool
+    squarefree: bool
+    unit: object
+    lines_used: int
+
+
+def line_certificate(
     q: Quiver,
     d,
+    handles,
+    mults,
     p: int | None = DEFAULT_PRIME,
-    trials: int = 5,
     seed: int = DEFAULT_SEED,
-):
-    """Squarefreeness of the discriminant determinant over F_p, or over Q
-    when ``p`` is None, from its restrictions to random affine lines.
-    Returns (squarefree, votes, line), where line = (vec0, vec1, f) is the
-    first accepted line vec0 + t*vec1 and f the restriction on it.
+) -> LineCertificate:
+    """The factorization identity and the reducedness of the discriminant
+    Delta over F_p, or over Q when ``p`` is None, from one random line,
+    with no restriction of Delta itself.
 
-    Each trial takes the first of 8 lines whose restriction f has full
-    degree and votes gcd(f, f') = 1.  On such a line a repeated factor g^2
-    of the discriminant restricts to g|_L^2 with deg g|_L = deg g, so one
-    squarefree vote proves the discriminant reduced: the probe stops at it,
-    and only a not-squarefree outcome runs all ``trials``.  The verdict is
-    any(votes).
+    On a line of ``_probe_line``, ``verify_factorization`` checks
+    Delta = c * P, P = prod h_i^{a_i}, at the line's two ends.  Once it
+    holds, Delta|_L = c * P|_L, so Delta|_L is squarefree exactly when P|_L
+    is.  The line has P(vec1) != 0, so a repeated factor g^2 of P restricts
+    to g|_L^2 with deg g|_L = deg g: a squarefree P|_L proves P, hence
+    Delta, reduced.  Some a_i >= 2 makes P|_L not squarefree on every line,
+    and one line settles it.  When every a_i = 1 and P|_L is not
+    squarefree, the line may be unlucky: the discriminant of P|_L, a
+    nonzero polynomial in the line's coordinates when P is reduced,
+    vanishes there with probability at most its degree over |S|.  Then
+    lines are redrawn, on ``split(trial, attempt)`` for trial = 1, 2, ...,
+    up to CERTIFICATE_LINES lines in all, and each checks the identity with
+    the first line's c.
     """
     d = tuple(int(x) for x in d)
     lfm = action_matrix(q, d)
-    _require_prime_above_twice(p, lfm.size, "squarefree_probe")
+    _require_prime_above_twice(p, lfm.size, "line_certificate")
+    all_ones = all(a == 1 for a in mults)
     rng = Rng(seed)
-    votes = []
-    line = None
-    for trial in range(trials):
-        for attempt in range(8):
-            stream = rng.split(trial, attempt)
-            vec0 = _random_coordinate_vector(lfm, p, stream)
-            vec1 = _random_coordinate_vector(lfm, p, stream)
-            poly = _line_restriction_poly(lfm, p, vec0, vec1)
-            if poly is not None:
-                break
-        else:
-            raise CertifyError(
-                "squarefree",
-                "the discriminant vanishes at the leading member A(vec1) of "
-                "every sampled line",
-            )
-        line = line or (vec0, vec1, poly)
-        g = poly_gcd(poly, poly_deriv(poly, p), p)
-        votes.append(poly_degree(g) == 0)
-        if votes[-1]:
-            break
-    return any(votes), votes, line
+    unit = None
+    for trial in range(CERTIFICATE_LINES):
+        line = _probe_line(lfm, p, rng, trial)
+        ok, c, prod = verify_factorization(q, d, handles, mults, line, p)
+        if trial == 0:
+            unit = c
+        if not ok or c != unit:
+            return LineCertificate(False, False, unit, trial + 1)
+        squarefree = _squarefree(prod, p)
+        if squarefree or not all_ones:
+            return LineCertificate(True, squarefree, unit, trial + 1)
+    return LineCertificate(True, False, unit, CERTIFICATE_LINES)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +431,9 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         raise CertifyError("input", "zero dimension vector")
     prime, seed = opts.prime, opts.seed
     p = None if opts.exact else prime  # the field of every evaluation
-    stats = VerificationStats(
-        prime=prime, seed=seed, squarefree_lines=opts.squarefree_lines
-    )
-    notes: list[str] = []
+    stats = VerificationStats(prime=prime, seed=seed)
 
     def report(verdict, reason=None, components=(), dim_rep=None, disc_w=None):
-        stats.notes = tuple(notes)
         return LfdReport(
             quiver_name=q.name,
             nodes=q.nodes,
@@ -423,15 +461,12 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     if not is_acyclic(q0):
         raise CertifyError("classify", "support contains an oriented cycle")
     # the degree of the discriminant: det A is homogeneous of degree dim Rep,
-    # and each line the squarefree probe accepts proves it nonzero
+    # and each line the line certificate accepts proves it nonzero
     dim_rep = sum(d0[t] * d0[h] for t, h in zip(q0.tails, q0.heads))
-    # the squarefree probe needs each prime it runs under above 2 * dim Rep;
-    # refuse a smaller one before any stage samples
+    # the line certificate needs a prime above 2 * dim Rep; refuse a smaller
+    # one before any stage samples
     if p is not None:
         _require_prime_above_twice(prime, dim_rep, "option prime")
-        _require_prime_above_twice(
-            opts.cross_check_prime, dim_rep, "option cross_check_prime"
-        )
         # and the brick probe of a non-Dynkin support needs one above 2**40
         if cls.kind != "dynkin" and prime <= 2**40:
             raise ValueError(
@@ -446,13 +481,13 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         stats.mode = mode
         if opts.exact:
             raise CertifyError("exact", "exact mode requires a Dynkin support")
-        cert = brick_probe(q0, d0, prime, derive_seed(seed, 101), trials=8)
-        stats.brick_endomorphism_dim = cert.endomorphism_dim
-        stats.brick_ext_dim = cert.ext_dim
-        if cert.verdict != "brick":
+        brick = brick_probe(q0, d0, prime, derive_seed(seed, 101), trials=8)
+        stats.brick_endomorphism_dim = brick.endomorphism_dim
+        stats.brick_ext_dim = brick.ext_dim
+        if brick.verdict != "brick":
             return report(
                 VERDICT_INCONCLUSIVE,
-                f"generic endomorphism dimension >= {cert.endomorphism_dim}; "
+                f"generic endomorphism dimension >= {brick.endomorphism_dim}; "
                 "not a Schur root, the discriminant is the whole space",
                 dim_rep=dim_rep,
             )
@@ -510,41 +545,15 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             raise CertifyError("degrees", msg)
         return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
 
-    # stage: squarefree probe
-    sqf, votes, line = squarefree_probe(
-        q0, d0, p, opts.squarefree_lines, derive_seed(seed, 40)
-    )
-    stats.squarefree_votes = tuple(votes)
-
-    # stage: factorization identity on the probe's first line, reported with
-    # the looser bound 2 dim Rep / |S| (see verify_factorization)
-    fact_ok, unit = verify_factorization(q0, d0, handles, mults, line, p)
+    # stage: the line certificate, the identity at the two ends of one line
+    # and the squarefreeness of P|_L (see line_certificate); its bound is
+    # dim Rep / |S| (see verify_factorization)
+    cert = line_certificate(q0, d0, handles, mults, p, derive_seed(seed, 40))
+    stats.lines_used = cert.lines_used
+    unit = cert.unit
     stats.unit_ratio = str(unit) if p is None and unit is not None else unit
     sample_size = prime if p is not None else 2 * EXACT_LINE_RANGE + 1
-    stats.ratio_point_bound_log2 = math.log2(2 * dim_rep) - math.log2(sample_size)
-
-    # optional multi-prime consistency pass
-    if opts.cross_check_prime is not None:
-        p2 = opts.cross_check_prime
-        handles2 = []
-        for e, _, deg in picked:
-            w2, _ = sample_generic_witness(q0, e, d0, p2, derive_seed(seed, 50, *e))
-            h2 = SchofieldHandle(e, w2, d0)
-            h2.degree = deg
-            handles2.append(h2)
-        sqf2, _, line2 = squarefree_probe(
-            q0, d0, p2, opts.squarefree_lines, derive_seed(seed, 52)
-        )
-        fact_ok2, _ = verify_factorization(q0, d0, handles2, mults, line2, p2)
-        if not (fact_ok2 == fact_ok and sqf2 == sqf):
-            return report(
-                VERDICT_INCONCLUSIVE,
-                f"cross-check prime {p2} disagrees with {prime}",
-                [],
-                dim_rep,
-                disc_w,
-            )
-        notes.append(f"cross-check prime {p2}: agreed")
+    stats.ratio_point_bound_log2 = math.log2(dim_rep) - math.log2(sample_size)
 
     # assemble components in canonical order: by degree, then root
     order = sorted(range(len(handles)), key=lambda i: (degrees[i], picked[i][0]))
@@ -565,7 +574,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
         )
 
     all_ones = all(a == 1 for a in mults)
-    if not fact_ok:
+    if not cert.identity:
         return report(
             VERDICT_INCONCLUSIVE,
             "factorization identity fails on the probe line",
@@ -573,11 +582,11 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             dim_rep,
             disc_w,
         )
-    if all_ones != sqf:
+    if all_ones != cert.squarefree:
         return report(
             VERDICT_INCONCLUSIVE,
             f"reducedness signals disagree: multiplicities all 1 = {all_ones}, "
-            f"squarefree probe = {sqf}",
+            f"P|_L squarefree on {cert.lines_used} line(s) = {cert.squarefree}",
             components,
             dim_rep,
             disc_w,

@@ -126,7 +126,7 @@ def test_criterion_04_tilde_d4_cases():
     rep_ii = fixture_report("tilde-d4-ii")
     assert rep_ii.verdict == "not-reduced"
     assert sorted(c.multiplicity for c in rep_ii.components) == [1, 1, 1, 2]
-    assert not any(rep_ii.stats.squarefree_votes)
+    assert rep_ii.stats.lines_used == 1
     q, d = builtin("tilde-d4-iv")
     cert = brick_probe(q, d, P, seed=404)
     assert cert.endomorphism_dim >= 2

@@ -1,18 +1,28 @@
 import importlib
 import math
+import sys
 import time
+from unittest.mock import ANY
 
 import pytest
 
 from qlfd import arith
-from qlfd.arith import DEFAULT_PRIME, Rng, poly_degree, reduce
+from qlfd.arith import (
+    DEFAULT_PRIME,
+    Rng,
+    _crt_prime,
+    det_pencil_poly,
+    poly_degree,
+    poly_mul,
+    reduce,
+)
 from qlfd.certify import (
     CertifyError,
     CertifyOptions,
     certify,
     discriminant_degree,
+    line_certificate,
     multiplicity_vector,
-    squarefree_probe,
     verify_factorization,
 )
 from qlfd.fixtures import builtin
@@ -48,13 +58,6 @@ def test_discriminant_degree_exact_mode_agrees():
     assert discriminant_degree(q, d, None) == discriminant_degree(q, d) == 18
 
 
-@pytest.mark.parametrize("field", ["squarefree_lines"])
-@pytest.mark.parametrize("value", [0, -3])
-def test_certify_options_reject_counts_below_one(field, value):
-    with pytest.raises(ValueError, match=field):
-        CertifyOptions(**{field: value})
-
-
 @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
 def test_certify_options_reject_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match="seed"):
@@ -67,19 +70,10 @@ def test_certify_options_accept_seed_range_ends():
 
 
 @pytest.mark.parametrize("modulus", [8, 1, 2**89 - 1])
-def test_certify_options_reject_bad_cross_check_prime(modulus):
+def test_certify_options_reject_bad_prime(modulus):
     # rejected when the options are built, before any stage runs
     with pytest.raises(ValueError, match="modulus"):
-        CertifyOptions(cross_check_prime=modulus)
-
-
-def test_certify_options_accept_cross_check_prime():
-    assert CertifyOptions(cross_check_prime=101).cross_check_prime == 101
-
-
-def test_certify_options_reject_cross_check_prime_in_exact_mode():
-    with pytest.raises(ValueError, match="cross_check_prime"):
-        CertifyOptions(exact=True, cross_check_prime=101)
+        CertifyOptions(prime=modulus)
 
 
 def test_multiplicity_vector_tilde_d4_ii():
@@ -145,16 +139,6 @@ def test_certify_checks_the_prime_before_any_stage(monkeypatch):
     )
 
 
-def test_certify_checks_the_cross_check_prime_before_any_stage(monkeypatch):
-    _refuse_sampling(monkeypatch)
-    q, d = builtin("e6-q1")
-    with pytest.raises(ValueError) as err:
-        certify(q, d, CertifyOptions(cross_check_prime=41))
-    assert str(err.value) == (
-        "option cross_check_prime needs a prime above twice the degree: 41 <= 2 * 22"
-    )
-
-
 @pytest.mark.parametrize("name,prime", [("q3", 101), ("star3", 1000003)])
 def test_certify_checks_the_brick_probe_prime_before_any_stage(monkeypatch, name, prime):
     # the brick probe of a non-Dynkin support needs a prime above 2**40
@@ -188,6 +172,13 @@ def test_exact_certify_does_not_use_the_prime():
     assert rep.verdict == "linear-free-divisor"
 
 
+def _probe_line(q, d, p, seed):
+    """The first line ``line_certificate`` draws at ``seed``: (vec0, vec1,
+    Delta(vec0), Delta(vec1))."""
+    certify_module = importlib.import_module("qlfd.certify")
+    return certify_module._probe_line(action_matrix(q, d), p, Rng(seed), 0)
+
+
 def test_verify_factorization_a3():
     q, d = builtin("a3")
     handles = []
@@ -196,24 +187,25 @@ def test_verify_factorization_a3():
         h = SchofieldHandle(e, w, d)
         h.degree = deg
         handles.append(h)
-    _, _, line = squarefree_probe(q, d, P, trials=1, seed=4)
-    ok, unit = verify_factorization(q, d, handles, [1, 1], line, P)
+    line = _probe_line(q, d, P, seed=4)
+    ok, unit, prod = verify_factorization(q, d, handles, [1, 1], line, P)
     assert ok
     assert unit in (1, P - 1)
+    assert poly_degree(prod) == 2
 
 
 def _identity_inputs(report_for, name, p):
     """Handles over the component roots of a builtin's report, their
-    multiplicities, and the squarefree probe's line, over F_p or Q."""
+    multiplicities, and the certificate's first line, over F_p or Q."""
     q, d = builtin(name)
-    rep = report_for(name, exact=p is None)
+    rep = report_for(name)
     handles = []
     for c in rep.components:
         w, deg = sample_generic_witness(q, c.root, d, p, seed=3)
         h = SchofieldHandle(c.root, w, d)
         h.degree = deg
         handles.append(h)
-    _, _, line = squarefree_probe(q, d, p, trials=1, seed=5)
+    line = _probe_line(q, d, p, seed=5)
     return q, d, handles, [c.multiplicity for c in rep.components], line
 
 
@@ -223,8 +215,16 @@ def _identity_inputs(report_for, name, p):
 )
 def test_verify_factorization_holds_on_the_probe_line(report_for, name, p):
     q, d, handles, mults, line = _identity_inputs(report_for, name, p)
-    ok, unit = verify_factorization(q, d, handles, mults, line, p)
+    ok, unit, prod = verify_factorization(q, d, handles, mults, line, p)
     assert ok and unit not in (None, 0)
+    # the identity holds on the whole line, not only at its ends: c * P|_L is
+    # the restriction of Delta, computed here by the dim Rep pencil
+    vec0, vec1, delta0, delta1 = line
+    lfm = action_matrix(q, d)
+    assert [reduce(unit * x, p) for x in prod] == det_pencil_poly(
+        lfm.evaluate(vec0, p), lfm.evaluate(vec1, p), p
+    )
+    assert (reduce(unit * prod[0], p), reduce(unit * prod[-1], p)) == (delta0, delta1)
     # tilde-d4-ii and q3 each have a component of multiplicity 2
     assert (max(mults) == 2) == (p is not None)
 
@@ -233,7 +233,7 @@ def test_verify_factorization_rejects_a_wrong_factorization(report_for):
     q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
     assert verify_factorization(q, d, handles, mults, line, P)[0]
     raised = [mults[0] + 1] + mults[1:]
-    assert not verify_factorization(q, d, handles, raised, line, P)[0]
+    assert verify_factorization(q, d, handles, raised, line, P) == (False, None, None)
     assert not verify_factorization(q, d, handles[1:], mults[1:], line, P)[0]
     # components are ordered by degree: the first two both have degree 6, so
     # the swapped product still has full degree and only its values differ
@@ -244,7 +244,7 @@ def test_verify_factorization_rejects_a_wrong_factorization(report_for):
 
 def _handle_values_on_line(q, d, h, line, p):
     """h restricted to the line by interpolation from deg h + 1 values."""
-    vec0, vec1, _ = line
+    vec0, vec1, _, _ = line
     coords = RepCoordinates(q, d)
     points = [
         (t, h.evaluate(coords.unflatten([reduce(a + t * b, p) for a, b in zip(vec0, vec1)], p)))
@@ -273,7 +273,7 @@ def test_verify_factorization_restricts_each_handle_by_one_pencil(
         raise AssertionError("handle evaluated on the identity line")
 
     monkeypatch.setattr(SchofieldHandle, "evaluate", refuse)
-    ok, unit = verify_factorization(q, d, handles, mults, line, p)
+    ok, unit, _ = verify_factorization(q, d, handles, mults, line, p)
     assert ok and unit not in (None, 0)
     assert pencils == [h.degree_bound for h in handles]
     assert lines == expected
@@ -302,7 +302,7 @@ def test_verify_factorization_rejects_a_wrong_declared_degree(report_for, shift)
     true_degree = handles[0].degree
     handles[0].degree = true_degree + shift
     try:
-        assert verify_factorization(q, d, handles, mults, line, P) == (False, None)
+        assert verify_factorization(q, d, handles, mults, line, P) == (False, None, None)
     finally:
         handles[0].degree = true_degree
 
@@ -311,9 +311,9 @@ def test_verify_factorization_rejects_a_handle_vanishing_at_vec1(report_for):
     # h is homogeneous of positive degree, so it vanishes at vec1 = 0; a
     # vec1 that is zero on one arm of e6-q1 kills only some handles
     q, d, handles, mults, line = _identity_inputs(report_for, "e6-q1", P)
-    vec0, vec1, delta = line
-    assert verify_factorization(q, d, handles, mults, (vec0, [0] * len(vec1), delta), P) == (
-        False, None
+    vec0, vec1, *deltas = line
+    assert verify_factorization(q, d, handles, mults, (vec0, [0] * len(vec1), *deltas), P) == (
+        False, None, None
     )
     coords = RepCoordinates(q, d)
     cut = coords.offsets[1]
@@ -321,7 +321,9 @@ def test_verify_factorization_rejects_a_handle_vanishing_at_vec1(report_for):
     v0, v1 = coords.unflatten(vec0, P), coords.unflatten(arm, P)
     vanishing = [h for h in handles if h.line(v0, v1) is None]
     assert vanishing and all(h.evaluate(v1) == 0 for h in vanishing)
-    assert verify_factorization(q, d, handles, mults, (vec0, arm, delta), P) == (False, None)
+    assert verify_factorization(q, d, handles, mults, (vec0, arm, *deltas), P) == (
+        False, None, None
+    )
 
 
 def test_verify_factorization_refuses_unpaired_handles_and_multiplicities(
@@ -341,72 +343,176 @@ def test_verify_factorization_refuses_unpaired_handles_and_multiplicities(
         verify_factorization(q, d, handles[:-1], mults, line, P)
 
 
-def test_squarefree_probe_fixtures():
-    qa, da = builtin("a3")
-    ok, votes, _ = squarefree_probe(qa, da, P, trials=5, seed=5)
-    assert ok and all(votes)
-    qii, dii = builtin("tilde-d4-ii")
-    ok2, votes2, _ = squarefree_probe(qii, dii, P, trials=5, seed=6)
-    assert not ok2 and not any(votes2)
-    q6, d6 = builtin("e6-q1")
-    ok3, _, _ = squarefree_probe(q6, d6, P, trials=5, seed=7)
-    assert ok3
-    # over Q, by the integer remainder sequence of poly_gcd
-    ok4, votes4, _ = squarefree_probe(qii, dii, None, trials=3, seed=6)
-    assert not ok4 and not any(votes4)
-    q7, d7 = builtin("d7-prop")
-    ok5, votes5, line = squarefree_probe(q7, d7, None, trials=3, seed=7)
-    assert ok5 and all(votes5)
-    # the line is returned with the restriction of the discriminant on it
-    vec0, vec1, poly = line
-    assert len(vec0) == len(vec1) == len(poly) - 1 == 18
+def _certificate_inputs(report_for, name, p):
+    """Handles and multiplicities of a builtin, over F_p or Q."""
+    return _identity_inputs(report_for, name, p)[:4]
 
 
-def test_squarefree_probe_one_squarefree_vote_proves_reduced(monkeypatch):
-    # each trial takes its first full-degree line; one squarefree restriction
-    # is a proof, whatever the other trials vote
-    q, d = builtin("a3")  # dim Rep 2
-    square = [1, P - 2, 1]  # (t - 1)^2
-    distinct = [2, P - 3, 1]  # (t - 1)(t - 2)
-    lines = [None, square, square, None, None, distinct, square, square]
-    drawn = iter(lines)
+def test_squarefree_probe_fixtures(report_for):
+    # the squarefree probe of line_certificate: P|_L is squarefree on the
+    # first line exactly when every multiplicity is 1, over F_p and over Q
+    for name, p, reduced in [
+        ("a3", P, True),
+        ("tilde-d4-ii", P, False),
+        ("e6-q1", P, True),
+        ("tilde-d4-ii", None, False),
+        ("d7-prop", None, True),
+    ]:
+        q, d, handles, mults = _certificate_inputs(report_for, name, p)
+        cert = line_certificate(q, d, handles, mults, p, seed=6)
+        assert cert == (True, reduced, cert.unit, 1), (name, p)
+        assert cert.unit not in (None, 0)
+
+
+def test_squarefree_probe_one_squarefree_vote_proves_reduced(report_for, monkeypatch):
+    # every a_i = 1: a P|_L that is not squarefree may come from an unlucky
+    # line, so another line is drawn, and the first squarefree one is a proof
+    q, d, handles, mults = _certificate_inputs(report_for, "e6-q1", P)
     certify_module = importlib.import_module("qlfd.certify")
-    monkeypatch.setattr(certify_module, "_line_restriction_poly", lambda *_: next(drawn))
-    ok, votes, line = squarefree_probe(q, d, P, trials=5, seed=5)
-    # the probe stops at the proof: no line after the sixth is drawn
-    assert ok and votes == [False, False, True]
-    assert line[2] is square  # the first accepted line is the one returned
-    assert len(list(drawn)) == len(lines) - 6
+    real_line = certify_module._probe_line
+    trials, votes = [], iter([False, True])
+    monkeypatch.setattr(certify_module, "_squarefree", lambda f, p: next(votes))
+    monkeypatch.setattr(
+        certify_module,
+        "_probe_line",
+        lambda lfm, p, rng, trial: trials.append(trial) or real_line(lfm, p, rng, trial),
+    )
+    cert = line_certificate(q, d, handles, mults, P, seed=5)
+    assert cert == (True, True, cert.unit, 2) and trials == [0, 1]
+    # the reported ratio is the first line's
+    first = real_line(action_matrix(q, d), P, Rng(5), 0)
+    assert cert.unit == verify_factorization(q, d, handles, mults, first, P)[1]
 
 
-def test_squarefree_probe_not_reduced_runs_every_trial():
-    # tilde-d4-ii has a component of multiplicity 2: no line votes squarefree
-    q, d = builtin("tilde-d4-ii")
-    ok, votes, _ = squarefree_probe(q, d, P, trials=4, seed=5)
-    assert not ok and votes == [False] * 4
+def test_three_lines_without_a_squarefree_product_are_inconclusive(monkeypatch):
+    certify_module = importlib.import_module("qlfd.certify")
+    monkeypatch.setattr(certify_module, "_squarefree", lambda f, p: False)
+    rep = certify(*builtin("e6-q1"))
+    assert rep.verdict == "inconclusive" and rep.stats.lines_used == 3
+    assert rep.reason == (
+        "reducedness signals disagree: multiplicities all 1 = True, "
+        "P|_L squarefree on 3 line(s) = False"
+    )
+    assert len(rep.components) == 5  # the table is still reported
+
+
+def test_a_redrawn_line_needs_the_first_line_ratio(report_for, monkeypatch):
+    # Delta = c * P holds with one c: a second line whose ends agree with
+    # another c fails the identity
+    q, d, handles, mults = _certificate_inputs(report_for, "e6-q1", P)
+    certify_module = importlib.import_module("qlfd.certify")
+    ratios = iter([5, 6])
+    monkeypatch.setattr(certify_module, "_ends_agree", lambda *_: (True, next(ratios)))
+    monkeypatch.setattr(certify_module, "_squarefree", lambda f, p: False)
+    assert line_certificate(q, d, handles, mults, P, seed=5) == (False, False, 5, 2)
+
+
+def test_squarefree_probe_not_reduced_needs_one_line(report_for):
+    # a handle whose square divides P makes P|_L not squarefree on every
+    # line, so one line settles not-reduced
+    for name in ("tilde-d4-ii", "q3"):
+        q, d, handles, mults = _certificate_inputs(report_for, name, P)
+        assert max(mults) == 2
+        assert line_certificate(q, d, handles, mults, P, seed=5)[1:] == (False, ANY, 1)
+        rep = report_for(name)
+        assert rep.verdict == "not-reduced" and rep.stats.lines_used == 1
+
+
+def test_a_wrong_multiplicity_fails_the_endpoint_identity(report_for):
+    # past the degree check, which a raised multiplicity already fails, the
+    # ends of the line alone reject the raised product
+    q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
+    certify_module = importlib.import_module("qlfd.certify")
+    ok, unit, prod = verify_factorization(q, d, handles, mults, line, P)
+    assert ok
+    _, _, delta0, delta1 = line
+    assert certify_module._ends_agree(delta0, delta1, prod, P) == (True, unit)
+    coords = RepCoordinates(q, d)
+    h1 = handles[0].line(coords.unflatten(line[0], P), coords.unflatten(line[1], P))
+    raised = poly_mul(prod, h1, P)
+    assert not certify_module._ends_agree(delta0, delta1, raised, P)[0]
+
+
+def _counting_pencils(monkeypatch):
+    """Sizes of the outermost ``det_pencil_poly`` calls, wherever a qlfd
+    module calls it from."""
+    sizes, depth = [], [0]
+    real = arith.det_pencil_poly
+
+    def counting(m0, m1, p):
+        if not depth[0]:
+            sizes.append(len(m0))
+        depth[0] += 1
+        try:
+            return real(m0, m1, p)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qlfd" and getattr(module, "det_pencil_poly", None) is real:
+            monkeypatch.setattr(module, "det_pencil_poly", counting)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "name, exact",
+    [("e8-central-sink", False), ("star7", False), ("q3", False), ("e6-q1", True)],
+)
+def test_no_pencil_of_size_dim_rep_runs(monkeypatch, name, exact):
+    sizes = _counting_pencils(monkeypatch)
+    rep = certify(*builtin(name), CertifyOptions(exact=exact))
+    assert rep.definitive
+    assert sizes and rep.dim_rep not in sizes
+    # one pencil per handle per line used
+    assert len(sizes) == len(rep.components) * rep.stats.lines_used
+
+
+def test_exact_squarefree_test_reduces_modulo_a_prime_first(monkeypatch):
+    certify_module = importlib.import_module("qlfd.certify")
+    fields = []
+    real = certify_module.poly_gcd
+    monkeypatch.setattr(
+        certify_module, "poly_gcd", lambda f, g, p=None: fields.append(p) or real(f, g, p)
+    )
+    q0 = _crt_prime(0)
+    # squarefree: one gcd, modulo the first prime
+    assert certify_module._squarefree([-2, -1, 1], None)  # (t - 2)(t + 1)
+    assert fields == [q0]
+    # a leading coefficient divisible by the first prime moves to the next
+    fields.clear()
+    assert certify_module._squarefree([1, 0, q0], None)
+    assert fields == [_crt_prime(1)]
+    # a repeated factor is decided by the rational gcd
+    fields.clear()
+    assert not certify_module._squarefree([2, -5, 4, -1], None)  # -(t - 1)^2 (t - 2)
+    assert fields == [q0, None]
+    # a repeated factor modulo the prime alone: t (t - q0) is squarefree over Q
+    fields.clear()
+    assert certify_module._squarefree([0, -q0, 1], None)
+    assert fields == [q0, None]
 
 
 def test_exact_line_restriction_is_one_multimodular_pencil(monkeypatch):
-    # over Q the restriction is the F_p pencil lifted by CRT: one exact
-    # det M1, and it reduces to the F_p restriction
-    certify_module = importlib.import_module("qlfd.certify")
+    # over Q the restriction of Delta is the F_p pencil lifted by CRT: one
+    # exact det M1, and it reduces to the F_p restriction
     sizes = []
     real = arith.det_exact
     monkeypatch.setattr(arith, "det_exact", lambda m: sizes.append(len(m)) or real(m))
     lfm = action_matrix(*builtin("e6-q1"))
     rng = Rng(31)
     vec0, vec1 = ([rng.randint(-99, 99) for _ in range(lfm.coords.total)] for _ in range(2))
-    f = certify_module._line_restriction_poly(lfm, None, vec0, vec1)
+    f = det_pencil_poly(lfm.evaluate(vec0, None), lfm.evaluate(vec1, None), None)
     assert poly_degree(f) == lfm.size == 22 and sizes == [22]
     assert all(type(c) is int for c in f)
-    modular = certify_module._line_restriction_poly(
-        lfm, P, [x % P for x in vec0], [x % P for x in vec1]
+    modular = det_pencil_poly(
+        lfm.evaluate([x % P for x in vec0], P), lfm.evaluate([x % P for x in vec1], P), P
     )
     assert [c % P for c in f] == modular
 
 
 def test_e8_report_needs_one_squarefree_line(report_for):
-    assert report_for("e8-central-sink").stats.squarefree_votes == (True,)
+    rep = report_for("e8-central-sink")
+    assert rep.verdict == "linear-free-divisor" and rep.stats.lines_used == 1
 
 
 def test_squarefree_probe_without_full_degree_lines_raises():
@@ -414,16 +520,14 @@ def test_squarefree_probe_without_full_degree_lines_raises():
     # so no line has an invertible leading member
     q, d = builtin("tilde-d4-iv")
     with pytest.raises(CertifyError, match="every sampled line") as info:
-        squarefree_probe(q, d, P, trials=1, seed=5)
-    assert info.value.stage == "squarefree"
+        line_certificate(q, d, [], [], P, seed=5)
+    assert info.value.stage == "line"
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_certify_options_reject_primes_below_five(p):
     with pytest.raises(ValueError, match="prime must be at least 5"):
         CertifyOptions(prime=p)
-    with pytest.raises(ValueError, match="cross_check_prime must be at least 5"):
-        CertifyOptions(cross_check_prime=p)
 
 
 def test_discriminant_degree_rejects_prime_at_most_twice_the_degree():
@@ -543,11 +647,11 @@ def test_certify_exact_mode_small_fixture():
 
 def test_exact_bound_comes_from_the_line_sample_range(report_for):
     # an exact line draws each coordinate from [-99, 99], 199 values, so the
-    # bound is 2 dim Rep / 199 and does not depend on the prime
+    # bound is dim Rep / 199 and does not depend on the prime
     rep = report_for("e6-q1", exact=True)
     assert rep.verdict == "linear-free-divisor" and rep.dim_rep == 22
-    assert rep.stats.ratio_point_bound_log2 == math.log2(2 * 22) - math.log2(199)
-    assert round(rep.stats.ratio_point_bound_log2, 2) == -2.18
+    assert rep.stats.ratio_point_bound_log2 == math.log2(22) - math.log2(199)
+    assert round(rep.stats.ratio_point_bound_log2, 2) == -3.18
 
 
 def test_certify_exact_mode_guards():
@@ -564,7 +668,7 @@ def test_certify_exact_mode_guards():
 def test_report_serialization_shape(report_for):
     rep = report_for("e6-q1")
     doc = rep.to_dict()
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["verdict"] == "linear-free-divisor"
     assert len(doc["components"]) == 5
     for c in doc["components"]:
@@ -637,18 +741,7 @@ def test_certify_kronecker_parallel_arrows():
     assert [(c.root, c.degree, c.multiplicity) for c in rep.components] == [
         ((1, 0), 2, 2)
     ]
-    assert not any(rep.stats.squarefree_votes)
-
-
-def test_certify_multi_prime_cross_check():
-    second = 2305843009213693967  # another 62-bit prime
-    q, d = builtin("e6-q1")
-    rep = certify(q, d, CertifyOptions(cross_check_prime=second))
-    assert rep.verdict == "linear-free-divisor"
-    assert any("agreed" in note for note in rep.stats.notes)
-    qii, dii = builtin("tilde-d4-ii")
-    rep2 = certify(qii, dii, CertifyOptions(cross_check_prime=second))
-    assert rep2.verdict == "not-reduced"
+    assert rep.stats.lines_used == 1
 
 
 def test_certify_verdicts_stable_across_seeds():
@@ -725,7 +818,8 @@ def test_small_prime_verdict_is_inconclusive(report_for):
     rep = certify(q, d, CertifyOptions(prime=7))
     assert rep.verdict == "inconclusive"
     assert rep.stats.ratio_point_bound_log2 > -40
-    assert "2^-0.2" in rep.reason and "2^-40" in rep.reason
+    # dim Rep / p = 3 / 7
+    assert "2^-1.2" in rep.reason and "2^-40" in rep.reason
     assert len(rep.components) == 3  # the table is still reported
     default = report_for("a4")
     assert default.verdict == "linear-free-divisor"

@@ -26,27 +26,27 @@ dim 3 2
 
 PINNED = [
     (["--builtin", "a5"], 0,
-     "4b89100331dbd28e5a2dda61ca56fb40c3d71015d88607c00b3366d5858fa6dd"),
+     "1e45c2ef84b905bc3f0a0200c4974c0c3f482b7a0acc0187e69441b907813748"),
     (["--builtin", "e7-highroot"], 0,
-     "34d7552c7175d74456a908b50d33d215559a0f06f609b1f2af45d3ab73757271"),
+     "2d1f25c7baa585b2df525cda9ae13fa1b2efaeb87e95f2be313b51ad95c086d9"),
     (["--builtin", "q3"], 0,
-     "58d2b7ed3ba2f92717174986e6eec1ae27f4e0f607ab82f85e48b223c479f667"),
+     "74dcce7a282d04c3d291b6c9ee387312eee74534558d56ca327896cf94ae15e5"),
     (["--builtin", "tilde-d4-iv"], 2,
-     "51aae1c0478cc75676f613bee40dd70f1ebd46128228f8dfc1ae7db21266e273"),
+     "c586808437c8b1c0a9b0544cebaacaef6dc649d29568dc777b7061c72eb251aa"),
     (["--builtin", "d5-prop", "--exact"], 0,
-     "4b43ecefec53b201c0c1b257c3399ebe365ab93e8ff8926d3b14eb3146f0111e"),
+     "f5c7ebfabb8493c57ea7a2b82918f9fec2b79ba1fec427fa33cfccb913e0719f"),
     (["--file", "cycle3.qf"], 0,
-     "ce8cbb3f877c11c69bfc77c4c865ec81fe5c0761b752ea93220f7b8502544729"),
+     "8ae9258d40a7dcf8dd2cf1966a8fd5a0d38b634a32e7a865a63f566c5e76bf36"),
     (["--builtin", "e8-central-sink"], 0,
-     "45e84f6b0656af026e46df765e4a28bbf05a5919b11b998e814e5ac42cd71fe6"),
+     "b267ee1e0af09352838df4b33d3829b4a5ef8d69b7181945e70a2fc0a14ec5a2"),
     (["--builtin", "d7-prop", "--exact"], 0,
-     "06868bbd3442c3bfff98dfdf556bf5724428eb6ef18be5fe4d4c562a707a3d12"),
+     "d8ede91ce672f78bed0457328acdec1e40d7b9f0063574b0653f36c32a3e2ea4"),
     (["--builtin", "e6-q1", "--exact"], 0,
-     "d5ecca253dba13b8788ebb7edbf8f47d6983867e8acb0041ebb84360c5e4b7d7"),
+     "b8f94aae32a4f1ebb6029c5a078ad5078c4726522e43191529bc74272ec2aa63"),
     (["--builtin", "star7"], 0,
-     "7cbe6b3efc5dd83f02a957633c375045f630fc49cdcd52d27d3a7cf9982216d5"),
+     "daf3bde6cb5a9e9060f21f6f86969fd0006b47dfcce0490d32161e3328dff2c4"),
     (["--builtin", "q2"], 0,
-     "f8df4d294a9a634316173af535028509a04c89486e0a56f4f7d3d4fde0d49466"),
+     "b9eb005cd07b80e1ee1ab711b6711af59b66044306bbdc355712e4ba274463e3"),
 ]
 
 

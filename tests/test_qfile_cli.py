@@ -288,7 +288,7 @@ def test_cli_discriminant_rejects_seed_outside_64_bits(capsys, seed):
 
 def test_cli_small_prime_certify_is_inconclusive(capsys):
     assert main(["certify", "--builtin", "a4", "--prime", "7"]) == 2
-    assert "false-accept bound 2^-0.2 is not below 2^-40" in capsys.readouterr().out
+    assert "false-accept bound 2^-1.2 is not below 2^-40" in capsys.readouterr().out
 
 
 def test_cli_discriminant_names_the_prime_bound(capsys):
