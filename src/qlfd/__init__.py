@@ -51,11 +51,11 @@ from .semiinv import (
     BlockHandle,
     BlockRecipe,
     SchofieldHandle,
-    degree_of,
     discriminant_weight,
     root_from_weight,
     sample_generic_witness,
     verify_weight,
+    weight_degree,
     weight_of_schofield,
     weight_support_type,
 )

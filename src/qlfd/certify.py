@@ -1,21 +1,24 @@
 """End-to-end certification: decide whether the discriminant of non-rigid
 representations is a linear free divisor and emit the component table.
 
-Pipeline: support restriction, real-root check, component roots, witnesses,
-degrees and weights, multiplicity vector, and the line certificate.  The
-component roots are the simples of the perpendicular category of a general
-representation, read off by ``perpendicular_simples``: the list is complete
-on every acyclic support where d is a real Schur root.  On a non-Dynkin
+Pipeline: support restriction, real-root check, then a deterministic core
+and one randomized line certificate.  The core draws nothing: the component
+roots are the simples of the perpendicular category of a general
+representation, read off by ``perpendicular_simples`` (the list is complete
+on every acyclic support where d is a real Schur root; on a non-Dynkin
 support a brick probe must certify that first, and the pipeline runs in
-advisory mode.
+advisory mode), their weights are -eE, their degrees sum_x w_x l(x) d_x for
+a level function l, and their multiplicities solve the weight equation.
 
-The line certificate (``line_certificate``) never restricts the
-discriminant Delta itself to a line.  It checks Delta = c * P, with
-P = prod h_i^{a_i} over the handles, at the two ends of one random line,
-one determinant of Delta per end, and restricts only the handles to the
-line.  Once the identity holds, Delta|_L = c * P|_L, so the
-reducedness signal is the squarefreeness of P|_L.  It must agree with the
-other signal, all multiplicities 1, or the verdict is inconclusive.
+The line certificate (``line_certificate``) draws one random line, then on
+it one witness per component, whose pencil restricts the handle to the
+line and whose weight is checked with one more determinant.  It never
+restricts the discriminant Delta itself to the line: it checks
+Delta = c * P, with P = prod h_i^{a_i} over the handles, at the line's two
+ends, one determinant of Delta per end.  Once the identity holds,
+Delta|_L = c * P|_L, so the reducedness signal is the squarefreeness of
+P|_L.  It must agree with the other signal, all multiplicities 1, or the
+verdict is inconclusive.
 """
 
 from __future__ import annotations
@@ -47,15 +50,16 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
-from .repmatrix import RepCoordinates, action_matrix
+from .repmatrix import action_matrix
 from .roots import brick_probe, perpendicular_simples
 from .semiinv import (
     DegenerateWitnessError,
-    SchofieldHandle,
     discriminant_weight,
     root_support_type,
     sample_generic_witness,
     verify_weight,
+    weight_degree,
+    weight_of_schofield,
     weight_support_type,
 )
 
@@ -305,15 +309,15 @@ def _ends_agree(delta0, delta1, prod, p: int | None):
     return reduce(delta0 * prod[-1] - prod[0] * delta1, p) == 0, c
 
 
-def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
+def verify_factorization(restrictions, mults, line, p: int | None):
     """The factorization identity Delta = c * prod h_i^{a_i}, over F_p or Q
     (``p`` None), at the two ends of the line (vec0, vec1, Delta(vec0),
-    Delta(vec1)) that ``_probe_line`` draws.  Each handle is restricted to
-    the line by one pencil (``SchofieldHandle.line``), and P|_L is the
-    product of the restrictions.  Returns (ok, c, P|_L), with c the ratio
-    Delta(vec1) / P(vec1); (False, None, None) when some h_i vanishes at
-    vec1 or is not of its declared degree, or deg P is not dim Rep.
-    ``handles`` (``SchofieldHandle``s) and ``mults`` must have the same
+    Delta(vec1)) that ``_probe_line`` draws, from the restrictions h_i|_L
+    of the handles to the line (``SchofieldHandle.restrict``); P|_L is
+    their product.  Returns (ok, c, P|_L), with c the ratio
+    Delta(vec1) / P(vec1); (False, None, None) when some restriction is
+    None (h_i vanishes at vec1 or is not of its declared degree) or deg P
+    is not dim Rep.  ``restrictions`` and ``mults`` must have the same
     length.
 
     P is homogeneous of degree N = dim Rep, so the constant and leading
@@ -324,18 +328,15 @@ def verify_factorization(q: Quiver, d, handles, mults, line, p: int | None):
     probability at most N / |S|, S being the set each coordinate of vec0 is
     drawn from.
     """
-    vec0, vec1, delta0, delta1 = line
-    coords = RepCoordinates(q, d)
-    v0, v1 = coords.unflatten(vec0, p), coords.unflatten(vec1, p)
-    pairs = list(zip(handles, mults, strict=True))  # unequal lengths raise here
+    vec0, _, delta0, delta1 = line
+    pairs = list(zip(restrictions, mults, strict=True))  # unequal lengths raise here
     prod = [1]
-    for h, a in pairs:
-        hl = h.line(v0, v1)
+    for hl, a in pairs:
         if hl is None:
             return False, None, None
         for _ in range(a):
             prod = poly_mul(prod, hl, p)
-    if poly_degree(prod) != coords.total:
+    if poly_degree(prod) != len(vec0):  # one coordinate per dimension of Rep
         return False, None, None
     return (*_ends_agree(delta0, delta1, prod, p), prod)
 
@@ -364,57 +365,97 @@ def _squarefree(f, p: int | None) -> bool:
 class LineCertificate(NamedTuple):
     """What ``line_certificate`` found: the identity on every line drawn,
     the squarefreeness of P|_L on the last one, the ratio c of the first
-    line (None when P|_L could not be formed) and the number of lines."""
+    line (None when P|_L could not be formed), the number of lines, and the
+    handles, one per component root, with their degrees."""
 
     identity: bool
     squarefree: bool
     unit: object
     lines_used: int
+    handles: tuple
 
 
 def line_certificate(
     q: Quiver,
     d,
-    handles,
+    roots,
+    degrees,
     mults,
     p: int | None = DEFAULT_PRIME,
     seed: int = DEFAULT_SEED,
 ) -> LineCertificate:
-    """The factorization identity and the reducedness of the discriminant
-    Delta over F_p, or over Q when ``p`` is None, from one random line,
-    with no restriction of Delta itself.
+    """The handles of the component ``roots``, the factorization identity
+    and the reducedness of the discriminant Delta over F_p, or over Q when
+    ``p`` is None, from one random line, with no restriction of Delta
+    itself.  ``degrees`` holds each root's degree, or None where it is to be
+    read off the pencil.
 
-    On a line of ``_probe_line``, ``verify_factorization`` checks
-    Delta = c * P, P = prod h_i^{a_i}, at the line's two ends.  Once it
-    holds, Delta|_L = c * P|_L, so Delta|_L is squarefree exactly when P|_L
-    is.  The line has P(vec1) != 0, so a repeated factor g^2 of P restricts
-    to g|_L^2 with deg g|_L = deg g: a squarefree P|_L proves P, hence
-    Delta, reduced.  Some a_i >= 2 makes P|_L not squarefree on every line,
-    and one line settles it.  When every a_i = 1 and P|_L is not
-    squarefree, the line may be unlucky: the discriminant of P|_L, a
-    nonzero polynomial in the line's coordinates when P is reduced,
-    vanishes there with probability at most its degree over |S|.  Then
-    lines are redrawn, on ``split(trial, attempt)`` for trial = 1, 2, ...,
-    up to CERTIFICATE_LINES lines in all, and each checks the identity with
-    the first line's c.
+    The line V0 + t V1 comes from ``_probe_line`` on
+    ``derive_seed(seed, 40)``.  On it ``sample_generic_witness`` draws the
+    witness of root e_i on ``derive_seed(seed, 10, *e_i)``, redrawing while
+    h(V1) = 0 (a [witnesses] error after 32 draws), and its pencil gives
+    h|_L; a wrong declared degree fails the identity.  ``verify_weight``
+    checks the weight at V1 with lam on ``derive_seed(seed, 20, i)``, and
+    h(V1) is the pencil's leading coefficient, so the check costs one
+    determinant; a failure is a [weights] error.
+
+    Error terms per handle.  A weight off by delta_x != 0 at a node x
+    passes with probability at most |delta_x|/(p - 3), or 1/18 over Q.  A
+    degree read off the pencil, on a support without a level function, can
+    only come out low, and only when h(V0) = 0, with probability at most
+    k/|S|.  A low reading only lowers the weighted degree sum, so when the
+    handles' degrees sum to dim Rep, as on a true factorization, it makes
+    the verdict inconclusive: a false inconclusive, not a false accept.
+    Only a false factorization whose degrees sum above dim Rep could be
+    brought to dim Rep by low readings, each again at most k/|S|.
+
+    Then ``verify_factorization`` checks Delta = c * P, P = prod h_i^{a_i},
+    at the line's two ends.  Once it holds, Delta|_L = c * P|_L, so
+    Delta|_L is squarefree exactly when P|_L is.  The line has
+    P(vec1) != 0, so a repeated factor g^2 of P restricts to g|_L^2 with
+    deg g|_L = deg g: a squarefree P|_L proves P, hence Delta, reduced.
+    Some a_i >= 2 makes P|_L not squarefree on every line, and one line
+    settles it.  When every a_i = 1 and P|_L is not squarefree, the line
+    may be unlucky: the discriminant of P|_L, a nonzero polynomial in the
+    line's coordinates when P is reduced, vanishes there with probability
+    at most its degree over |S|.  Then lines are redrawn, on
+    ``split(trial, attempt)`` for trial = 1, 2, ..., up to
+    CERTIFICATE_LINES lines in all; a redrawn line reuses the handles, and
+    each checks the identity with the first line's c.
     """
     d = tuple(int(x) for x in d)
     lfm = action_matrix(q, d)
     _require_prime_above_twice(p, lfm.size, "line_certificate")
     all_ones = all(a == 1 for a in mults)
-    rng = Rng(seed)
-    unit = None
+    rng = Rng(derive_seed(seed, 40))
+    handles, unit = [], None
     for trial in range(CERTIFICATE_LINES):
         line = _probe_line(lfm, p, rng, trial)
-        ok, c, prod = verify_factorization(q, d, handles, mults, line, p)
+        v0, v1 = (lfm.coords.unflatten(vec, p) for vec in line[:2])
+        if trial:
+            restrictions = [h.restrict(h.pencil(v0, v1)) for h in handles]
+        else:
+            restrictions = []
+            for i, (e, k) in enumerate(zip(roots, degrees, strict=True)):
+                try:
+                    h, f = sample_generic_witness(e, v0, v1, derive_seed(seed, 10, *e), k)
+                except DegenerateWitnessError:
+                    raise CertifyError(
+                        "witnesses", f"no generic witness for orthogonal root {e}"
+                    ) from None
+                if not verify_weight(h, h.weight, v1, f[-1], derive_seed(seed, 20, i)):
+                    raise CertifyError("weights", f"weight check failed for root {e}")
+                handles.append(h)
+                restrictions.append(h.restrict(f))
+        ok, c, prod = verify_factorization(restrictions, mults, line, p)
         if trial == 0:
             unit = c
         if not ok or c != unit:
-            return LineCertificate(False, False, unit, trial + 1)
+            return LineCertificate(False, False, unit, trial + 1, tuple(handles))
         squarefree = _squarefree(prod, p)
         if squarefree or not all_ones:
-            return LineCertificate(True, squarefree, unit, trial + 1)
-    return LineCertificate(True, False, unit, CERTIFICATE_LINES)
+            return LineCertificate(True, squarefree, unit, trial + 1, tuple(handles))
+    return LineCertificate(True, False, unit, CERTIFICATE_LINES, tuple(handles))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +538,9 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     disc_w0 = discriminant_weight(q0, d0)
     disc_w = embed_vector(q, q0, disc_w0)
 
-    # stage: component roots, the simples of the perpendicular category
+    # the deterministic core: the component roots are the simples of the
+    # perpendicular category, with weights -eE, degrees sum_x w_x l(x) d_x
+    # from a level function l, and multiplicities from the weight equation
     try:
         simples = perpendicular_simples(q0, d0)
     except ValueError as exc:
@@ -505,30 +548,10 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     if not simples:
         # a single node: zero-dimensional representation space, empty discriminant
         return report(VERDICT_LFD, None, [], dim_rep, disc_w)
-
-    # stage: one witness per component
-    picked = []
-    for e in simples:
-        try:
-            w, deg = sample_generic_witness(q0, e, d0, p, derive_seed(seed, 10, *e))
-        except DegenerateWitnessError:
-            raise CertifyError(
-                "witnesses", f"no generic witness for orthogonal root {e}"
-            ) from None
-        picked.append((e, w, deg))
-
-    # stage: weights (each degree came with its witness)
-    handles = []
-    for i, (e, w, deg) in enumerate(picked):
-        h = SchofieldHandle(e, w, d0)
-        h.degree = deg
-        if not verify_weight(h, h.weight, p, derive_seed(seed, 20, i)):
-            raise CertifyError("weights", f"weight check failed for root {e}")
-        handles.append(h)
-    weights0 = [h.weight for h in handles]
-    degrees = [h.degree for h in handles]
-
-    # stage: multiplicity vector
+    weights0 = [weight_of_schofield(q0, e) for e in simples]
+    # None without a level function (an unbalanced cycle): then the line
+    # certificate reads each degree off its handle's pencil
+    degrees = [weight_degree(q0, w, d0) for w in weights0]
     try:
         mults = multiplicity_vector(q0, d0, weights0)
     except ValueError as exc:
@@ -537,29 +560,29 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             raise CertifyError("multiplicities", msg)
         return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
 
-    # implied by the weights unless degree_of measured the degrees
-    total = sum(a * deg for a, deg in zip(mults, degrees))
-    if total != dim_rep:
-        msg = f"weighted degree sum {total} != dim Rep = {dim_rep}"
-        if mode == "dynkin":
-            raise CertifyError("degrees", msg)
-        return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
-
-    # stage: the line certificate, the identity at the two ends of one line
-    # and the squarefreeness of P|_L (see line_certificate); its bound is
+    # the line certificate: the witnesses and their weights on one line, the
+    # identity at its two ends and the squarefreeness of P|_L; its bound is
     # dim Rep / |S| (see verify_factorization)
-    cert = line_certificate(q0, d0, handles, mults, p, derive_seed(seed, 40))
+    cert = line_certificate(q0, d0, simples, degrees, mults, p, seed)
     stats.lines_used = cert.lines_used
     unit = cert.unit
     stats.unit_ratio = str(unit) if p is None and unit is not None else unit
     sample_size = prime if p is not None else 2 * EXACT_LINE_RANGE + 1
     stats.ratio_point_bound_log2 = math.log2(dim_rep) - math.log2(sample_size)
 
+    # the weight equation implies this sum on a level support; it catches a
+    # degree read too low off a pencil on an unbalanced cycle
+    degrees = [h.degree for h in cert.handles]
+    total = sum(a * k for a, k in zip(mults, degrees))
+    if total != dim_rep:
+        msg = f"weighted degree sum {total} != dim Rep = {dim_rep}"
+        return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
+
     # assemble components in canonical order: by degree, then root
-    order = sorted(range(len(handles)), key=lambda i: (degrees[i], picked[i][0]))
+    order = sorted(range(len(simples)), key=lambda i: (degrees[i], simples[i]))
     components = []
     for pos, i in enumerate(order):
-        e, _, deg = picked[i]
+        e, deg = simples[i], degrees[i]
         components.append(
             Component(
                 handle_id=f"P{pos + 1}",

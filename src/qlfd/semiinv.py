@@ -1,7 +1,8 @@
 """Determinantal semi-invariants of a representation space: weight formulas,
-handles built from a generic witness representation, hard-coded block-matrix
-recipes, degrees from the weight and a level function (read off one scaled
-value only on an unbalanced cycle), and a weight check by one joint scaling.
+degrees from the weight and a level function, handles built from a generic
+witness representation, hard-coded block-matrix recipes, witnesses drawn on
+a line and restricted to it by one pencil (which also gives the degree on an
+unbalanced cycle), and a weight check by one joint scaling.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ def discriminant_weight(q: Quiver, d) -> tuple[int, ...]:
     """Weight of the discriminant's equation: d (E^T - E) = indeg_d - outdeg_d."""
     indeg, outdeg = in_out_degree(q, d)
     return tuple(a - b for a, b in zip(indeg, outdeg))
+
+
+def weight_degree(q: Quiver, w, d) -> int | None:
+    """Degree sum_x w_x l(x) d_x of a semi-invariant of weight w on
+    Rep(Q, d), for a level function l; None when Q has none (an unbalanced
+    cycle).  V -> lam V is the group element lam**l(x) at every node x, so
+    it scales the semi-invariant by lam**k with k that sum."""
+    levels = level_function(q)
+    return None if levels is None else sum(a * b * c for a, b, c in zip(w, levels, d))
 
 
 def root_from_weight(q: Quiver, w) -> tuple[int, ...]:
@@ -75,21 +85,26 @@ class SchofieldHandle:
     def evaluate(self, v: Representation):
         return det(defect_matrix(self.witness, v), v.modulus)
 
-    def line(self, v0: Representation, v1: Representation):
-        """h(V0 + t V1) as a polynomial in t over V0's field, from one
-        pencil; None when h(V1) = 0 or h is not of the degree k declared in
-        ``self.degree``.
+    def pencil(self, v0: Representation, v1: Representation):
+        """det(M(0, V0) + t M(W, V1)) over V0's field, the pencil of h on the
+        line V0 + t V1; None when h(V1) = 0.
 
         The defect matrix is M(W, V) = B(W) - A(V), linear in each argument,
-        and h is homogeneous of degree k, so with n = ``degree_bound``
+        and h is homogeneous of some degree k, so with n = ``degree_bound``
         det(M(0, V0) + t M(W, V1)) = t^n h(V1 + V0/t) = t^(n-k) h(V0 + t V1).
-        The pencil has full degree exactly when h(V1) != 0, and its lowest
-        n - k coefficients vanish when k is the degree.
+        Its leading coefficient is det M(W, V1) = h(V1), so it has full
+        degree exactly when h(V1) != 0.
         """
         p = v0.modulus
         zero_mats = [[[0] * len(row) for row in m] for m in self.witness.mats]
         zero = Representation(self.quiver, self.root, p, zero_mats)
-        f = det_pencil_poly(defect_matrix(zero, v0), defect_matrix(self.witness, v1), p)
+        return det_pencil_poly(defect_matrix(zero, v0), defect_matrix(self.witness, v1), p)
+
+    def restrict(self, f):
+        """h(V0 + t V1) from its pencil f = t^(n-k) h(V0 + t V1), k the
+        degree in ``self.degree``; None when f is None, or when a
+        coefficient of f below t^(n-k) is nonzero: then k is not the degree.
+        """
         low = self.degree_bound - self.degree
         if f is None or low < 0 or any(f[:low]):
             return None
@@ -233,96 +248,53 @@ class BlockHandle:
 
 
 # ---------------------------------------------------------------------------
-# Degree recovery, witness sampling, weight verification
+# Witnesses and weights on the certificate line
+
+# A witness is drawn up to this many times before its root counts as one
+# whose semi-invariant vanishes identically.
+WITNESS_DRAWS = 32
 
 
 class DegenerateWitnessError(RuntimeError):
     pass
 
 
-def _scaled_representation(v: Representation, lam) -> Representation:
-    mats = [[[reduce(x * lam, v.modulus) for x in row] for row in m] for m in v.mats]
-    return Representation(v.quiver, v.dims, v.modulus, mats)
+def sample_generic_witness(e, v0: Representation, v1: Representation, seed: int, degree=None):
+    """The handle c^W of a random witness W over the orthogonal root e,
+    redrawn until c^W(V1) != 0, with its pencil on the line V0 + t V1 (see
+    ``SchofieldHandle.pencil``).  Any such W gives the component: c^W has
+    weight w = -e E, a one-dimensional weight space.
 
-
-def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
-    """Total degree of the handle's polynomial f, read off one scaled value.
-
-    f is homogeneous (Schofield 1991), so f(lam V) = lam**k f(V) with k its
-    degree.  At a random V with f(V) != 0 and a random scalar lam whose
-    powers lam**0, ..., lam**degree_bound are distinct, k is the unique
-    exponent up to the bound that matches; a value that matches none means
-    f is not homogeneous.  With ``prime`` None the check runs over Q.
+    ``degree`` is the degree of c^W when the caller knows it.  Without it
+    the degree is read off the pencil as k = n - ord_t f: ord_t f is n - k
+    plus the order of c^W(V0 + t V1) at 0, so the reading is the degree
+    exactly when c^W(V0) != 0, and too low otherwise.
     """
-    bound = handle.degree_bound
-    if prime is not None and prime <= 2 * max(bound, 1):
-        raise ValueError("prime too small for the degree check")
     rng = Rng(seed)
-    for attempt in range(retries):
-        v1 = random_representation(
-            handle.quiver, handle.dims, prime, rng.split(attempt).seed
-        )
-        base = handle.evaluate(v1)
-        if base == 0:
-            continue
-        lam = random_scalar(rng.split(attempt, 1), prime)
-        powers = [power(lam, k, prime) for k in range(bound + 1)]
-        if len(set(powers)) <= bound:
-            continue  # lam has order at most the bound in F_p^*
-        scaled = handle.evaluate(_scaled_representation(v1, lam))
-        for k, lam_k in enumerate(powers):
-            if scaled == reduce(base * lam_k, prime):
-                handle.degree = k
-                return k
-        raise AssertionError("restriction of a homogeneous handle is not a monomial")
-    raise DegenerateWitnessError("handle evaluates to zero along every sampled ray")
-
-
-def sample_generic_witness(
-    q: Quiver, e, d, prime: int | None, seed: int, retries: int = 32
-) -> tuple[Representation, int]:
-    """Random witness W over the orthogonal root e, re-sampled until c^W is
-    nonzero at a random point, and the degree of c^W.  Any such W gives the
-    component: c^W has weight w = -e E, a one-dimensional weight space.  The
-    degree is sum_x w_x l(x) d_x for a level function l; only without one
-    (an unbalanced cycle) does ``degree_of`` measure it."""
-    if euler_form(q, e, d) != 0:
-        raise ValueError("sample_generic_witness needs an orthogonal root")
-    levels = level_function(q)
-    rng = Rng(seed)
-    for attempt in range(retries):
-        w = random_representation(q, e, prime, rng.split(attempt, 0).seed)
-        h = SchofieldHandle(e, w, d)
-        if levels is None:
-            try:
-                return w, degree_of(h, prime, rng.split(attempt, 2).seed)
-            except DegenerateWitnessError:
-                continue
-        v = random_representation(q, d, prime, rng.split(attempt, 2, 0).seed)
-        if h.evaluate(v):
-            return w, sum(wx * lx * dx for wx, lx, dx in zip(h.weight, levels, d))
+    for attempt in range(WITNESS_DRAWS):
+        w = random_representation(v0.quiver, e, v0.modulus, rng.split(attempt, 0).seed)
+        h = SchofieldHandle(e, w, v0.dims)
+        f = h.pencil(v0, v1)
+        if f is not None:
+            order = next(i for i, c in enumerate(f) if c)  # ord_t f
+            h.degree = h.degree_bound - order if degree is None else degree
+            return h, f
     raise DegenerateWitnessError(
-        f"no generic witness found for root {tuple(e)} after {retries} attempts"
+        f"no generic witness found for root {tuple(e)} after {WITNESS_DRAWS} attempts"
     )
 
 
-def verify_weight(handle, declared, p: int | None, seed: int) -> bool:
-    """Check the declared weight operationally, over F_p or Q (``p`` None):
-    acting by diag(lam_x, 1, ..., 1) at every support node x at once must
-    scale a nonzero value by prod_x lam_x**w(x).  A weight off by
-    delta_x != 0 at x passes only if lam_x**delta_x hits one value, with
-    probability at most |delta_x|/(p - 3) over lam_x (Schwartz-Zippel); over
-    Q, lam_x in [2, 19], at most 1/18."""
-    q, d = handle.quiver, handle.dims
+def verify_weight(handle, declared, v: Representation, value, seed: int) -> bool:
+    """Check the declared weight at V, where the handle takes the nonzero
+    ``value``, with one evaluation, over V's field: acting by
+    diag(lam_x, 1, ..., 1) at every support node x at once must scale the
+    value by prod_x lam_x**w(x).  A weight off by delta_x != 0 at x passes
+    only if lam_x**delta_x hits one value, with probability at most
+    |delta_x|/(p - 3) over lam_x (Schwartz-Zippel); over Q, lam_x in
+    [2, 19], at most 1/18."""
+    q, d, p = handle.quiver, handle.dims, v.modulus
     rng = Rng(seed)
-    for attempt in range(6):
-        v = random_representation(q, d, p, rng.split(0, attempt).seed)
-        base = handle.evaluate(v)
-        if base:
-            break
-    else:
-        return False
-    expect = base
+    expect = value
     for x, node in enumerate(q.nodes):
         if d[x]:
             lam = random_scalar(rng.split(1, x), p)

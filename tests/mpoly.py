@@ -1,7 +1,9 @@
 """Polynomial oracles for the tests: sparse multivariate polynomials over
 the integers, for the symbolic checks of small discriminants, Lagrange
 interpolation and Horner evaluation, for checking line restrictions against
-pointwise values, and a linear solve through the F_p LU factors.
+pointwise values, a linear solve through the F_p LU factors, and
+``degree_of``, the degree of a handle read off one scaled value, as the
+oracle for the degree formula and the degrees read off the pencils.
 
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
@@ -11,7 +13,18 @@ symbolically.
 
 from fractions import Fraction
 
-from qlfd.arith import _factor_mod, _lu_solve, poly_deriv, poly_trim
+from qlfd.arith import (
+    Rng,
+    _factor_mod,
+    _lu_solve,
+    poly_deriv,
+    poly_trim,
+    power,
+    random_scalar,
+    reduce,
+)
+from qlfd.repmatrix import Representation, random_representation
+from qlfd.semiinv import DegenerateWitnessError
 
 
 def mp_zero():
@@ -160,3 +173,45 @@ def interpolate(points, p=None):
     if p is not None:
         acc = [x % p for x in acc]
     return poly_trim(acc)
+
+
+# ---------------------------------------------------------------------------
+# The degree of a handle from one scaled value
+
+
+def _scaled_representation(v: Representation, lam) -> Representation:
+    mats = [[[reduce(x * lam, v.modulus) for x in row] for row in m] for m in v.mats]
+    return Representation(v.quiver, v.dims, v.modulus, mats)
+
+
+def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
+    """Total degree of the handle's polynomial f, read off one scaled value.
+
+    f is homogeneous (Schofield 1991), so f(lam V) = lam**k f(V) with k its
+    degree.  At a random V with f(V) != 0 and a random scalar lam whose
+    powers lam**0, ..., lam**degree_bound are distinct, k is the unique
+    exponent up to the bound that matches; a value that matches none means
+    f is not homogeneous.  With ``prime`` None the check runs over Q.
+    """
+    bound = handle.degree_bound
+    if prime is not None and prime <= 2 * max(bound, 1):
+        raise ValueError("prime too small for the degree check")
+    rng = Rng(seed)
+    for attempt in range(retries):
+        v1 = random_representation(
+            handle.quiver, handle.dims, prime, rng.split(attempt).seed
+        )
+        base = handle.evaluate(v1)
+        if base == 0:
+            continue
+        lam = random_scalar(rng.split(attempt, 1), prime)
+        powers = [power(lam, k, prime) for k in range(bound + 1)]
+        if len(set(powers)) <= bound:
+            continue  # lam has order at most the bound in F_p^*
+        scaled = handle.evaluate(_scaled_representation(v1, lam))
+        for k, lam_k in enumerate(powers):
+            if scaled == reduce(base * lam_k, prime):
+                handle.degree = k
+                return k
+        raise AssertionError("restriction of a homogeneous handle is not a monomial")
+    raise DegenerateWitnessError("handle evaluates to zero along every sampled ray")

@@ -13,7 +13,7 @@ from qlfd.fixtures import block_handles, builtin, builtin_names
 from qlfd.quiver import build_quiver, euler_inverse, euler_matrix, euler_form, opposite_quiver, tits_form
 from qlfd.repmatrix import action_matrix, hom_ext_dims, random_representation
 from qlfd.roots import brick_probe, positive_roots
-from qlfd.semiinv import SchofieldHandle, sample_generic_witness
+from qlfd.semiinv import sample_generic_witness
 
 from conftest import certified
 from mpoly import mp_add, mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_neg, mp_var, mpoly_matrix
@@ -58,8 +58,9 @@ def _blocks_match_auto(name, roots, points=10, seed=7001):
     rng = Rng(seed)
     for root in roots:
         bh = handles[root]
-        w, _ = sample_generic_witness(q, root, d, P, seed=rng.split(0, *root).seed)
-        ah = SchofieldHandle(root, w, d)
+        # a witness drawn as the line certificate draws it, on a random line
+        v0, v1 = (random_representation(q, d, P, seed=rng.split(2, i, *root).seed) for i in range(2))
+        ah, _ = sample_generic_witness(root, v0, v1, seed=rng.split(0, *root).seed)
         ratios = set()
         for i in range(points):
             v = random_representation(q, d, P, seed=rng.split(1, i, *root).seed)

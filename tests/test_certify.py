@@ -11,6 +11,7 @@ from qlfd.arith import (
     DEFAULT_PRIME,
     Rng,
     _crt_prime,
+    derive_seed,
     det_pencil_poly,
     poly_degree,
     poly_mul,
@@ -35,7 +36,7 @@ from qlfd.semiinv import (
     weight_of_schofield,
 )
 
-from mpoly import interpolate
+from mpoly import degree_of, interpolate
 
 P = DEFAULT_PRIME
 
@@ -176,36 +177,47 @@ def _probe_line(q, d, p, seed):
     """The first line ``line_certificate`` draws at ``seed``: (vec0, vec1,
     Delta(vec0), Delta(vec1))."""
     certify_module = importlib.import_module("qlfd.certify")
-    return certify_module._probe_line(action_matrix(q, d), p, Rng(seed), 0)
+    return certify_module._probe_line(action_matrix(q, d), p, Rng(derive_seed(seed, 40)), 0)
+
+
+def _points(q, d, line, p):
+    """The ends V0, V1 of a line as representations."""
+    coords = RepCoordinates(q, d)
+    return coords.unflatten(line[0], p), coords.unflatten(line[1], p)
+
+
+def _restrictions(q, d, handles, line, p):
+    """Each handle restricted to the line by its pencil."""
+    v0, v1 = _points(q, d, line, p)
+    return [h.restrict(h.pencil(v0, v1)) for h in handles]
 
 
 def test_verify_factorization_a3():
     q, d = builtin("a3")
-    handles = []
-    for e in [(1, 0, 0), (0, 1, 0)]:
-        w, deg = sample_generic_witness(q, e, d, P, seed=3)
-        h = SchofieldHandle(e, w, d)
-        h.degree = deg
-        handles.append(h)
     line = _probe_line(q, d, P, seed=4)
-    ok, unit, prod = verify_factorization(q, d, handles, [1, 1], line, P)
+    v0, v1 = _points(q, d, line, P)
+    restrictions = []
+    for e in [(1, 0, 0), (0, 1, 0)]:
+        h, f = sample_generic_witness(e, v0, v1, seed=3, degree=1)
+        restrictions.append(h.restrict(f))
+    ok, unit, prod = verify_factorization(restrictions, [1, 1], line, P)
     assert ok
     assert unit in (1, P - 1)
     assert poly_degree(prod) == 2
 
 
 def _identity_inputs(report_for, name, p):
-    """Handles over the component roots of a builtin's report, their
-    multiplicities, and the certificate's first line, over F_p or Q."""
+    """Handles over the component roots of a builtin's report, drawn on the
+    certificate's first line as the certificate draws them, their
+    multiplicities, and that line, over F_p or Q."""
     q, d = builtin(name)
     rep = report_for(name)
-    handles = []
-    for c in rep.components:
-        w, deg = sample_generic_witness(q, c.root, d, p, seed=3)
-        h = SchofieldHandle(c.root, w, d)
-        h.degree = deg
-        handles.append(h)
     line = _probe_line(q, d, p, seed=5)
+    v0, v1 = _points(q, d, line, p)
+    handles = [
+        sample_generic_witness(c.root, v0, v1, seed=3, degree=c.degree)[0]
+        for c in rep.components
+    ]
     return q, d, handles, [c.multiplicity for c in rep.components], line
 
 
@@ -215,7 +227,7 @@ def _identity_inputs(report_for, name, p):
 )
 def test_verify_factorization_holds_on_the_probe_line(report_for, name, p):
     q, d, handles, mults, line = _identity_inputs(report_for, name, p)
-    ok, unit, prod = verify_factorization(q, d, handles, mults, line, p)
+    ok, unit, prod = verify_factorization(_restrictions(q, d, handles, line, p), mults, line, p)
     assert ok and unit not in (None, 0)
     # the identity holds on the whole line, not only at its ends: c * P|_L is
     # the restriction of Delta, computed here by the dim Rep pencil
@@ -231,15 +243,16 @@ def test_verify_factorization_holds_on_the_probe_line(report_for, name, p):
 
 def test_verify_factorization_rejects_a_wrong_factorization(report_for):
     q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
-    assert verify_factorization(q, d, handles, mults, line, P)[0]
+    lines = _restrictions(q, d, handles, line, P)
+    assert verify_factorization(lines, mults, line, P)[0]
     raised = [mults[0] + 1] + mults[1:]
-    assert verify_factorization(q, d, handles, raised, line, P) == (False, None, None)
-    assert not verify_factorization(q, d, handles[1:], mults[1:], line, P)[0]
+    assert verify_factorization(lines, raised, line, P) == (False, None, None)
+    assert not verify_factorization(lines[1:], mults[1:], line, P)[0]
     # components are ordered by degree: the first two both have degree 6, so
     # the swapped product still has full degree and only its values differ
     assert handles[0].degree == handles[1].degree
-    swapped = [handles[1]] + handles[1:]
-    assert not verify_factorization(q, d, swapped, mults, line, P)[0]
+    swapped = [lines[1]] + lines[1:]
+    assert not verify_factorization(swapped, mults, line, P)[0]
 
 
 def _handle_values_on_line(q, d, h, line, p):
@@ -260,20 +273,18 @@ def test_verify_factorization_restricts_each_handle_by_one_pencil(
     q, d, handles, mults, line = _identity_inputs(report_for, name, p)
     expected = [_handle_values_on_line(q, d, h, line, p) for h in handles]
     semiinv = importlib.import_module("qlfd.semiinv")
-    pencils, lines = [], []
-    real_pencil, real_line = semiinv.det_pencil_poly, SchofieldHandle.line
+    pencils = []
+    real_pencil = semiinv.det_pencil_poly
     monkeypatch.setattr(
         semiinv, "det_pencil_poly", lambda m0, m1, f: pencils.append(len(m0)) or real_pencil(m0, m1, f)
-    )
-    monkeypatch.setattr(
-        SchofieldHandle, "line", lambda h, v0, v1: lines.append(real_line(h, v0, v1)) or lines[-1]
     )
 
     def refuse(*_):
         raise AssertionError("handle evaluated on the identity line")
 
     monkeypatch.setattr(SchofieldHandle, "evaluate", refuse)
-    ok, unit, _ = verify_factorization(q, d, handles, mults, line, p)
+    lines = _restrictions(q, d, handles, line, p)
+    ok, unit, _ = verify_factorization(lines, mults, line, p)
     assert ok and unit not in (None, 0)
     assert pencils == [h.degree_bound for h in handles]
     assert lines == expected
@@ -291,7 +302,7 @@ def test_star7_handle_pencils_have_as_many_live_columns_as_the_degree(
     sizes = []
     real = arith._charpoly_op
     monkeypatch.setattr(arith, "_charpoly_op", lambda apply, n, f: sizes.append(n) or real(apply, n, f))
-    assert verify_factorization(q, d, handles, mults, line, P)[0]
+    assert verify_factorization(_restrictions(q, d, handles, line, P), mults, line, P)[0]
     assert {h.degree_bound for h in handles} == {49}
     assert sizes == [h.degree for h in handles] == [7] * 8
 
@@ -301,10 +312,11 @@ def test_verify_factorization_rejects_a_wrong_declared_degree(report_for, shift)
     q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
     true_degree = handles[0].degree
     handles[0].degree = true_degree + shift
-    try:
-        assert verify_factorization(q, d, handles, mults, line, P) == (False, None, None)
-    finally:
-        handles[0].degree = true_degree
+    lines = _restrictions(q, d, handles, line, P)
+    # too low, the pencil has a nonzero coefficient below t^(n-k); too
+    # high, the restriction gains a factor t and P|_L the wrong degree
+    assert (lines[0] is None) == (shift < 0)
+    assert verify_factorization(lines, mults, line, P) == (False, None, None)
 
 
 def test_verify_factorization_rejects_a_handle_vanishing_at_vec1(report_for):
@@ -312,16 +324,15 @@ def test_verify_factorization_rejects_a_handle_vanishing_at_vec1(report_for):
     # vec1 that is zero on one arm of e6-q1 kills only some handles
     q, d, handles, mults, line = _identity_inputs(report_for, "e6-q1", P)
     vec0, vec1, *deltas = line
-    assert verify_factorization(q, d, handles, mults, (vec0, [0] * len(vec1), *deltas), P) == (
-        False, None, None
-    )
-    coords = RepCoordinates(q, d)
-    cut = coords.offsets[1]
-    arm = [0] * cut + vec1[cut:]
-    v0, v1 = coords.unflatten(vec0, P), coords.unflatten(arm, P)
-    vanishing = [h for h in handles if h.line(v0, v1) is None]
+    zero = (vec0, [0] * len(vec1), *deltas)
+    assert _restrictions(q, d, handles, zero, P) == [None] * len(handles)
+    assert verify_factorization([None] * len(handles), mults, zero, P) == (False, None, None)
+    cut = RepCoordinates(q, d).offsets[1]
+    arm = (vec0, [0] * cut + vec1[cut:], *deltas)
+    v0, v1 = _points(q, d, arm, P)
+    vanishing = [h for h in handles if h.pencil(v0, v1) is None]
     assert vanishing and all(h.evaluate(v1) == 0 for h in vanishing)
-    assert verify_factorization(q, d, handles, mults, (vec0, arm, *deltas), P) == (
+    assert verify_factorization(_restrictions(q, d, handles, arm, P), mults, arm, P) == (
         False, None, None
     )
 
@@ -330,22 +341,27 @@ def test_verify_factorization_refuses_unpaired_handles_and_multiplicities(
     report_for, monkeypatch
 ):
     # a plain zip would drop the unpaired tail; the mismatch raises before
-    # any handle is restricted
+    # any product is formed, even where a restriction is missing
     q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
+    lines = _restrictions(q, d, handles, line, P)
 
     def refuse(*_):
-        raise AssertionError("handle restricted before the pairing was checked")
+        raise AssertionError("product formed before the pairing was checked")
 
-    monkeypatch.setattr(SchofieldHandle, "line", refuse)
+    monkeypatch.setattr(importlib.import_module("qlfd.certify"), "poly_mul", refuse)
     with pytest.raises(ValueError):
-        verify_factorization(q, d, handles, mults[:-1], line, P)
+        verify_factorization(lines, mults[:-1], line, P)
     with pytest.raises(ValueError):
-        verify_factorization(q, d, handles[:-1], mults, line, P)
+        verify_factorization([None] + lines[1:-1], mults, line, P)
 
 
-def _certificate_inputs(report_for, name, p):
-    """Handles and multiplicities of a builtin, over F_p or Q."""
-    return _identity_inputs(report_for, name, p)[:4]
+def _certificate_inputs(report_for, name):
+    """(Q, d), the component roots, their degrees and their multiplicities
+    of a builtin."""
+    rep = report_for(name)
+    return (*builtin(name), *(
+        [getattr(c, key) for c in rep.components] for key in ("root", "degree", "multiplicity")
+    ))
 
 
 def test_squarefree_probe_fixtures(report_for):
@@ -358,16 +374,17 @@ def test_squarefree_probe_fixtures(report_for):
         ("tilde-d4-ii", None, False),
         ("d7-prop", None, True),
     ]:
-        q, d, handles, mults = _certificate_inputs(report_for, name, p)
-        cert = line_certificate(q, d, handles, mults, p, seed=6)
-        assert cert == (True, reduced, cert.unit, 1), (name, p)
+        q, d, roots, degrees, mults = _certificate_inputs(report_for, name)
+        cert = line_certificate(q, d, roots, degrees, mults, p, seed=6)
+        assert cert[:4] == (True, reduced, cert.unit, 1), (name, p)
         assert cert.unit not in (None, 0)
+        assert [h.root for h in cert.handles] == roots
 
 
 def test_squarefree_probe_one_squarefree_vote_proves_reduced(report_for, monkeypatch):
     # every a_i = 1: a P|_L that is not squarefree may come from an unlucky
     # line, so another line is drawn, and the first squarefree one is a proof
-    q, d, handles, mults = _certificate_inputs(report_for, "e6-q1", P)
+    q, d, roots, degrees, mults = _certificate_inputs(report_for, "e6-q1")
     certify_module = importlib.import_module("qlfd.certify")
     real_line = certify_module._probe_line
     trials, votes = [], iter([False, True])
@@ -377,11 +394,12 @@ def test_squarefree_probe_one_squarefree_vote_proves_reduced(report_for, monkeyp
         "_probe_line",
         lambda lfm, p, rng, trial: trials.append(trial) or real_line(lfm, p, rng, trial),
     )
-    cert = line_certificate(q, d, handles, mults, P, seed=5)
-    assert cert == (True, True, cert.unit, 2) and trials == [0, 1]
+    cert = line_certificate(q, d, roots, degrees, mults, P, seed=5)
+    assert cert[:4] == (True, True, cert.unit, 2) and trials == [0, 1]
     # the reported ratio is the first line's
-    first = real_line(action_matrix(q, d), P, Rng(5), 0)
-    assert cert.unit == verify_factorization(q, d, handles, mults, first, P)[1]
+    first = _probe_line(q, d, P, seed=5)
+    lines = _restrictions(q, d, cert.handles, first, P)
+    assert cert.unit == verify_factorization(lines, mults, first, P)[1]
 
 
 def test_three_lines_without_a_squarefree_product_are_inconclusive(monkeypatch):
@@ -399,21 +417,21 @@ def test_three_lines_without_a_squarefree_product_are_inconclusive(monkeypatch):
 def test_a_redrawn_line_needs_the_first_line_ratio(report_for, monkeypatch):
     # Delta = c * P holds with one c: a second line whose ends agree with
     # another c fails the identity
-    q, d, handles, mults = _certificate_inputs(report_for, "e6-q1", P)
+    q, d, roots, degrees, mults = _certificate_inputs(report_for, "e6-q1")
     certify_module = importlib.import_module("qlfd.certify")
     ratios = iter([5, 6])
     monkeypatch.setattr(certify_module, "_ends_agree", lambda *_: (True, next(ratios)))
     monkeypatch.setattr(certify_module, "_squarefree", lambda f, p: False)
-    assert line_certificate(q, d, handles, mults, P, seed=5) == (False, False, 5, 2)
+    assert line_certificate(q, d, roots, degrees, mults, P, seed=5)[:4] == (False, False, 5, 2)
 
 
 def test_squarefree_probe_not_reduced_needs_one_line(report_for):
     # a handle whose square divides P makes P|_L not squarefree on every
     # line, so one line settles not-reduced
     for name in ("tilde-d4-ii", "q3"):
-        q, d, handles, mults = _certificate_inputs(report_for, name, P)
+        q, d, roots, degrees, mults = _certificate_inputs(report_for, name)
         assert max(mults) == 2
-        assert line_certificate(q, d, handles, mults, P, seed=5)[1:] == (False, ANY, 1)
+        assert line_certificate(q, d, roots, degrees, mults, P, seed=5)[1:4] == (False, ANY, 1)
         rep = report_for(name)
         assert rep.verdict == "not-reduced" and rep.stats.lines_used == 1
 
@@ -423,13 +441,12 @@ def test_a_wrong_multiplicity_fails_the_endpoint_identity(report_for):
     # ends of the line alone reject the raised product
     q, d, handles, mults, line = _identity_inputs(report_for, "e7-highroot", P)
     certify_module = importlib.import_module("qlfd.certify")
-    ok, unit, prod = verify_factorization(q, d, handles, mults, line, P)
+    lines = _restrictions(q, d, handles, line, P)
+    ok, unit, prod = verify_factorization(lines, mults, line, P)
     assert ok
     _, _, delta0, delta1 = line
     assert certify_module._ends_agree(delta0, delta1, prod, P) == (True, unit)
-    coords = RepCoordinates(q, d)
-    h1 = handles[0].line(coords.unflatten(line[0], P), coords.unflatten(line[1], P))
-    raised = poly_mul(prod, h1, P)
+    raised = poly_mul(prod, lines[0], P)
     assert not certify_module._ends_agree(delta0, delta1, raised, P)[0]
 
 
@@ -520,7 +537,7 @@ def test_squarefree_probe_without_full_degree_lines_raises():
     # so no line has an invertible leading member
     q, d = builtin("tilde-d4-iv")
     with pytest.raises(CertifyError, match="every sampled line") as info:
-        line_certificate(q, d, [], [], P, seed=5)
+        line_certificate(q, d, [], [], [], P, seed=5)
     assert info.value.stage == "line"
 
 
@@ -770,9 +787,7 @@ def test_component_weights_orthogonal_to_d(report_for):
 
 
 def test_certify_unbalanced_cycle_not_reduced():
-    # non-tree support: 1->2, 2->3, 1->3 with d = (1,1,2)
-    q = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
-    rep = certify(q, (1, 1, 2))
+    rep = certify(*_cycle3())
     assert rep.verdict == "not-reduced"
     assert rep.reason == "multiplicities (1,2)"
     assert [(c.degree, c.multiplicity) for c in rep.components] == [(1, 1), (2, 2)]
@@ -783,7 +798,6 @@ def test_reported_degrees_match_degree_of_on_a_fresh_witness(report_for):
     # measures them on a witness the pipeline never drew
     from qlfd.fixtures import builtin_names
     from qlfd.repmatrix import random_representation
-    from qlfd.semiinv import degree_of
 
     checked = 0
     for name in builtin_names():
@@ -795,22 +809,100 @@ def test_reported_degrees_match_degree_of_on_a_fresh_witness(report_for):
     assert checked >= 100
 
 
-def test_degree_of_runs_only_on_an_unbalanced_cycle(monkeypatch):
-    semiinv = importlib.import_module("qlfd.semiinv")
-    calls = []
-    real = semiinv.degree_of
+def _cycle3():
+    # 1->2, 2->3, 1->3 with d = (1, 1, 2): no level function
+    q = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    return q, (1, 1, 2)
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].root)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(semiinv, "degree_of", counting)
-    assert certify(*builtin("e7-highroot")).verdict == "linear-free-divisor"
-    assert calls == []
-    cycle3 = build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
-    rep = certify(cycle3, (1, 1, 2))
+def test_cycle3_degrees_are_read_off_the_pencils(monkeypatch):
+    # a level support declares every degree to the certificate; cycle3 has
+    # none, so each degree is read off its witness's pencil
+    certify_module = importlib.import_module("qlfd.certify")
+    declared = []
+    real = certify_module.sample_generic_witness
+
+    def recording(e, v0, v1, seed, degree=None):
+        declared.append(degree)
+        return real(e, v0, v1, seed, degree)
+
+    monkeypatch.setattr(certify_module, "sample_generic_witness", recording)
+    rep = certify(*builtin("e7-highroot"))
+    assert None not in declared
+    assert sorted(declared) == sorted(c.degree for c in rep.components)
+    declared.clear()
+    rep = certify(*_cycle3())
+    assert rep.verdict == "not-reduced"
     assert [c.degree for c in rep.components] == [1, 2]
-    assert sorted(calls) == sorted(c.root for c in rep.components)
+    assert declared == [None, None]
+    assert not hasattr(importlib.import_module("qlfd.semiinv"), "degree_of")
+
+
+def test_a_low_degree_reading_is_never_definitive(monkeypatch):
+    # with vec0 = 0 every h(V0) is 0, so each degree read off a pencil comes
+    # out too low: the weighted degree sum or the identity must fail
+    certify_module = importlib.import_module("qlfd.certify")
+    real = certify_module._probe_line
+
+    def through_the_origin(lfm, p, rng, trial):
+        vec0, vec1, _, delta1 = real(lfm, p, rng, trial)
+        return [0] * len(vec0), vec1, 0, delta1
+
+    monkeypatch.setattr(certify_module, "_probe_line", through_the_origin)
+    for seed in range(1, 6):
+        rep = certify(*_cycle3(), CertifyOptions(seed=seed))
+        assert not rep.definitive and rep.verdict == "inconclusive"
+        assert rep.reason in (
+            "weighted degree sum 0 != dim Rep = 5",
+            "factorization identity fails on the probe line",
+        ), rep.reason
+
+
+@pytest.mark.parametrize(
+    "name, exact",
+    [("e8-central-sink", False), ("star7", False), ("q3", False), ("e6-q1", True), ("cycle3", False)],
+)
+def test_each_handle_costs_one_pencil_and_one_evaluation(monkeypatch, name, exact):
+    # the witness is accepted on the certificate line by its pencil, and the
+    # weight check reuses the pencil's leading coefficient h(V1): no handle
+    # is evaluated at a separate point, and the only representations drawn
+    # on the certificate are the witnesses themselves
+    certify_module = importlib.import_module("qlfd.certify")
+    pencils = _counting_pencils(monkeypatch)
+    evaluations, drawn, active = [], [], [False]
+    evaluate = SchofieldHandle.evaluate
+    monkeypatch.setattr(
+        SchofieldHandle, "evaluate", lambda h, v: evaluations.append(h.root) or evaluate(h, v)
+    )
+    real_draw = importlib.import_module("qlfd.repmatrix").random_representation
+
+    def drawing(q, d, p, seed):
+        if active[0]:
+            drawn.append(tuple(d))
+        return real_draw(q, d, p, seed)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "qlfd" and getattr(
+            module, "random_representation", None
+        ) is real_draw:
+            monkeypatch.setattr(module, "random_representation", drawing)
+    real_certificate = certify_module.line_certificate
+
+    def certificate(*args, **kwargs):
+        active[0] = True
+        try:
+            return real_certificate(*args, **kwargs)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(certify_module, "line_certificate", certificate)
+    q, d = _cycle3() if name == "cycle3" else builtin(name)
+    rep = certify(q, d, CertifyOptions(exact=exact))
+    assert rep.definitive and rep.stats.lines_used == 1
+    roots = sorted(c.root for c in rep.components)
+    assert len(pencils) == len(roots)
+    assert sorted(evaluations) == roots
+    assert sorted(drawn) == roots
 
 
 def test_small_prime_verdict_is_inconclusive(report_for):

@@ -1,0 +1,54 @@
+"""Properties of ``certify`` over generated and builtin inputs: the
+deterministic core against the randomized line certificate, and the
+invariance under reversing every arrow."""
+
+import pytest
+
+from qlfd.arith import DEFAULT_PRIME
+from qlfd.certify import certify, multiplicity_vector
+from qlfd.fixtures import builtin, builtin_names
+from qlfd.quiver import level_function, opposite_quiver
+from qlfd.repmatrix import random_representation
+from qlfd.roots import brick_probe, perpendicular_simples
+from qlfd.semiinv import SchofieldHandle, weight_of_schofield
+
+from mpoly import degree_of
+from randquiver import random_real_roots
+
+P = DEFAULT_PRIME
+
+
+def test_definitive_verdicts_match_the_euler_form_prediction():
+    # the core predicts "linear free divisor" exactly when every
+    # multiplicity is 1; the certificate reaches its verdict on a line.  On
+    # a support without a level function the degrees are read off the
+    # pencils, and a fresh witness's degree_of must agree with each
+    definitive = cycles = 0
+    for i, (q, d) in enumerate(random_real_roots(29, 100)):
+        if brick_probe(q, d, P, seed=i).verdict != "brick":
+            continue
+        rep = certify(q, d)
+        simples = perpendicular_simples(q, d)
+        mults = multiplicity_vector(q, d, [weight_of_schofield(q, e) for e in simples])
+        assert rep.definitive, (q.arrows, d, rep.reason)
+        predicted = "linear-free-divisor" if set(mults) == {1} else "not-reduced"
+        assert rep.verdict == predicted, (q.arrows, d)
+        assert sorted(c.multiplicity for c in rep.components) == sorted(mults)
+        definitive += 1
+        if level_function(q) is None:
+            for j, c in enumerate(rep.components):
+                w = random_representation(q, c.root, P, seed=100 * i + j)
+                assert degree_of(SchofieldHandle(c.root, w, d), P, seed=j) == c.degree
+            cycles += 1
+    assert definitive >= 40 and cycles >= 10
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "e8-central-sink"])
+def test_opposite_quiver_gives_the_same_verdict_and_components(report_for, name):
+    q, d = builtin(name)
+    rep = report_for(name)
+    opp = certify(opposite_quiver(q), d)
+    assert opp.verdict == rep.verdict
+    assert sorted((c.degree, c.multiplicity) for c in opp.components) == sorted(
+        (c.degree, c.multiplicity) for c in rep.components
+    )

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from qlfd.arith import DEFAULT_PRIME, Rng
@@ -5,22 +7,35 @@ from qlfd.fixtures import block_handles, builtin
 from qlfd.quiver import build_quiver
 from qlfd.repmatrix import Representation, random_representation
 from qlfd.semiinv import (
+    WITNESS_DRAWS,
     BlockRecipe,
     DegenerateWitnessError,
     SchofieldHandle,
-    degree_of,
     discriminant_weight,
     root_from_weight,
     root_support_type,
     sample_generic_witness,
     verify_weight,
+    weight_degree,
     weight_of_schofield,
     weight_support_type,
 )
 
-from mpoly import interpolate
+from mpoly import degree_of, interpolate
 
 P = DEFAULT_PRIME
+
+
+def _line(q, d, p, seed):
+    """A random line V0 + t V1 of Rep(Q, d): the pair (V0, V1)."""
+    rng = Rng(seed)
+    return tuple(random_representation(q, d, p, rng.split(i).seed) for i in range(2))
+
+
+def _witness(q, root, d, p, seed, degree=None):
+    """The handle of a generic witness over ``root``, drawn on a random line
+    as the line certificate draws it, with its pencil on that line."""
+    return sample_generic_witness(root, *_line(q, d, p, seed + 1), seed, degree)
 
 # the published component table for the e7-highroot fixture:
 # root -> (degree, minus_weight, (root type, weight type))
@@ -88,11 +103,12 @@ def test_schofield_evaluate_simple_root():
 
 
 def test_degree_of_e7_roots():
+    # the level formula, the degree read off the pencil and the oracle agree
     q, d = builtin("e7-highroot")
     for root, (deg, _, _) in E7_TABLE.items():
-        w, measured = sample_generic_witness(q, root, d, P, seed=5)
-        assert measured == deg
-        h = SchofieldHandle(root, w, d)
+        assert weight_degree(q, weight_of_schofield(q, root), d) == deg
+        h, _ = _witness(q, root, d, P, seed=5)
+        assert h.degree == deg
         assert degree_of(h, P, seed=6) == deg
 
 
@@ -100,10 +116,7 @@ def test_degree_of_e6_component_degrees():
     q, d = builtin("e6-q1")
     from qlfd.roots import perpendicular_simples
 
-    degrees = []
-    for root in perpendicular_simples(q, d):
-        _, deg = sample_generic_witness(q, root, d, P, seed=8)
-        degrees.append(deg)
+    degrees = [_witness(q, root, d, P, seed=8)[0].degree for root in perpendicular_simples(q, d)]
     assert sorted(degrees) == [4, 4, 4, 4, 6]
 
 
@@ -112,8 +125,8 @@ def test_evaluate_homogeneous_scaling():
     from qlfd.roots import perpendicular_simples
 
     root = perpendicular_simples(q, d)[0]
-    w, deg = sample_generic_witness(q, root, d, P, seed=9)
-    h = SchofieldHandle(root, w, d)
+    h, _ = _witness(q, root, d, P, seed=9)
+    deg = h.degree
     rng = Rng(10)
     v = random_representation(q, d, P, seed=11)
     lam = 2 + rng.below(P - 3)
@@ -137,16 +150,25 @@ def test_evaluate_zero_at_origin():
     from qlfd.roots import perpendicular_simples
 
     root = perpendicular_simples(q, d)[0]
-    w, _ = sample_generic_witness(q, root, d, P, seed=13)
-    assert SchofieldHandle(root, w, d).evaluate(zero) == 0
+    h, _ = _witness(q, root, d, P, seed=13)
+    assert h.evaluate(zero) == 0
+
+
+def _checked_weight(h, declared, p, seed):
+    """``verify_weight`` at a random point of Rep(Q, d), given the value
+    there."""
+    v = random_representation(h.quiver, h.dims, p, seed=seed + 100)
+    value = h.evaluate(v)
+    assert value
+    return verify_weight(h, declared, v, value, seed=seed)
 
 
 def test_verify_weight_a3_and_identity():
     q, _ = builtin("a3")
     w = random_representation(q, (1, 0, 0), P, seed=3)
     h = SchofieldHandle((1, 0, 0), w, (1, 1, 1))
-    assert verify_weight(h, (-1, 1, 0), P, seed=4)
-    assert not verify_weight(h, (1, 1, 0), P, seed=4)
+    assert _checked_weight(h, (-1, 1, 0), P, seed=4)
+    assert not _checked_weight(h, (1, 1, 0), P, seed=4)
 
 
 def test_verify_weight_sees_an_error_only_the_joint_scaling_can_see():
@@ -162,30 +184,38 @@ def test_verify_weight_sees_an_error_only_the_joint_scaling_can_see():
         w = random_representation(q, (1, 0, 0), p, seed=3)
         h = SchofieldHandle((1, 0, 0), w, d)
         for seed in range(5):
-            assert verify_weight(h, (-1, 1, 0), p, seed=seed)
-            assert not verify_weight(h, declared, p, seed=seed)
+            assert _checked_weight(h, (-1, 1, 0), p, seed=seed)
+            assert not _checked_weight(h, declared, p, seed=seed)
 
 
-def test_witness_and_weight_evaluate_the_handle_once_and_twice(monkeypatch):
+def test_witness_and_weight_cost_one_pencil_and_one_evaluation(monkeypatch):
+    # the witness is accepted by its pencil on the line, whose leading
+    # coefficient h(V1) is the weight check's base value
+    semiinv = importlib.import_module("qlfd.semiinv")
     q, d = builtin("e7-highroot")
     root = next(iter(E7_TABLE))
-    values = []
-    evaluate = SchofieldHandle.evaluate
+    values, pencils = [], []
+    evaluate, pencil = SchofieldHandle.evaluate, semiinv.det_pencil_poly
     monkeypatch.setattr(
         SchofieldHandle, "evaluate", lambda h, v: values.append(evaluate(h, v)) or values[-1]
     )
-    w, deg = sample_generic_witness(q, root, d, P, seed=5)
-    assert deg == E7_TABLE[root][0]
-    assert len(values) == 1 and values[0] != 0
+    monkeypatch.setattr(
+        semiinv, "det_pencil_poly", lambda m0, m1, p: pencils.append(len(m0)) or pencil(m0, m1, p)
+    )
+    v0, v1 = _line(q, d, P, seed=6)
+    h, f = sample_generic_witness(root, v0, v1, seed=5)
+    assert h.degree == E7_TABLE[root][0]
+    assert values == [] and pencils == [h.degree_bound]
+    assert f[-1] == evaluate(h, v1) != 0
     values.clear()
-    assert verify_weight(SchofieldHandle(root, w, d), weight_of_schofield(q, root), P, seed=6)
-    assert len(values) == 2 and values[0] != 0
+    assert verify_weight(h, weight_of_schofield(q, root), v1, f[-1], seed=6)
+    assert len(values) == 1 and pencils == [h.degree_bound]
 
 
 def test_verify_weight_block_handles():
     for name in ["e7-highroot", "e8-central-sink"]:
         for root, bh in block_handles(name).items():
-            assert verify_weight(bh, bh.weight, P, seed=15), (name, root)
+            assert _checked_weight(bh, bh.weight, P, seed=15), (name, root)
 
 
 def test_block_recipe_identity_cells_and_unknown_arrows():
@@ -220,9 +250,8 @@ def test_block_handles_match_automatic_handles():
     for name in ["e7-highroot"]:
         q, d = builtin(name)
         for root, bh in block_handles(name).items():
-            w, deg = sample_generic_witness(q, root, d, P, seed=17)
-            ah = SchofieldHandle(root, w, d)
-            assert degree_of(bh, P, seed=18) == deg
+            ah, _ = _witness(q, root, d, P, seed=17)
+            assert degree_of(bh, P, seed=18) == ah.degree
             ratios = set()
             for i in range(10):
                 v = random_representation(q, d, P, seed=rng.split(i).seed)
@@ -232,15 +261,22 @@ def test_block_handles_match_automatic_handles():
             assert len(ratios) == 1
 
 
-def test_sample_generic_witness_rejects_non_semigroup_root():
+def test_sample_generic_witness_rejects_non_semigroup_root(monkeypatch):
     # orthogonal, Tits form 1, but its semi-invariant vanishes identically
     q, d = builtin("q3")
     bad = (1, 1, 2, 0, 0, 3, 1)
     from qlfd.quiver import euler_form, tits_form
 
     assert euler_form(q, bad, d) == 0 and tits_form(q, bad) == 1
-    with pytest.raises(DegenerateWitnessError):
-        sample_generic_witness(q, bad, d, P, seed=19, retries=2)
+    semiinv = importlib.import_module("qlfd.semiinv")
+    pencils = []
+    pencil = semiinv.det_pencil_poly
+    monkeypatch.setattr(
+        semiinv, "det_pencil_poly", lambda m0, m1, p: pencils.append(len(m0)) or pencil(m0, m1, p)
+    )
+    with pytest.raises(DegenerateWitnessError, match=f"after {WITNESS_DRAWS} attempts"):
+        _witness(q, bad, d, P, seed=19)
+    assert len(pencils) == WITNESS_DRAWS == 32
 
 
 def test_weight_support_types_e7():
@@ -259,10 +295,10 @@ def test_weight_support_type_full_support():
 def test_exact_mode_witness_and_weight():
     q, d = builtin("a4")
     root = (1, 0, 0, 0)
-    w, deg = sample_generic_witness(q, root, d, None, seed=23)
-    assert deg == 1
-    h = SchofieldHandle(root, w, d)
-    assert verify_weight(h, weight_of_schofield(q, root), None, seed=24)
+    v0, v1 = _line(q, d, None, seed=22)
+    h, f = sample_generic_witness(root, v0, v1, seed=23)
+    assert h.degree == 1 and f[-1] == h.evaluate(v1)
+    assert verify_weight(h, weight_of_schofield(q, root), v1, f[-1], seed=24)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +327,12 @@ def lagrange_degree(handle, prime, v):
 
 
 def _assert_degree_matches_oracle(q, d, root, prime, seed):
-    w, _ = sample_generic_witness(q, root, d, prime, seed=seed)
-    h = SchofieldHandle(root, w, d)
+    h, _ = _witness(q, root, d, prime, seed=seed)
     v = random_representation(q, d, prime, seed=seed + 1)
     assert h.evaluate(v) != 0
+    read = h.degree  # read off the pencil
     deg = degree_of(h, prime, seed=seed + 2)
-    assert deg == lagrange_degree(h, prime, v)
+    assert deg == lagrange_degree(h, prime, v) == read
     return deg
 
 
@@ -325,8 +361,7 @@ def test_degree_of_matches_lagrange_d5_exact():
 def test_degree_of_evaluates_twice_at_a_nonzero_point():
     q, d = builtin("e7-highroot")
     root = next(iter(E7_TABLE))
-    w, _ = sample_generic_witness(q, root, d, P, seed=5)
-    h = SchofieldHandle(root, w, d)
+    h, _ = _witness(q, root, d, P, seed=5)
     values = []
     evaluate = h.evaluate
     h.evaluate = lambda v: values.append(evaluate(v)) or values[-1]
@@ -387,10 +422,10 @@ def test_level_formula_matches_degree_of_on_random_trees():
         q = _random_tree(rng, 3 + rng.below(4))
         d = tuple(1 + rng.below(3) for _ in range(q.node_count))
         for i, root in enumerate((lattice_roots(q, d) or [])[:4]):
-            try:
-                w, deg = sample_generic_witness(q, root, d, P, seed=trial, retries=2)
-            except DegenerateWitnessError:
+            h = SchofieldHandle(root, random_representation(q, root, P, seed=trial), d)
+            if not h.evaluate(random_representation(q, d, P, seed=trial + 1)):
                 continue  # c^W vanishes identically for this root
-            assert degree_of(SchofieldHandle(root, w, d), P, seed=i) == deg, (q.arrows, d, root)
+            deg = weight_degree(q, weight_of_schofield(q, root), d)
+            assert degree_of(h, P, seed=i) == deg, (q.arrows, d, root)
             checked += 1
     assert checked >= 20
