@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import chain, compress, islice
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -162,6 +162,13 @@ _PLANS: OrderedDict = OrderedDict()
 _PLAN_LIMIT = 64
 
 
+# The shortest active rows the pivot search of ``_search_mod`` looks at in
+# each step.  At 4 the size-118 E8 action matrix factors with less fill than
+# under the search over every row (1377 off-diagonal entries of U against
+# 1470); 2 and 8 gave more.
+_SEARCH_ROWS = 4
+
+
 class _Plan(tuple):
     """The (row, column) pivot sequence of the first elimination of a
     sparsity pattern; ``schedule`` is compiled from it on its first replay."""
@@ -183,8 +190,9 @@ def _factor_mod(a, p: int, lower: bool = False):
 
     There are two paths.  The first sighting of a sparsity pattern (the
     shape and the positions of the nonzero entries as given; an entry that
-    is a nonzero multiple of p only widens the pattern) runs the Markowitz
-    search of ``_search_mod`` and keeps its (row, column) pivot
+    is a nonzero multiple of p only widens the pattern) runs the restricted
+    Markowitz search of ``_search_mod``, which looks at the few shortest
+    rows in each step (Zlatev 1980), and keeps its (row, column) pivot
     sequence as the pattern's plan.  The first replay compiles the plan
     into a fixed schedule (``_compile_schedule``), and every later A with
     that pattern runs the schedule (``_run_schedule``): the symbolic
@@ -266,35 +274,44 @@ def _search_mod(a, p: int, lower: bool):
     """(det of the pivots, pivots, factors) by a Markowitz-pivoted sparse
     elimination of A, for ``_factor_mod``.
 
-    The rows of A are held as {column: value} dicts.  Each pivot is the
-    entry of least Markowitz cost (r - 1)(c - 1), with r and c the nonzero
-    counts of its row and column, among the entries that are nonzero at the
-    actual values (Markowitz 1957).  Choosing on values matters: the action
-    matrix repeats coordinates, so entries cancel and an order fixed from
-    the sparsity pattern alone can meet a zero pivot.  Rows that cancel to
-    zero leave the elimination, so the pivot count is the rank.  Each pivot
-    is listed as (row, column); the factors, as ``_factor_mod`` describes
-    them, are None unless ``lower``.
+    The rows of A are held as {column: value} dicts, and the active rows in
+    buckets by nonzero count.  Each pivot is the entry of least Markowitz
+    cost (r - 1)(c - 1), with r and c the nonzero counts of its row and
+    column, among the entries that are nonzero at the actual values
+    (Markowitz 1957) in the ``_SEARCH_ROWS`` shortest active rows only:
+    the restricted search of Zlatev (1980), which looks at a few rows per
+    step in place of every active row.  The rows are taken in order of
+    nonzero count, then row index, and a cost of 0 ends the search; ties go
+    to the first row in that order and, within a row, to its first entry of
+    least column count, so the choice does not depend on hashing.  Choosing
+    on values matters: the action matrix repeats coordinates, so entries
+    cancel and an order fixed from the sparsity pattern alone can meet a
+    zero pivot.  Rows that cancel to zero leave the elimination, so the
+    pivot count is the rank.  Each pivot is listed as (row, column); the
+    factors, as ``_factor_mod`` describes them, are None unless ``lower``.
     """
     n = len(a[0]) if a else 0
     rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
     cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
+    buckets = [set() for _ in range(n + 1)]  # active rows by nonzero count
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
+        if row:
+            buckets[len(row)].add(i)
 
     def col_count(j):
         return len(cols[j])
 
-    active = {i for i, row in enumerate(rows) if row}
     pivots = []
     det = 1
     if lower:
         lrows = [([], []) for _ in a]  # (earlier steps, multipliers) per row
         forward, backward = [], []
-    while active:
+    while True:
         best = None
-        for i in active:
+        shortest = chain.from_iterable(map(sorted, filter(None, buckets)))
+        for i in islice(shortest, _SEARCH_ROWS):
             row = rows[i]
             j = min(row, key=col_count)
             cost = (len(row) - 1) * (len(cols[j]) - 1)
@@ -302,9 +319,11 @@ def _search_mod(a, p: int, lower: bool):
                 best = (cost, i, j)
                 if not cost:
                     break
+        if best is None:
+            break  # no active row is left
         _, r, c = best
         prow = rows[r]
-        active.discard(r)
+        buckets[len(prow)].discard(r)
         for j in prow:
             cols[j].discard(r)
         pv = prow.pop(c)  # the pivot row keeps only its off-pivot entries
@@ -317,6 +336,7 @@ def _search_mod(a, p: int, lower: bool):
             backward.append((c, inv, tuple(prow), tuple(prow.values())))
         for i in list(cols[c]):
             row = rows[i]
+            count = len(row)
             f = row.pop(c) * inv % p
             cols[c].discard(i)
             if lower:
@@ -331,8 +351,10 @@ def _search_mod(a, p: int, lower: bool):
                 elif j in row:
                     del row[j]
                     cols[j].discard(i)
-            if not row:
-                active.discard(i)
+            if len(row) != count:
+                buckets[count].discard(i)
+                if row:
+                    buckets[len(row)].add(i)
     return det, pivots, (forward, backward[::-1]) if lower else None
 
 

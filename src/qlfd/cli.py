@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .arith import DEFAULT_PRIME, PrimeField
+from .arith import DEFAULT_PRIME, PrimeField, derive_seed
 from .certify import (
     DEFAULT_SEED,
     CertifyError,
@@ -34,7 +34,13 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
-from .roots import highest_root, orthogonal_roots, perpendicular_simples, positive_roots
+from .roots import (
+    brick_probe,
+    highest_root,
+    orthogonal_roots,
+    perpendicular_simples,
+    positive_roots,
+)
 from .semiinv import discriminant_weight
 
 _LAYOUT_NOTE = (
@@ -127,6 +133,24 @@ def _cmd_euler(q, d, args) -> int:
 
 def _cmd_roots(q, d, args) -> int:
     sub, dsub = support_subquiver(q, d)
+    cls = classify_underlying_graph(sub)
+    dynkin = not isinstance(cls, list) and cls.kind == "dynkin"
+    if not dynkin:
+        # every real root of a Dynkin support is a Schur root; elsewhere the
+        # brick probe refuses a non-Schur root before the reflection search,
+        # which would spend its whole state bound on it
+        if args.prime <= 2**40:
+            raise ValueError(
+                f"option prime needs a prime above 2**40 on a non-Dynkin "
+                f"support: {args.prime} <= 2**40"
+            )
+        seed = CertifyOptions(seed=args.seed).seed
+        brick = brick_probe(sub, dsub, args.prime, derive_seed(seed, 101))
+        if brick.verdict != "brick":
+            raise SystemExit2(
+                f"not a Schur root: dim End >= {brick.endomorphism_dim} at "
+                f"{brick.trials} sampled representations"
+            )
     simples = [embed_vector(q, sub, s) for s in perpendicular_simples(sub, dsub)]
     payload = {
         "command": "roots",
@@ -134,9 +158,8 @@ def _cmd_roots(q, d, args) -> int:
         "support_nodes": list(sub.nodes),
         "semigroup_basis": [list(r) for r in simples],
     }
-    cls = classify_underlying_graph(sub)
     listed = []
-    if not isinstance(cls, list) and cls.kind == "dynkin":
+    if dynkin:
         roots = positive_roots(sub)
         top = highest_root(sub)
         ortho = orthogonal_roots(q, d)

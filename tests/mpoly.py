@@ -1,7 +1,8 @@
 """Polynomial oracles for the tests: sparse multivariate polynomials over
 the integers, for the symbolic checks of small discriminants, Lagrange
 interpolation and Horner evaluation, for checking line restrictions against
-pointwise values, a linear solve through the F_p LU factors, and
+pointwise values, a linear solve through the F_p LU factors, the
+exhaustive Markowitz search as the oracle for the restricted one, and
 ``degree_of``, the degree of a handle read off one scaled value, as the
 oracle for the degree formula and the degrees read off the pencils.
 
@@ -137,6 +138,73 @@ def _solve_mod(a, p: int, b=None):
         for row, v in zip(x, _lu_solve(lu, col, p)):
             row.append(v)
     return rank, det, x
+
+
+def search_all_rows(a, p: int, lower: bool):
+    """``arith._search_mod`` with the exhaustive Markowitz search: each
+    pivot is the entry of least cost (r - 1)(c - 1) over every active row
+    (Markowitz 1957), not only the shortest few.  The oracle for the
+    restricted search, which must give the same rank, determinant and
+    solves; monkeypatch it in as ``arith._search_mod``.
+    """
+    n = len(a[0]) if a else 0
+    rows = [{j: v for j, x in enumerate(row) if (v := x % p)} for row in a]
+    cols = [set() for _ in range(n)]  # active rows with a nonzero in each column
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def col_count(j):
+        return len(cols[j])
+
+    active = {i for i, row in enumerate(rows) if row}
+    pivots = []
+    det = 1
+    if lower:
+        lrows = [([], []) for _ in a]  # (earlier steps, multipliers) per row
+        forward, backward = [], []
+    while active:
+        best = None
+        for i in active:
+            row = rows[i]
+            j = min(row, key=col_count)
+            cost = (len(row) - 1) * (len(cols[j]) - 1)
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+                if not cost:
+                    break
+        _, r, c = best
+        prow = rows[r]
+        active.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        pv = prow.pop(c)  # the pivot row keeps only its off-pivot entries
+        inv = pow(pv, -1, p)
+        det = det * pv % p
+        step = len(pivots)
+        pivots.append((r, c))
+        if lower:
+            forward.append((r, *lrows[r]))
+            backward.append((c, inv, tuple(prow), tuple(prow.values())))
+        for i in list(cols[c]):
+            row = rows[i]
+            f = row.pop(c) * inv % p
+            cols[c].discard(i)
+            if lower:
+                lrows[i][0].append(step)
+                lrows[i][1].append(f)
+            for j, y in prow.items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                active.discard(i)
+    return det, pivots, (forward, backward[::-1]) if lower else None
 
 
 def interpolate(points, p=None):

@@ -22,8 +22,8 @@ from qlfd.arith import (
     rank_exact,
     rank_mod,
 )
-from qlfd.fixtures import builtin
-from qlfd.repmatrix import action_matrix
+from qlfd.fixtures import builtin, builtin_names
+from qlfd.repmatrix import action_matrix, defect_matrix, random_representation
 
 from mpoly import (
     _solve_mod,
@@ -34,6 +34,7 @@ from mpoly import (
     mp_mul,
     mp_var,
     poly_eval,
+    search_all_rows,
 )
 
 P = DEFAULT_PRIME
@@ -736,6 +737,42 @@ def test_plans_and_schedules_share_the_cache_bound():
         assert len(arith._PLANS) <= limit
     assert list(arith._PLANS) == keys[-limit:]  # the oldest went first, schedule and all
     assert all(plan.schedule is not None for plan in arith._PLANS.values())
+
+
+def _schedule_updates(a, pivots):
+    # the entry updates of the schedule compiled from a pivot sequence: the
+    # Markowitz costs (r - 1)(c - 1) of its steps after symbolic fill
+    steps, _ = arith._compile_schedule(arith._Plan(pivots), a)
+    return sum(len(cols) * len(targets) for _, _, cols, targets in steps)
+
+
+def test_restricted_search_matches_the_exhaustive_oracle(monkeypatch):
+    # on every builtin's action matrix A(v) and its brick-probe matrix
+    # M(V, V), whose rank is below its column count: the same rank,
+    # determinant and solves as the search over every active row, and
+    # schedules at most 10% costlier over the whole set
+    restricted = arith._search_mod
+    rng = Rng(1818)
+    updates = {restricted: 0, search_all_rows: 0}
+    deficient = 0
+    for name in builtin_names():
+        q, d = builtin(name)
+        lfm = action_matrix(q, d)
+        vec = [rng.below(P) for _ in range(lfm.coords.total)]
+        v = random_representation(q, d, P, 1818)
+        for a in (lfm.evaluate(vec, P), defect_matrix(v, v)):
+            w = [rng.below(P) for _ in a]
+            results = []
+            for search in (restricted, search_all_rows):
+                updates[search] += _schedule_updates(a, search(a, P, False)[1])
+                arith._PLANS.clear()
+                monkeypatch.setattr(arith, "_search_mod", search)
+                rank, det, lu = arith._factor_mod(a, P, True)
+                results.append((rank, det, lu and arith._lu_solve(lu, w, P)))
+            assert results[0] == results[1], name
+            deficient += results[0][0] < len(a[0])
+    assert deficient >= 28  # every M(V, V), and A(v) where the discriminant is 0
+    assert updates[restricted] <= 1.1 * updates[search_all_rows]
 
 
 def test_charpoly_matches_determinant_evaluation():

@@ -1,11 +1,18 @@
 """Properties of ``certify`` over generated and builtin inputs: the
-deterministic core against the randomized line certificate, and the
-invariance under reversing every arrow."""
+deterministic core against the randomized line certificate, the
+invariance under reversing every arrow, and reports that repeat byte for
+byte, in one process with the pivot plans kept and across processes."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qlfd import arith
 from qlfd.arith import DEFAULT_PRIME
 from qlfd.certify import certify, multiplicity_vector
+from qlfd.cli import main
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.quiver import level_function, opposite_quiver
 from qlfd.repmatrix import random_representation
@@ -16,6 +23,7 @@ from mpoly import degree_of
 from randquiver import random_real_roots
 
 P = DEFAULT_PRIME
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_definitive_verdicts_match_the_euler_form_prediction():
@@ -52,3 +60,44 @@ def test_opposite_quiver_gives_the_same_verdict_and_components(report_for, name)
     assert sorted((c.degree, c.multiplicity) for c in opp.components) == sorted(
         (c.degree, c.multiplicity) for c in rep.components
     )
+
+
+REPEATED = [
+    ["--builtin", "a5"],
+    ["--builtin", "q3"],
+    ["--builtin", "star5"],
+    ["--builtin", "e6-q1", "--exact"],
+]
+
+
+@pytest.mark.parametrize("argv", REPEATED, ids=["a5", "q3", "star5", "e6-q1-exact"])
+def test_a_second_certify_replays_the_plans_and_repeats_the_report(argv, capsys, monkeypatch):
+    # the first run meets every sparsity pattern and runs the pivot search;
+    # the second replays the kept plans through compiled schedules only
+    searches = []
+    search = arith._search_mod
+    monkeypatch.setattr(arith, "_search_mod", lambda *a: searches.append(1) or search(*a))
+    arith._PLANS.clear()
+    reports = []
+    for _ in range(2):
+        before = len(searches)
+        assert main(["certify", *argv, "--format", "json"]) == 0
+        reports.append((capsys.readouterr(), len(searches) - before))
+    (first, first_searches), (second, second_searches) = reports
+    assert first_searches > 0 and second_searches == 0
+    assert second.out == first.out and first.err == second.err == ""
+
+
+@pytest.mark.parametrize("argv", REPEATED, ids=["a5", "q3", "star5", "e6-q1-exact"])
+def test_repeated_cli_runs_give_byte_identical_json(argv):
+    # fresh interpreters with different string hashing
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "qlfd.cli", "certify", *argv, "--format", "json"],
+            capture_output=True, timeout=120,
+            env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(hash_seed)},
+        )
+        for hash_seed in (0, 1)
+    ]
+    assert [out.returncode for out in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and outs[0].stdout.startswith(b'{"command"')

@@ -156,13 +156,50 @@ def test_cli_roots_on_definite_non_dynkin_support(capsys):
 
 @pytest.mark.parametrize("name", ["tilde-d4-iv"])
 def test_cli_roots_rejects_non_definite_lattice(capsys, name):
-    # d is a real root but not a Schur root there
+    # d is a real root but not a Schur root there: the brick probe refuses it
+    # before the reflection search runs
     code, out, err = run_cli(capsys, "roots", "--builtin", name)
     assert code == 1 and out == ""
+    assert err == "error: not a Schur root: dim End >= 2 at 8 sampled representations\n"
+
+
+WILD_FILE = """quiver wild
+node 0
+node 1
+node 2
+arrow a 0 1
+arrow b 0 1
+arrow c 1 2
+arrow e 1 2
+dim 0 2
+dim 1 7
+dim 2 2
+"""
+
+
+def test_cli_roots_probes_a_wild_non_schur_root_before_the_search(tmp_path, capsys, monkeypatch):
+    # d = (2,7,2) on 0 => 1 => 2 is a real root with generic dim End 10; the
+    # reflection search would spend its whole state bound before refusing it
+    calls = []
+    monkeypatch.setattr(cli, "perpendicular_simples", lambda *a: calls.append(a))
+    path = tmp_path / "wild.qf"
+    path.write_text(WILD_FILE)
+    code, out, err = run_cli(capsys, "roots", "--file", str(path))
+    assert (code, out) == (1, "") and calls == []
+    assert err == "error: not a Schur root: dim End >= 10 at 8 sampled representations\n"
+    code, out, err = run_cli(capsys, "roots", "--file", str(path), "--prime", "101")
+    assert (code, out) == (1, "") and calls == []
     assert err == (
-        "error: no (A) or (D) move in a finite reflection orbit; d may not be "
-        "a Schur root\n"
+        "error: option prime needs a prime above 2**40 on a non-Dynkin support: "
+        "101 <= 2**40\n"
     )
+
+
+def test_cli_roots_skips_the_brick_probe_on_a_dynkin_support(capsys, monkeypatch):
+    # every real root of a Dynkin support is a Schur root
+    monkeypatch.setattr(cli, "brick_probe", None)
+    code, out, err = run_cli(capsys, "roots", "--builtin", "e8-central-sink", "--prime", "101")
+    assert code == 0 and err == ""
 
 
 def test_cli_roots_lists_the_q3_components(capsys, report_for):
