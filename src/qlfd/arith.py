@@ -181,8 +181,8 @@ def _factor_mod(a, p: int, lower: bool = False):
 
     A may be rectangular.  The determinant is 0 unless A is square and
     invertible; the factors are None unless, in addition, ``lower`` asks
-    for them.  They are the elimination itself, as ``_lu_solve`` uses it:
-    the forward steps (pivot row, the earlier steps whose pivot rows
+    for them.  They are the elimination itself, as ``_compile_operator``
+    uses it: the forward steps (pivot row, the earlier steps whose pivot rows
     updated it, their multipliers) in pivot order, and the backward steps
     (pivot column, inverse pivot, the pivot row's off-pivot columns and
     values) in reverse order.  Only a solve needs the multipliers, so a
@@ -249,25 +249,6 @@ def _factor_mod(a, p: int, lower: bool = False):
             if length % 2 == 0:
                 det = -det
     return rank, det % p, lu
-
-
-def _lu_solve(lu, w, p: int):
-    """A^{-1} w over F_p for the factors ``lu`` of ``_factor_mod``.
-
-    The forward pass replays the row operations on w, one gathered dot
-    product per pivot row; the backward pass solves the pivot rows in
-    reverse, one gathered dot product per column.
-    """
-    forward, backward = lu
-    y = []
-    get = y.__getitem__
-    for r, steps, fs in forward:
-        y.append((w[r] - sum(map(mul, fs, map(get, steps)))) % p)
-    x = [0] * len(y)
-    get = x.__getitem__
-    for yk, (c, inv, cols, vals) in zip(reversed(y), backward):
-        x[c] = (yk - sum(map(mul, vals, map(get, cols)))) * inv % p
-    return x
 
 
 def _search_mod(a, p: int, lower: bool):
@@ -735,14 +716,15 @@ def det_pencil_poly(m0, m1, p: int | None):
 
     det(M0 + t M1) = det M1 * det(t I + M1^{-1} M0).  Over F_p,
     ``_factor_mod`` factors M1, and the Hessenberg reduction of
-    ``_charpoly_op`` takes X = M1^{-1} M0 as an operator: the sparse rows
-    of M0, then the triangular solves of ``_lu_solve``, so X is never
-    formed.  X is zero on every column where M0 is, so with the m live
-    columns of M0 first, det(t I + X) = t^(n-m) det(t I_m + X[live, live]),
-    and the reduction runs on the live block only.  det(t I + X) =
-    (-1)^n chi_X(-t) flips the signs of alternate coefficients of the
-    characteristic polynomial of X.  The leading coefficient is det M1, so
-    f has full degree whenever it is returned.
+    ``_charpoly_op`` takes X = M1^{-1} M0 as an operator, compiled once per
+    pencil by ``_compile_operator`` from the sparse rows of M0 and the
+    factors of M1, so X is never formed.  X is zero on every column where
+    M0 is, so with the m live columns of M0 first, det(t I + X) =
+    t^(n-m) det(t I_m + X[live, live]), and the reduction runs on the live
+    block only.  det(t I + X) = (-1)^n chi_X(-t) flips the signs of
+    alternate coefficients of the characteristic polynomial of X.  The
+    leading coefficient is det M1, so f has full degree whenever it is
+    returned.
 
     Over Q the same kernel runs at the primes of ``_crt_prime``, skipping
     those that divide det M1, and the coefficients are lifted by the
@@ -760,23 +742,73 @@ def det_pencil_poly(m0, m1, p: int | None):
     _, det_m1, lu = _factor_mod(m1, p, True)
     if lu is None:
         return None
+    op = _compile_operator(m0, lu, p)
+    m = op[0]
+    chi = [0] * (n - m) + _charpoly_op(lambda u: _run_operator(op, u, p), m, p)
+    neg = (p - det_m1) % p
+    return [c * (neg if (n - i) % 2 else det_m1) % p for i, c in enumerate(chi)]
+
+
+def _compile_operator(m0, lu, p: int):
+    """The operator u -> X[live, live] u of ``det_pencil_poly``, X =
+    M1^{-1} M0, for the factors ``lu`` of M1 by ``_factor_mod``.
+
+    Returns (m, size, forward, backward) for ``_run_operator``, with m the
+    number of live columns of M0.  Forward step k, with pivot row r, is one
+    pair of index and coefficient tuples over the list z = u + y, which the
+    pass grows by y_k: row r of M0 on the live columns (indices into u),
+    then the earlier steps that updated row r (indices into y), each with
+    its multiplier f stored as p - f.  So y_k = (L^{-1} M0 u)_k is one
+    gathered product.  The backward pass needs the solution only on the
+    live columns, which read the columns of their pivot rows in U, and so
+    on: it keeps only the steps whose pivot column lies in that closure, in
+    back-substitution order, as (position, index of y_k in z, inverse pivot,
+    positions of the pivot row's other columns, their values), with
+    positions in a list of ``size`` entries that holds the live columns
+    first.
+    """
+    n = len(m0)
     cols = range(n)
     supports = [tuple(compress(cols, row)) for row in m0]
     live = sorted(set().union(*supports))
+    m = len(live)
     at = {j: i for i, j in enumerate(live)}  # column of M0 -> index in u
-    rows = [
-        (tuple(map(at.__getitem__, support)), [row[j] for j in support])
-        for row, support in zip(m0, supports)
-    ]
+    lower, upper = lu
+    forward = tuple(
+        ((*map(at.__getitem__, supports[r]), *(m + k for k in steps)),
+         (*(m0[r][j] for j in supports[r]), *(p - f for f in fs)))
+        for r, steps, fs in lower
+    )
+    # U's pivot rows hold only later pivot columns, so one pass in pivot
+    # order closes the live columns under "its pivot row reads column j"
+    need = set(live)
+    for c, _, row, _ in reversed(upper):
+        if c in need:
+            need.update(row)
+    for c in sorted(need.difference(live)):
+        at[c] = len(at)
+    backward = tuple(
+        (at[c], m + n - 1 - i, inv, tuple(map(at.__getitem__, row)), vals)
+        for i, (c, inv, row, vals) in enumerate(upper)
+        if c in need
+    )
+    return m, len(need), forward, backward
 
-    def apply(u):
-        get = u.__getitem__
-        x = _lu_solve(lu, [sum(map(mul, vals, map(get, support))) for support, vals in rows], p)
-        return list(map(x.__getitem__, live))
 
-    chi = [0] * (n - len(live)) + _charpoly_op(apply, len(live), p)
-    neg = (p - det_m1) % p
-    return [c * (neg if (n - i) % 2 else det_m1) % p for i, c in enumerate(chi)]
+def _run_operator(op, u, p: int):
+    """X[live, live] u over F_p for an operator of ``_compile_operator``:
+    one gathered product per forward step, and one per kept backward step."""
+    m, size, forward, backward = op
+    z = list(u)
+    get = z.__getitem__
+    push = z.append
+    for idx, coef in forward:
+        push(sum(map(mul, coef, map(get, idx))) % p)
+    x = [0] * size
+    xget = x.__getitem__
+    for c, k, inv, idx, vals in backward:
+        x[c] = (z[k] - sum(map(mul, vals, map(xget, idx)))) * inv % p
+    return x[:m]
 
 
 @cache

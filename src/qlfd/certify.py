@@ -91,6 +91,14 @@ class CertifyError(RuntimeError):
         self.stage = stage
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64): the random streams use the seed
+    modulo 2**64, so such a seed would be reported as given but behave as
+    another seed."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass
 class CertifyOptions:
     prime: int = DEFAULT_PRIME
@@ -98,10 +106,7 @@ class CertifyOptions:
     exact: bool = False  # exact rational evaluations; small Dynkin fixtures only
 
     def __post_init__(self):
-        # the random streams use the seed modulo 2**64; a seed outside that
-        # range would be reported as given but behave as another seed
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         PrimeField(self.prime)
         if self.prime < 5:
             # random_scalar draws from [2, p - 2]

@@ -20,6 +20,7 @@ from .certify import (
     CertifyError,
     CertifyOptions,
     certify,
+    check_seed,
     discriminant_degree,
 )
 from .fixtures import block_handles, builtin, builtin_names
@@ -144,8 +145,7 @@ def _cmd_roots(q, d, args) -> int:
                 f"option prime needs a prime above 2**40 on a non-Dynkin "
                 f"support: {args.prime} <= 2**40"
             )
-        seed = CertifyOptions(seed=args.seed).seed
-        brick = brick_probe(sub, dsub, args.prime, derive_seed(seed, 101))
+        brick = brick_probe(sub, dsub, args.prime, derive_seed(args.seed, 101))
         if brick.verdict != "brick":
             raise SystemExit2(
                 f"not a Schur root: dim End >= {brick.endomorphism_dim} at "
@@ -180,10 +180,8 @@ def _cmd_roots(q, d, args) -> int:
 
 
 def _cmd_discriminant(q, d, args) -> int:
-    # CertifyOptions rejects a seed outside [0, 2**64), as for certify; the
-    # prime need only exceed twice the degree, which discriminant_degree checks
-    seed = CertifyOptions(seed=args.seed).seed
-    deg = discriminant_degree(q, d, None if args.exact else args.prime, seed)
+    # the prime need only exceed twice the degree, which discriminant_degree checks
+    deg = discriminant_degree(q, d, None if args.exact else args.prime, args.seed)
     w = discriminant_weight(q, d)
     payload = {
         "command": "discriminant",
@@ -302,7 +300,20 @@ def _cmd_table(q, d, args) -> int:
     return _verdict_exit(report)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "euler": _cmd_euler,
+    "roots": _cmd_roots,
+    "semiinv": _cmd_semiinv,
+    "discriminant": _cmd_discriminant,
+    "certify": _cmd_certify,
+    "table": _cmd_table,
+}
+
+
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` only, or with every
+    subparser when ``command`` names none (a bare ``qlfd``, ``--help``, a
+    typo), so that help and errors list them all."""
     parser = _Parser(
         prog="qlfd",
         description=(
@@ -318,14 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default_seed = int(env_seed) if env_seed else DEFAULT_SEED
     except ValueError:
         raise SystemExit2(f"QLFD_SEED must be an integer, got {env_seed!r}") from None
-    for name, fn in [
-        ("euler", _cmd_euler),
-        ("roots", _cmd_roots),
-        ("semiinv", _cmd_semiinv),
-        ("discriminant", _cmd_discriminant),
-        ("certify", _cmd_certify),
-        ("table", _cmd_table),
-    ]:
+    for name in [command] if command in _COMMANDS else _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--builtin", help="builtin fixture name")
         p.add_argument("--file", help="quiver file path")
@@ -336,15 +340,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exact rational checks (small Dynkin fixtures only)")
         p.add_argument("--dump", action="store_true",
                        help="also print the canonical quiver file form")
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=_COMMANDS[name])
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         PrimeField(args.prime)
         q, d = _load(args)
+        check_seed(args.seed)  # for every command, not only those that draw
         if args.dump:
             sys.stdout.write(serialize(q, d))
         return args.handler(q, d, args)

@@ -43,18 +43,19 @@ class Representation:
     def copy(self) -> "Representation":
         return Representation(self.quiver, self.dims, self.modulus, self.mats)
 
-    def scale_first_coordinate(self, node: str, lam) -> "Representation":
-        """Act by the group element that is diag(lam, 1, ..., 1) at ``node``
-        and the identity elsewhere: V(a) -> g_head V(a) g_tail^{-1}."""
-        x = self.quiver.index[node]
+    def scale_first_coordinates(self, lams) -> "Representation":
+        """Act by the group element that is diag(lam_x, 1, ..., 1) at each
+        node index x of the dict ``lams`` and the identity elsewhere:
+        V(a) -> g_head V(a) g_tail^{-1}, on one copy."""
         p = self.modulus
-        inv = power(lam, -1, p)
+        invs = {x: power(lam, -1, p) for x, lam in lams.items()}
         out = self.copy()
-        for a in range(self.quiver.arrow_count):
-            m = out.mats[a]
-            if self.quiver.heads[a] == x and m:
+        for m, h, t in zip(out.mats, self.quiver.heads, self.quiver.tails):
+            if h in lams and m:
+                lam = lams[h]
                 m[0] = [reduce(v * lam, p) for v in m[0]]
-            if self.quiver.tails[a] == x:
+            if t in invs:
+                inv = invs[t]
                 for row in m:
                     if row:
                         row[0] = reduce(row[0] * inv, p)
@@ -88,43 +89,54 @@ def _check_pair(w: Representation, v: Representation):
         raise ValueError("representations live over different fields")
 
 
-def defect_matrix(w: Representation, v: Representation):
+def defect_matrix(w: Representation, v: Representation, zero_w: bool = False):
     """Matrix of the map sending node-wise linear maps (psi_x: W_x -> V_x) to
     their commutation defects psi_head W(a) - V(a) psi_tail along the arrows.
 
     Columns: node blocks in node order, psi_x entries row-major.  Rows: arrow
     blocks in arrow order, target entries row-major.  Its kernel consists of
-    the morphisms W -> V; its cokernel is the space of extensions.
+    the morphisms W -> V; its cokernel is the space of extensions.  With
+    ``zero_w`` it is M(0, V) for the zero representation of W's dimension
+    vector: W's entries are left out.
+
+    Each row of arrow a takes W(a)'s entries in the psi_head block and
+    V(a)'s in the psi_tail block, which are disjoint unless a is a loop, so
+    each cell is written once, reduced over F_p.
     """
     _check_pair(w, v)
     q = w.quiver
     e, d = w.dims, v.dims
+    p = w.modulus
     col_off = []
     total_cols = 0
     for x in range(q.node_count):
         col_off.append(total_cols)
         total_cols += d[x] * e[x]
-    row_off = []
-    total_rows = 0
-    for a in range(q.arrow_count):
-        row_off.append(total_rows)
-        total_rows += e[q.tails[a]] * d[q.heads[a]]
-    m = _zeros(total_rows, total_cols)
+    m = []
     for a in range(q.arrow_count):
         t, h = q.tails[a], q.heads[a]
-        wa, va = w.mats[a], v.mats[a]
-        for r in range(d[h]):
-            for s in range(e[t]):
-                row = row_off[a] + r * e[t] + s
+        eh, et = e[h], e[t]
+        wa = w.mats[a]
+        # column s of W(a) and row r of -V(a)
+        wcols = [[wa[j][s] for j in range(eh)] for s in range(et)]
+        vrows = [[-x for x in row] for row in v.mats[a]]
+        if p is not None:
+            wcols = [[x % p for x in col] for col in wcols]
+            vrows = [[x % p for x in row] for row in vrows]
+        tail = col_off[t]
+        tail_end = tail + d[t] * et
+        for r, vrow in enumerate(vrows):
+            head = col_off[h] + r * eh
+            for s in range(et):
+                row = [0] * total_cols
                 # + (psi_h W(a))[r, s]: coefficient W(a)[j, s] at psi_h[r, j]
-                for j in range(e[h]):
-                    m[row][col_off[h] + r * e[h] + j] += wa[j][s]
+                if not zero_w:
+                    row[head:head + eh] = wcols[s]
                 # - (V(a) psi_t)[r, s]: coefficient -V(a)[r, i] at psi_t[i, s]
-                for i in range(d[t]):
-                    m[row][col_off[t] + i * e[t] + s] -= va[r][i]
-    if w.modulus is not None:
-        p = w.modulus
-        m = [[x % p for x in row] for row in m]
+                row[tail + s:tail_end:et] = vrow
+                if h == t and not zero_w:  # a loop: both blocks meet at psi[r, s]
+                    row[head + s] = reduce(wcols[s][s] + vrow[r], p)
+                m.append(row)
     return m
 
 

@@ -95,10 +95,8 @@ class SchofieldHandle:
         Its leading coefficient is det M(W, V1) = h(V1), so it has full
         degree exactly when h(V1) != 0.
         """
-        p = v0.modulus
-        zero_mats = [[[0] * len(row) for row in m] for m in self.witness.mats]
-        zero = Representation(self.quiver, self.root, p, zero_mats)
-        return det_pencil_poly(defect_matrix(zero, v0), defect_matrix(self.witness, v1), p)
+        m0 = defect_matrix(self.witness, v0, zero_w=True)
+        return det_pencil_poly(m0, defect_matrix(self.witness, v1), v0.modulus)
 
     def restrict(self, f):
         """h(V0 + t V1) from its pencil f = t^(n-k) h(V0 + t V1), k the
@@ -295,12 +293,12 @@ def verify_weight(handle, declared, v: Representation, value, seed: int) -> bool
     q, d, p = handle.quiver, handle.dims, v.modulus
     rng = Rng(seed)
     expect = value
-    for x, node in enumerate(q.nodes):
+    lams = {}
+    for x in range(q.node_count):
         if d[x]:
-            lam = random_scalar(rng.split(1, x), p)
-            v = v.scale_first_coordinate(node, lam)
+            lams[x] = lam = random_scalar(rng.split(1, x), p)
             expect = reduce(expect * power(lam, declared[x], p), p)
-    return handle.evaluate(v) == expect
+    return handle.evaluate(v.scale_first_coordinates(lams)) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Polynomial oracles for the tests: sparse multivariate polynomials over
 the integers, for the symbolic checks of small discriminants, Lagrange
 interpolation and Horner evaluation, for checking line restrictions against
-pointwise values, a linear solve through the F_p LU factors, the
-exhaustive Markowitz search as the oracle for the restricted one, and
+pointwise values, a linear solve through the F_p LU factors
+(``_lu_solve``, the oracle for the pencil operator of
+``arith._compile_operator``), the exhaustive Markowitz search as the oracle for the restricted one, and
 ``degree_of``, the degree of a handle read off one scaled value, as the
 oracle for the degree formula and the degrees read off the pencils.
 
@@ -13,11 +14,11 @@ symbolically.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from qlfd.arith import (
     Rng,
     _factor_mod,
-    _lu_solve,
     poly_deriv,
     poly_trim,
     power,
@@ -124,6 +125,25 @@ def poly_eval(f, t, p=None):
         if p is not None:
             acc %= p
     return acc
+
+
+def _lu_solve(lu, w, p: int):
+    """A^{-1} w over F_p for the factors ``lu`` of ``_factor_mod``.
+
+    The forward pass replays the row operations on w, one gathered dot
+    product per pivot row; the backward pass solves the pivot rows in
+    reverse, one gathered dot product per column.
+    """
+    forward, backward = lu
+    y = []
+    get = y.__getitem__
+    for r, steps, fs in forward:
+        y.append((w[r] - sum(map(mul, fs, map(get, steps)))) % p)
+    x = [0] * len(y)
+    get = x.__getitem__
+    for yk, (c, inv, cols, vals) in zip(reversed(y), backward):
+        x[c] = (yk - sum(map(mul, vals, map(get, cols)))) * inv % p
+    return x
 
 
 def _solve_mod(a, p: int, b=None):

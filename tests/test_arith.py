@@ -26,6 +26,7 @@ from qlfd.fixtures import builtin, builtin_names
 from qlfd.repmatrix import action_matrix, defect_matrix, random_representation
 
 from mpoly import (
+    _lu_solve,
     _solve_mod,
     interpolate,
     mp_const,
@@ -768,7 +769,7 @@ def test_restricted_search_matches_the_exhaustive_oracle(monkeypatch):
                 arith._PLANS.clear()
                 monkeypatch.setattr(arith, "_search_mod", search)
                 rank, det, lu = arith._factor_mod(a, P, True)
-                results.append((rank, det, lu and arith._lu_solve(lu, w, P)))
+                results.append((rank, det, lu and _lu_solve(lu, w, P)))
             assert results[0] == results[1], name
             deficient += results[0][0] < len(a[0])
     assert deficient >= 28  # every M(V, V), and A(v) where the discriminant is 0
@@ -1025,6 +1026,76 @@ def test_det_pencil_poly_runs_the_hessenberg_pass_on_live_columns(monkeypatch):
             assert f == interpolate(points, P)
         assert poly_degree(f) == n and not any(f[:len(dead)])
         assert sizes and set(sizes) == {n - len(dead)}
+
+
+def _operator_oracle(m0, lu, u, p):
+    """X[live, live] u for X = M1^{-1} M0, by one full solve of M0 u."""
+    live = sorted({j for row in m0 for j, x in enumerate(row) if x})
+    w = [sum(row[j] * x for j, x in zip(live, u)) for row in m0]
+    return list(map(_lu_solve(lu, w, p).__getitem__, live))
+
+
+def _sparse_invertible(rng, n, p):
+    while True:
+        m1 = [[rng.below(p) if not rng.below(3) else 0 for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m1[i][(i * 5 + 3) % n] = 1 + rng.below(p - 1)
+        if det_mod(m1, p):
+            return m1
+
+
+@pytest.mark.parametrize("p", [13, 101, P])
+def test_compiled_operator_matches_the_lu_solve_oracle(p):
+    # random sparse pencils on a random live set of columns: the compiled
+    # operator against full solves through the factors of M1, and the
+    # pencil against interpolation; some M0 blocks are singular (a live
+    # column twice another, or a zero row), and most backward closures are
+    # larger than the live set
+    rng = Rng(1900 + p % 1000)
+    wider = singular = 0
+    for trial in range(60):
+        n = 1 + trial % 10
+        m1 = _sparse_invertible(rng, n, p)
+        live = [j for j in range(n) if rng.below(3)]
+        m0 = [[rng.below(p) if j in live and rng.below(2) else 0 for j in range(n)]
+              for _ in range(n)]
+        if trial % 3 == 1 and len(live) > 1:
+            a, b = live[:2]
+            for row in m0:
+                row[b] = 2 * row[a] % p
+        if trial % 3 == 2:
+            m0[0] = [0] * n
+        _, _, lu = arith._factor_mod(m1, p, True)
+        op = arith._compile_operator(m0, lu, p)
+        m = op[0]
+        assert m == len({j for row in m0 for j, x in enumerate(row) if x})
+        for _ in range(3):
+            u = [rng.below(p) for _ in range(m)]
+            assert arith._run_operator(op, u, p) == _operator_oracle(m0, lu, u, p)
+        wider += op[1] > m
+        live_block = [[row[j] for j in range(n) if any(r[j] for r in m0)] for row in m0]
+        singular += m > 0 and arith.rank_mod(live_block, p) < m
+        f = det_pencil_poly(m0, m1, p)
+        points = [(t, det_mod(_pencil_at(m0, m1, t, p), p)) for t in range(n + 1)]
+        assert f == interpolate(points, p) and poly_degree(f) == n
+    assert wider >= 15 and singular >= 15
+
+
+def test_backward_pass_runs_over_the_live_closure_only():
+    # a star7 handle pencil: n = 49, 7 live columns of M(0, V0), which read
+    # 6 more columns through U; the backward pass takes 13 steps, not 49
+    q, d = builtin("star7")
+    e = (0, 1, 1, 1, 1, 1, 1, 1, 6)
+    w = random_representation(q, e, P, 2001)
+    m0 = defect_matrix(w, random_representation(q, d, P, 2002), zero_w=True)
+    m1 = defect_matrix(w, random_representation(q, d, P, 2003))
+    _, _, lu = arith._factor_mod(m1, P, True)
+    m, size, forward, backward = arith._compile_operator(m0, lu, P)
+    assert (len(m0), m, size, len(forward), len(backward)) == (49, 7, 13, 49, 13)
+    rng = Rng(2004)
+    for _ in range(3):
+        u = [rng.below(P) for _ in range(m)]
+        assert arith._run_operator((m, size, forward, backward), u, P) == _operator_oracle(m0, lu, u, P)
 
 
 def test_mpoly_det_matches_exact_on_constants():

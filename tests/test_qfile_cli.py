@@ -323,6 +323,27 @@ def test_cli_discriminant_rejects_seed_outside_64_bits(capsys, seed):
     assert err.startswith("error: seed must lie in [0, 2**64)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["a3", "star5"])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_rejects_seed_outside_64_bits_for_every_command(capsys, command, name):
+    # the seed is checked once in main, before any command runs
+    code, out, err = run_cli(capsys, command, "--builtin", name, "--seed", "-5")
+    assert (code, out, err) == (1, "", "error: seed must lie in [0, 2**64), got -5\n")
+
+
+def test_cli_builds_only_the_named_subparser(capsys):
+    assert "{roots}" in cli._build_parser("roots").format_usage()
+    for argv0 in (None, "--help", "certfy"):
+        usage = cli._build_parser(argv0).format_usage()
+        assert "{euler,roots,semiinv,discriminant,certify,table}" in usage
+    code, _, err = run_cli(capsys, "certfy", "--builtin", "a3")
+    assert code == 1 and "invalid choice" in err and "semiinv" in err
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "{euler,roots,semiinv,discriminant,certify,table}" in capsys.readouterr().out
+
+
 def test_cli_small_prime_certify_is_inconclusive(capsys):
     assert main(["certify", "--builtin", "a4", "--prime", "7"]) == 2
     assert "false-accept bound 2^-1.2 is not below 2^-40" in capsys.readouterr().out

@@ -1,8 +1,8 @@
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME, Rng, det_mod
+from qlfd.arith import DEFAULT_PRIME, Rng, det_mod, power, reduce
 from qlfd.fixtures import builtin
-from qlfd.quiver import euler_form
+from qlfd.quiver import build_quiver, euler_form
 from qlfd.repmatrix import (
     Representation,
     action_matrix,
@@ -238,3 +238,61 @@ def test_field_mismatch_rejected():
     v2 = random_representation(q2, (1, 1, 1, 1), P, seed=1)
     with pytest.raises(ValueError):
         defect_matrix(w, v2)
+
+
+def _defect_by_accumulation(w, v, zero_w=False):
+    # every coefficient added into a zero matrix, then reduced: the
+    # definition of M(W, V), or of M(0, V)
+    q, e, d, p = w.quiver, w.dims, v.dims, w.modulus
+    col_off = [sum(d[y] * e[y] for y in range(x)) for x in range(q.node_count)]
+    m = []
+    for a in range(q.arrow_count):
+        t, h = q.tails[a], q.heads[a]
+        for r in range(d[h]):
+            for s in range(e[t]):
+                row = [0] * sum(x * y for x, y in zip(d, e))
+                for j in range(e[h]):
+                    row[col_off[h] + r * e[h] + j] += 0 if zero_w else w.mats[a][j][s]
+                for i in range(d[t]):
+                    row[col_off[t] + i * e[t] + s] -= v.mats[a][r][i]
+                m.append([reduce(x, p) for x in row])
+    return m
+
+
+@pytest.mark.parametrize("p", [7, P, None])
+def test_defect_matrix_matches_accumulation_with_loops_and_zero_witness(p):
+    # a chain, a loop with an arrow out of it, and a two-cycle with a loop:
+    # on a loop the W and V blocks meet at one cell of each row
+    rng = Rng(31)
+    for arrows in ([("a", "1", "2"), ("b", "2", "3")],
+                   [("l", "1", "1"), ("a", "1", "2")],
+                   [("a", "1", "2"), ("b", "2", "1"), ("l", "2", "2"), ("c", "1", "3")]):
+        q = build_quiver(["1", "2", "3"], arrows, allow_cycles=True)
+        for _ in range(30):
+            e = tuple(rng.below(3) for _ in range(3))
+            d = tuple(rng.below(3) for _ in range(3))
+            w = random_representation(q, e, p, rng.u64())
+            v = random_representation(q, d, p, rng.u64())
+            for zero_w in (False, True):
+                assert defect_matrix(w, v, zero_w) == _defect_by_accumulation(w, v, zero_w)
+
+
+@pytest.mark.parametrize("p", [P, None])
+def test_scale_first_coordinates_composes_the_single_node_actions(p):
+    # one copy scaled at every node equals scaling one node at a time
+    q, d = builtin("e6-q1")
+    v = random_representation(q, d, p, seed=32)
+    rng = Rng(33)
+    lams = {x: 2 + rng.below(17) for x in range(q.node_count) if rng.below(3)}
+    one_at_a_time = v
+    for x, lam in lams.items():
+        one_at_a_time = one_at_a_time.scale_first_coordinates({x: lam})
+    assert v.scale_first_coordinates(lams).mats == one_at_a_time.mats
+    for x, lam in lams.items():
+        for a in range(q.arrow_count):
+            if q.heads[a] == x and q.tails[a] not in lams and v.mats[a]:
+                assert one_at_a_time.mats[a][0] == [reduce(y * lam, p) for y in v.mats[a][0]]
+            if q.tails[a] == x and q.heads[a] not in lams and v.mats[a]:
+                inv = power(lam, -1, p)
+                assert [row[0] for row in one_at_a_time.mats[a]] == [
+                    reduce(row[0] * inv, p) for row in v.mats[a]]
