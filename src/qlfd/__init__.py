@@ -54,7 +54,6 @@ from .semiinv import (
     discriminant_weight,
     root_from_weight,
     sample_generic_witness,
-    verify_weight,
     weight_degree,
     weight_of_schofield,
     weight_support_type,

@@ -10,16 +10,15 @@ Conventions used throughout the package:
 * a univariate polynomial is a coefficient list, constant term first,
   with trailing zeros trimmed (the zero polynomial is ``[]``);
 * a field argument ``p`` is a prime for F_p or None for Q; ``det``,
-  ``rank``, ``reduce``, ``power``, ``random_scalar`` and
-  ``det_pencil_poly`` make that choice once, so that callers keep one code
-  path for both fields.
+  ``rank``, ``reduce``, ``power`` and ``det_pencil_poly`` make that
+  choice once, so that callers keep one code path for both fields.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, compress, islice
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -63,17 +62,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
+def _check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime below ``_MR_BOUND``.  Cached, so
+    a modulus checked twice in one process (the CLI's option prime, then
+    ``CertifyOptions``) runs Miller-Rabin once; a rejection is not cached."""
+    if p >= _MR_BOUND:
+        raise ValueError(
+            f"modulus {p} is too large: primality is proven only below {_MR_BOUND}"
+        )
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 class PrimeField:
     """A prime field F_p; primality of the modulus is checked on construction,
     so the modulus must lie in the range where ``is_prime`` is exact."""
 
     def __init__(self, p: int):
-        if p >= _MR_BOUND:
-            raise ValueError(
-                f"modulus {p} is too large: primality is proven only below {_MR_BOUND}"
-            )
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _check_modulus(p)
         self.p = p
 
     def inv(self, a: int) -> int:
@@ -504,12 +511,6 @@ def reduce(x, p: int | None):
 def power(x, k: int, p: int | None):
     """x**k in the field; a negative k inverts x."""
     return Fraction(x) ** k if p is None else pow(x, k, p)
-
-
-def random_scalar(rng: Rng, p: int | None) -> int:
-    """A random scalar outside {0, 1, -1}: uniform on [2, p - 2] over F_p,
-    on [2, 19] over Q."""
-    return rng.randint(2, 19) if p is None else 2 + rng.below(p - 3)
 
 
 # ---------------------------------------------------------------------------

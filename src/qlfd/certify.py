@@ -12,13 +12,18 @@ a level function l, and their multiplicities solve the weight equation.
 
 The line certificate (``line_certificate``) draws one random line, then on
 it one witness per component, whose pencil restricts the handle to the
-line and whose weight is checked with one more determinant.  It never
-restricts the discriminant Delta itself to the line: it checks
-Delta = c * P, with P = prod h_i^{a_i} over the handles, at the line's two
-ends, one determinant of Delta per end.  Once the identity holds,
-Delta|_L = c * P|_L, so the reducedness signal is the squarefreeness of
-P|_L.  It must agree with the other signal, all multiplicities 1, or the
-verdict is inconclusive.
+line: one determinant per handle and nothing else.  It never restricts the
+discriminant Delta itself to the line: it checks Delta = c * P, with
+P = prod h_i^{a_i} over the handles, at the line's two ends, one
+determinant of Delta per end.  Once the identity holds, Delta|_L = c * P|_L,
+so the reducedness signal is the squarefreeness of P|_L.  It must agree
+with the other signal, all multiplicities 1, or the verdict is
+inconclusive.
+
+No weight is checked at run time: the weight -eE of each handle holds
+exactly (see ``semiinv``), and the verdict rests on the identity checked on
+the handles themselves, so a wrong weight, through a wrong multiplicity or
+degree, would fail the identity and could not cause a false accept.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .semiinv import (
     discriminant_weight,
     root_support_type,
     sample_generic_witness,
-    verify_weight,
     weight_degree,
     weight_of_schofield,
     weight_support_type,
@@ -109,7 +113,8 @@ class CertifyOptions:
         check_seed(self.seed)
         PrimeField(self.prime)
         if self.prime < 5:
-            # random_scalar draws from [2, p - 2]
+            # refused up front on every input: no check can use so small a
+            # field, and a definitive verdict needs a prime above 2**40
             raise ValueError(f"prime must be at least 5, got {self.prime}")
 
 
@@ -399,20 +404,22 @@ def line_certificate(
     ``derive_seed(seed, 40)``.  On it ``sample_generic_witness`` draws the
     witness of root e_i on ``derive_seed(seed, 10, *e_i)``, redrawing while
     h(V1) = 0 (a [witnesses] error after 32 draws), and its pencil gives
-    h|_L; a wrong declared degree fails the identity.  ``verify_weight``
-    checks the weight at V1 with lam on ``derive_seed(seed, 20, i)``, and
-    h(V1) is the pencil's leading coefficient, so the check costs one
-    determinant; a failure is a [weights] error.
+    h|_L; a wrong declared degree fails the identity.  So each handle costs
+    one pencil and nothing else.
 
-    Error terms per handle.  A weight off by delta_x != 0 at a node x
-    passes with probability at most |delta_x|/(p - 3), or 1/18 over Q.  A
-    degree read off the pencil, on a support without a level function, can
-    only come out low, and only when h(V0) = 0, with probability at most
-    k/|S|.  A low reading only lowers the weighted degree sum, so when the
-    handles' degrees sum to dim Rep, as on a true factorization, it makes
-    the verdict inconclusive: a false inconclusive, not a false accept.
-    Only a false factorization whose degrees sum above dim Rep could be
-    brought to dim Rep by low readings, each again at most k/|S|.
+    No weight is checked: c^W(g.V) = prod_x det(g_x)**w_x c^W(V) holds
+    exactly with w = -eE (see ``semiinv``), and a wrong weight could only
+    make a wrong multiplicity a_i or degree, which the identity below then
+    fails, since it is checked on the handles themselves.
+
+    Error terms per handle.  A degree read off the pencil, on a support
+    without a level function, can only come out low, and only when
+    h(V0) = 0, with probability at most k/|S|.  A low reading only lowers
+    the weighted degree sum, so when the handles' degrees sum to dim Rep,
+    as on a true factorization, it makes the verdict inconclusive: a false
+    inconclusive, not a false accept.  Only a false factorization whose
+    degrees sum above dim Rep could be brought to dim Rep by low readings,
+    each again at most k/|S|.
 
     Then ``verify_factorization`` checks Delta = c * P, P = prod h_i^{a_i},
     at the line's two ends.  Once it holds, Delta|_L = c * P|_L, so
@@ -441,15 +448,13 @@ def line_certificate(
             restrictions = [h.restrict(h.pencil(v0, v1)) for h in handles]
         else:
             restrictions = []
-            for i, (e, k) in enumerate(zip(roots, degrees, strict=True)):
+            for e, k in zip(roots, degrees, strict=True):
                 try:
                     h, f = sample_generic_witness(e, v0, v1, derive_seed(seed, 10, *e), k)
                 except DegenerateWitnessError:
                     raise CertifyError(
                         "witnesses", f"no generic witness for orthogonal root {e}"
                     ) from None
-                if not verify_weight(h, h.weight, v1, f[-1], derive_seed(seed, 20, i)):
-                    raise CertifyError("weights", f"weight check failed for root {e}")
                 handles.append(h)
                 restrictions.append(h.restrict(f))
         ok, c, prod = verify_factorization(restrictions, mults, line, p)
@@ -565,9 +570,9 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
             raise CertifyError("multiplicities", msg)
         return report(VERDICT_INCONCLUSIVE, msg, [], dim_rep, disc_w)
 
-    # the line certificate: the witnesses and their weights on one line, the
-    # identity at its two ends and the squarefreeness of P|_L; its bound is
-    # dim Rep / |S| (see verify_factorization)
+    # the line certificate: the witnesses on one line, the identity at its
+    # two ends and the squarefreeness of P|_L; its bound is dim Rep / |S|
+    # (see verify_factorization)
     cert = line_certificate(q0, d0, simples, degrees, mults, p, seed)
     stats.lines_used = cert.lines_used
     unit = cert.unit

@@ -10,7 +10,7 @@ rationals (``modulus`` None, entries int/Fraction).
 
 from __future__ import annotations
 
-from .arith import Rng, det, power, rank, reduce
+from .arith import Rng, det, rank, reduce
 from .quiver import Quiver, is_acyclic, support, tits_form
 
 
@@ -39,27 +39,6 @@ class Representation:
 
     def mat(self, arrow_name: str):
         return self.mats[self.quiver.arrow_index[arrow_name]]
-
-    def copy(self) -> "Representation":
-        return Representation(self.quiver, self.dims, self.modulus, self.mats)
-
-    def scale_first_coordinates(self, lams) -> "Representation":
-        """Act by the group element that is diag(lam_x, 1, ..., 1) at each
-        node index x of the dict ``lams`` and the identity elsewhere:
-        V(a) -> g_head V(a) g_tail^{-1}, on one copy."""
-        p = self.modulus
-        invs = {x: power(lam, -1, p) for x, lam in lams.items()}
-        out = self.copy()
-        for m, h, t in zip(out.mats, self.quiver.heads, self.quiver.tails):
-            if h in lams and m:
-                lam = lams[h]
-                m[0] = [reduce(v * lam, p) for v in m[0]]
-            if t in invs:
-                inv = invs[t]
-                for row in m:
-                    if row:
-                        row[0] = reduce(row[0] * inv, p)
-        return out
 
     def __repr__(self) -> str:
         field = "QQ" if self.modulus is None else f"F_{self.modulus}"

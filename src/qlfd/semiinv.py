@@ -1,13 +1,22 @@
 """Determinantal semi-invariants of a representation space: weight formulas,
 degrees from the weight and a level function, handles built from a generic
-witness representation, hard-coded block-matrix recipes, witnesses drawn on
-a line and restricted to it by one pencil (which also gives the degree on an
-unbalanced cycle), and a weight check by one joint scaling.
+witness representation, hard-coded block-matrix recipes, and witnesses drawn
+on a line and restricted to it by one pencil (which also gives the degree on
+an unbalanced cycle).
+
+Weights are not checked at run time.  For every W, V and g in the group,
+M(W, g.V) = L_g M(W, V) R_g^{-1} with det L_g / det R_g = prod_x
+det(g_x)**w_x, w = -eE, so c^W(g.V) = prod_x det(g_x)**w_x c^W(V) holds
+exactly.  The test suite checks that identity on every builtin.  A wrong
+weight could not cause a false accept either: the multiplicities a_i and
+the degrees come from the weights, and the line certificate checks
+Delta = c * prod h_i^{a_i} on the handles themselves, so a wrong a_i or
+degree fails that check.
 """
 
 from __future__ import annotations
 
-from .arith import Rng, det, det_pencil_poly, power, random_scalar, reduce
+from .arith import Rng, det, det_pencil_poly, reduce
 from .quiver import (
     Classification,
     Quiver,
@@ -246,7 +255,7 @@ class BlockHandle:
 
 
 # ---------------------------------------------------------------------------
-# Witnesses and weights on the certificate line
+# Witnesses on the certificate line
 
 # A witness is drawn up to this many times before its root counts as one
 # whose semi-invariant vanishes identically.
@@ -280,25 +289,6 @@ def sample_generic_witness(e, v0: Representation, v1: Representation, seed: int,
     raise DegenerateWitnessError(
         f"no generic witness found for root {tuple(e)} after {WITNESS_DRAWS} attempts"
     )
-
-
-def verify_weight(handle, declared, v: Representation, value, seed: int) -> bool:
-    """Check the declared weight at V, where the handle takes the nonzero
-    ``value``, with one evaluation, over V's field: acting by
-    diag(lam_x, 1, ..., 1) at every support node x at once must scale the
-    value by prod_x lam_x**w(x).  A weight off by delta_x != 0 at x passes
-    only if lam_x**delta_x hits one value, with probability at most
-    |delta_x|/(p - 3) over lam_x (Schwartz-Zippel); over Q, lam_x in
-    [2, 19], at most 1/18."""
-    q, d, p = handle.quiver, handle.dims, v.modulus
-    rng = Rng(seed)
-    expect = value
-    lams = {}
-    for x in range(q.node_count):
-        if d[x]:
-            lams[x] = lam = random_scalar(rng.split(1, x), p)
-            expect = reduce(expect * power(lam, declared[x], p), p)
-    return handle.evaluate(v.scale_first_coordinates(lams)) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ the integers, for the symbolic checks of small discriminants, Lagrange
 interpolation and Horner evaluation, for checking line restrictions against
 pointwise values, a linear solve through the F_p LU factors
 (``_lu_solve``, the oracle for the pencil operator of
-``arith._compile_operator``), the exhaustive Markowitz search as the oracle for the restricted one, and
-``degree_of``, the degree of a handle read off one scaled value, as the
-oracle for the degree formula and the degrees read off the pencils.
+``arith._compile_operator``), the exhaustive Markowitz search as the
+oracle for the restricted one, ``degree_of``, the degree of a handle read
+off one scaled value, as the oracle for the degree formula and the degrees
+read off the pencils, and ``verify_weight``, a handle's weight checked
+under the group action, as the oracle for the weight formula -eE.
 
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
@@ -22,7 +24,6 @@ from qlfd.arith import (
     poly_deriv,
     poly_trim,
     power,
-    random_scalar,
     reduce,
 )
 from qlfd.repmatrix import Representation, random_representation
@@ -261,6 +262,54 @@ def interpolate(points, p=None):
     if p is not None:
         acc = [x % p for x in acc]
     return poly_trim(acc)
+
+
+# ---------------------------------------------------------------------------
+# Scalars, the group action and the weight of a handle
+
+
+def random_scalar(rng: Rng, p: int | None) -> int:
+    """A random scalar outside {0, 1, -1}: uniform on [2, p - 2] over F_p,
+    on [2, 19] over Q."""
+    return rng.randint(2, 19) if p is None else 2 + rng.below(p - 3)
+
+
+def scale_first_coordinates(v: Representation, lams) -> Representation:
+    """g.V for the group element g that is diag(lam_x, 1, ..., 1) at each
+    node index x of the dict ``lams`` and the identity elsewhere:
+    V(a) -> g_head V(a) g_tail^{-1}."""
+    p = v.modulus
+    invs = {x: power(lam, -1, p) for x, lam in lams.items()}
+    out = Representation(v.quiver, v.dims, p, v.mats)  # copies the matrices
+    for m, h, t in zip(out.mats, v.quiver.heads, v.quiver.tails):
+        if h in lams and m:
+            lam = lams[h]
+            m[0] = [reduce(x * lam, p) for x in m[0]]
+        if t in invs:
+            inv = invs[t]
+            for row in m:
+                if row:
+                    row[0] = reduce(row[0] * inv, p)
+    return out
+
+
+def verify_weight(handle, declared, v: Representation, value, seed: int) -> bool:
+    """Check the declared weight at V, where the handle takes ``value``,
+    with one evaluation, over V's field: acting by diag(lam_x, 1, ..., 1) at
+    every support node x at once must scale the value by
+    prod_x lam_x**w(x).  A weight off by delta_x != 0 at x passes only if
+    lam_x**delta_x hits one value, with probability at most
+    |delta_x|/(p - 3) over lam_x (Schwartz-Zippel); over Q, lam_x in
+    [2, 19], at most 1/18."""
+    q, d, p = handle.quiver, handle.dims, v.modulus
+    rng = Rng(seed)
+    expect = value
+    lams = {}
+    for x in range(q.node_count):
+        if d[x]:
+            lams[x] = lam = random_scalar(rng.split(1, x), p)
+            expect = reduce(expect * power(lam, declared[x], p), p)
+    return handle.evaluate(scale_first_coordinates(v, lams)) == expect
 
 
 # ---------------------------------------------------------------------------

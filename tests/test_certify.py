@@ -695,7 +695,7 @@ def test_report_serialization_shape(report_for):
 
 E6_Q1_TABLE = {
     # root -> (degree, -weight); derived from the weight formulas by hand and
-    # confirmed by the operational weight check and the factorization identity
+    # confirmed by the group action and the factorization identity
     (0, 0, 1, 1, 0, 0): (4, (0, 0, 0, 1, 0, -1)),
     (0, 1, 1, 0, 0, 0): (4, (0, 1, 0, 0, 0, -1)),
     (0, 1, 1, 1, 1, 1): (4, (0, 1, -1, 0, 1, 0)),
@@ -862,11 +862,11 @@ def test_a_low_degree_reading_is_never_definitive(monkeypatch):
     "name, exact",
     [("e8-central-sink", False), ("star7", False), ("q3", False), ("e6-q1", True), ("cycle3", False)],
 )
-def test_each_handle_costs_one_pencil_and_one_evaluation(monkeypatch, name, exact):
-    # the witness is accepted on the certificate line by its pencil, and the
-    # weight check reuses the pencil's leading coefficient h(V1): no handle
-    # is evaluated at a separate point, and the only representations drawn
-    # on the certificate are the witnesses themselves
+def test_each_handle_costs_one_pencil_and_no_evaluation(monkeypatch, name, exact):
+    # the witness is accepted on the certificate line by its pencil, and
+    # nothing else touches the handle: no weight check, no evaluation at a
+    # separate point, and the only representations drawn on the certificate
+    # are the witnesses themselves
     certify_module = importlib.import_module("qlfd.certify")
     pencils = _counting_pencils(monkeypatch)
     evaluations, drawn, active = [], [], [False]
@@ -901,8 +901,28 @@ def test_each_handle_costs_one_pencil_and_one_evaluation(monkeypatch, name, exac
     assert rep.definitive and rep.stats.lines_used == 1
     roots = sorted(c.root for c in rep.components)
     assert len(pencils) == len(roots)
-    assert sorted(evaluations) == roots
+    assert evaluations == []
     assert sorted(drawn) == roots
+
+
+def test_e8_meets_each_sparsity_pattern_once_but_the_delta_pair(monkeypatch):
+    # at the default seed E8 meets 8 patterns: A(vec1), whose plan A(vec0)
+    # replays through the one compiled schedule, and one M(W, V1) per
+    # handle, factored by the search in its pencil and never seen again
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_search_mod", "_compile_schedule", "_run_schedule"):
+        monkeypatch.setattr(arith, name, counting(name, getattr(arith, name)))
+    monkeypatch.setattr(arith, "_PLANS", type(arith._PLANS)())
+    rep = certify(*builtin("e8-central-sink"))
+    assert rep.verdict == "linear-free-divisor" and len(rep.components) == 7
+    assert calls == {"_search_mod": 8, "_compile_schedule": 1, "_run_schedule": 1}
 
 
 def test_small_prime_verdict_is_inconclusive(report_for):

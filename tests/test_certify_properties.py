@@ -1,8 +1,10 @@
 """Properties of ``certify`` over generated and builtin inputs: the
 deterministic core against the randomized line certificate, the
-invariance under reversing every arrow, and reports that repeat byte for
-byte, in one process with the pivot plans kept and across processes."""
+invariance under reversing every arrow, quiver files that round-trip to
+the same report, and reports that repeat byte for byte, in one process
+with the pivot plans kept and across processes."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from qlfd.arith import DEFAULT_PRIME
 from qlfd.certify import certify, multiplicity_vector
 from qlfd.cli import main
 from qlfd.fixtures import builtin, builtin_names
+from qlfd.qfile import parse, serialize
 from qlfd.quiver import level_function, opposite_quiver
 from qlfd.repmatrix import random_representation
 from qlfd.roots import brick_probe, perpendicular_simples
@@ -49,6 +52,25 @@ def test_definitive_verdicts_match_the_euler_form_prediction():
                 assert degree_of(SchofieldHandle(c.root, w, d), P, seed=j) == c.degree
             cycles += 1
     assert definitive >= 40 and cycles >= 10
+
+
+def test_quiver_files_round_trip_and_certify_the_same(tmp_path, capsys):
+    # parse(serialize(q, d)) gives back the nodes, the arrows and d, and
+    # certify --file prints the JSON of certify on the original quiver
+    path = tmp_path / "random.quiver"
+    for q, d in random_real_roots(31, 50):
+        text = serialize(q, d)
+        q2, d2 = parse(text)
+        assert (q2.name, q2.nodes, d2) == (q.name, q.nodes, d)
+        assert [(a.name, a.tail, a.head) for a in q2.arrows] == [
+            (a.name, a.tail, a.head) for a in q.arrows]
+        path.write_text(text, encoding="utf-8")
+        code = main(["certify", "--file", str(path), "--format", "json"])
+        rep = certify(q, d)
+        assert code == (0 if rep.definitive else 2)
+        expected = {"command": "certify", **rep.to_dict()}
+        assert capsys.readouterr().out == json.dumps(
+            expected, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("name", [n for n in builtin_names() if n != "e8-central-sink"])

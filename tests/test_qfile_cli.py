@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qlfd
-from qlfd import cli
+from qlfd import arith, cli
 from qlfd.cli import main
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.qfile import QuiverFileError, parse, serialize
@@ -314,6 +314,30 @@ def test_cli_large_prime_finishes_cleanly(prime, code):
 def test_cli_bad_prime(capsys):
     code, _, err = run_cli(capsys, "certify", "--builtin", "a3", "--prime", "91")
     assert code == 1 and "not prime" in err
+
+
+@pytest.mark.parametrize("prime, message", [
+    (91, "modulus 91 is not prime"),
+    (2**89 - 1, f"modulus {2**89 - 1} is too large"),
+])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_rejects_a_bad_prime_for_every_command(capsys, command, prime, message):
+    code, out, err = run_cli(capsys, command, "--builtin", "a3", "--prime", str(prime))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_cli_certify_tests_the_option_prime_once(capsys, monkeypatch):
+    # main checks the option prime for every command, and CertifyOptions
+    # checks it again: Miller-Rabin runs on it once
+    prime = 2**61 - 1
+    tested = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    arith._check_modulus.cache_clear()
+    code, out, _ = run_cli(capsys, "certify", "--builtin", "a4", "--prime", str(prime))
+    assert code == 0 and "linear-free-divisor" in out
+    assert tested.count(prime) == 1
 
 
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])

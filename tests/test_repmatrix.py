@@ -15,7 +15,7 @@ from qlfd.repmatrix import (
     random_representation,
 )
 
-from mpoly import mp_det, mp_mul, mp_var, mpoly_matrix
+from mpoly import mp_det, mp_mul, mp_var, mpoly_matrix, scale_first_coordinates
 
 P = DEFAULT_PRIME
 
@@ -279,15 +279,18 @@ def test_defect_matrix_matches_accumulation_with_loops_and_zero_witness(p):
 
 @pytest.mark.parametrize("p", [P, None])
 def test_scale_first_coordinates_composes_the_single_node_actions(p):
-    # one copy scaled at every node equals scaling one node at a time
+    # the group action of the weight oracle: scaling every node at once
+    # equals scaling one node at a time, and leaves V itself unchanged
     q, d = builtin("e6-q1")
     v = random_representation(q, d, p, seed=32)
+    before = [[list(row) for row in m] for m in v.mats]
     rng = Rng(33)
     lams = {x: 2 + rng.below(17) for x in range(q.node_count) if rng.below(3)}
     one_at_a_time = v
     for x, lam in lams.items():
-        one_at_a_time = one_at_a_time.scale_first_coordinates({x: lam})
-    assert v.scale_first_coordinates(lams).mats == one_at_a_time.mats
+        one_at_a_time = scale_first_coordinates(one_at_a_time, {x: lam})
+    assert scale_first_coordinates(v, lams).mats == one_at_a_time.mats
+    assert v.mats == before
     for x, lam in lams.items():
         for a in range(q.arrow_count):
             if q.heads[a] == x and q.tails[a] not in lams and v.mats[a]:

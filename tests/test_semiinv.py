@@ -3,9 +3,10 @@ import importlib
 import pytest
 
 from qlfd.arith import DEFAULT_PRIME, Rng
-from qlfd.fixtures import block_handles, builtin
-from qlfd.quiver import build_quiver
+from qlfd.fixtures import block_handles, builtin, builtin_names
+from qlfd.quiver import build_quiver, classify_underlying_graph, support_subquiver
 from qlfd.repmatrix import Representation, random_representation
+from qlfd.roots import perpendicular_simples
 from qlfd.semiinv import (
     WITNESS_DRAWS,
     BlockRecipe,
@@ -15,13 +16,12 @@ from qlfd.semiinv import (
     root_from_weight,
     root_support_type,
     sample_generic_witness,
-    verify_weight,
     weight_degree,
     weight_of_schofield,
     weight_support_type,
 )
 
-from mpoly import degree_of, interpolate
+from mpoly import degree_of, interpolate, verify_weight
 
 P = DEFAULT_PRIME
 
@@ -155,8 +155,8 @@ def test_evaluate_zero_at_origin():
 
 
 def _checked_weight(h, declared, p, seed):
-    """``verify_weight`` at a random point of Rep(Q, d), given the value
-    there."""
+    """The ``verify_weight`` oracle at a random point of Rep(Q, d), given
+    the value there."""
     v = random_representation(h.quiver, h.dims, p, seed=seed + 100)
     value = h.evaluate(v)
     assert value
@@ -188,9 +188,41 @@ def test_verify_weight_sees_an_error_only_the_joint_scaling_can_see():
             assert not _checked_weight(h, declared, p, seed=seed)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_simple_scales_by_its_weight_under_the_group(name):
+    # c^W(g.V) = prod_x lam_x**w_x c^W(V) with w = -eE holds for every W, V
+    # and g, so certify checks no weight at run time.  Here: each simple of
+    # the builtin, at three seeds over F_p, and over Q on a Dynkin support
+    # within the exact cap dim Rep <= 24
+    q, d = support_subquiver(*builtin(name))
+    try:
+        simples = perpendicular_simples(q, d)
+    except ValueError:
+        assert name == "tilde-d4-iv"  # not a Schur root: no simples
+        return
+    dim_rep = sum(d[t] * d[h] for t, h in zip(q.tails, q.heads))
+    exact = classify_underlying_graph(q).kind == "dynkin" and dim_rep <= 24
+    for e in simples:
+        w = weight_of_schofield(q, e)
+        for p in (P, None) if exact else (P,):
+            for seed in range(3):
+                # a witness and a point where the handle is nonzero; over Q
+                # a draw from [-9, 9] is 0 often enough to need redraws
+                rng = Rng(seed)
+                for attempt in range(8):
+                    witness = random_representation(q, e, p, rng.split(attempt, 0).seed)
+                    v = random_representation(q, d, p, rng.split(attempt, 1).seed)
+                    h = SchofieldHandle(e, witness, d)
+                    if value := h.evaluate(v):
+                        break
+                assert value and verify_weight(h, w, v, value, seed), (e, p, seed)
+    assert not hasattr(importlib.import_module("qlfd.semiinv"), "verify_weight")
+
+
 def test_witness_and_weight_cost_one_pencil_and_one_evaluation(monkeypatch):
-    # the witness is accepted by its pencil on the line, whose leading
-    # coefficient h(V1) is the weight check's base value
+    # the witness is accepted by its pencil on the line, with no evaluation;
+    # its leading coefficient h(V1) is the weight oracle's base value, which
+    # then costs one evaluation
     semiinv = importlib.import_module("qlfd.semiinv")
     q, d = builtin("e7-highroot")
     root = next(iter(E7_TABLE))
