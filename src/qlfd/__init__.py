@@ -13,7 +13,6 @@ from .certify import (
     multiplicity_vector,
     verify_factorization,
 )
-from .fixtures import block_handles, builtin, builtin_names
 from .qfile import parse, serialize
 from .quiver import (
     Quiver,
@@ -32,8 +31,6 @@ from .repmatrix import (
     Representation,
     action_matrix,
     defect_matrix,
-    discriminant_value,
-    extension_middle_term,
     hom_ext_dims,
     random_representation,
 )
@@ -41,7 +38,6 @@ from .roots import (
     SchurCertificate,
     brick_probe,
     highest_root,
-    is_imaginary_root,
     is_real_root,
     orthogonal_roots,
     perpendicular_simples,
@@ -52,7 +48,6 @@ from .semiinv import (
     BlockRecipe,
     SchofieldHandle,
     discriminant_weight,
-    root_from_weight,
     sample_generic_witness,
     weight_degree,
     weight_of_schofield,

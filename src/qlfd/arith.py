@@ -640,12 +640,6 @@ def _pseudo_remainder(f, g):
 # Characteristic polynomial and determinant of a matrix pencil
 
 
-def charpoly_mod(mat, p: int):
-    """Coefficients of det(t*I - A) over F_p for a dense matrix A, by the
-    Hessenberg reduction of ``_charpoly_op``."""
-    return _charpoly_op(lambda u: [sum(map(mul, row, u)) for row in mat], len(mat), p)
-
-
 def _charpoly_op(apply, n: int, p: int):
     """Coefficients of det(t*I - A) over F_p, A an n x n operator given by
     ``apply(u) = A u`` (any ints, reduced here), via Hessenberg reduction.
@@ -812,12 +806,22 @@ def _run_operator(op, u, p: int):
     return x[:m]
 
 
+# DEFAULT_PRIME and the primes just below it.  A pencil of exact mode's
+# largest size, 24 rows of entries +-99, needs 4 of them; the rest are margin
+# for primes that divide det M1.
+_CRT_PRIMES = (
+    4611686018427387847, 4611686018427387817, 4611686018427387787, 4611686018427387761,
+    4611686018427387751, 4611686018427387737, 4611686018427387733, 4611686018427387709,
+)
+
+
 @cache
 def _crt_prime(i: int) -> int:
     """The i-th prime of the multimodular pencil over Q, stepping down from
-    DEFAULT_PRIME, which is prime 0."""
-    if i == 0:
-        return DEFAULT_PRIME
+    DEFAULT_PRIME, which is prime 0: listed in ``_CRT_PRIMES``, and searched
+    past its end."""
+    if i < len(_CRT_PRIMES):
+        return _CRT_PRIMES[i]
     q = _crt_prime(i - 1) - 2
     while not is_prime(q):
         q -= 2

@@ -29,8 +29,7 @@ degree, would fail the identity and could not cause a false accept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import (
     DEFAULT_PRIME,
@@ -103,31 +102,31 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-@dataclass
 class CertifyOptions:
-    prime: int = DEFAULT_PRIME
-    seed: int = DEFAULT_SEED
-    exact: bool = False  # exact rational evaluations; small Dynkin fixtures only
-
-    def __post_init__(self):
-        check_seed(self.seed)
-        PrimeField(self.prime)
-        if self.prime < 5:
+    def __init__(self, prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED,
+                 exact: bool = False):
+        check_seed(seed)
+        PrimeField(prime)
+        if prime < 5:
             # refused up front on every input: no check can use so small a
             # field, and a definitive verdict needs a prime above 2**40
-            raise ValueError(f"prime must be at least 5, got {self.prime}")
+            raise ValueError(f"prime must be at least 5, got {prime}")
+        self.prime = prime
+        self.seed = seed
+        self.exact = exact  # exact rational evaluations; small Dynkin fixtures only
 
 
-@dataclass
 class Component:
-    handle_id: str
-    root: tuple
-    weight: tuple
-    degree: int
-    multiplicity: int
-    handle_kind: str
-    type_root: str
-    type_weight: str
+    def __init__(self, handle_id: str, root: tuple, weight: tuple, degree: int,
+                 multiplicity: int, handle_kind: str, type_root: str, type_weight: str):
+        self.handle_id = handle_id
+        self.root = root
+        self.weight = weight
+        self.degree = degree
+        self.multiplicity = multiplicity
+        self.handle_kind = handle_kind
+        self.type_root = type_root
+        self.type_weight = type_weight
 
     def to_dict(self):
         return {
@@ -143,17 +142,21 @@ class Component:
         }
 
 
-@dataclass
 class VerificationStats:
-    prime: int
-    seed: int
-    mode: str = ""
-    unit_ratio: int | str | None = None
-    ratio_point_bound_log2: float | None = None
-    lines_used: int = 0
-    brick_endomorphism_dim: int | None = None
-    brick_ext_dim: int | None = None
-    notes: tuple = ()
+    def __init__(self, prime: int, seed: int, mode: str = "",
+                 unit_ratio: int | str | None = None,
+                 ratio_point_bound_log2: float | None = None, lines_used: int = 0,
+                 brick_endomorphism_dim: int | None = None,
+                 brick_ext_dim: int | None = None, notes: tuple = ()):
+        self.prime = prime
+        self.seed = seed
+        self.mode = mode
+        self.unit_ratio = unit_ratio
+        self.ratio_point_bound_log2 = ratio_point_bound_log2
+        self.lines_used = lines_used
+        self.brick_endomorphism_dim = brick_endomorphism_dim
+        self.brick_ext_dim = brick_ext_dim
+        self.notes = notes
 
     def to_dict(self):
         return {
@@ -169,17 +172,19 @@ class VerificationStats:
         }
 
 
-@dataclass
 class LfdReport:
-    quiver_name: str
-    nodes: tuple
-    dims: tuple
-    dim_rep: int | None
-    disc_weight: tuple
-    components: list[Component]
-    verdict: str
-    reason: str | None
-    stats: VerificationStats
+    def __init__(self, quiver_name: str, nodes: tuple, dims: tuple, dim_rep: int | None,
+                 disc_weight: tuple, components: list[Component], verdict: str,
+                 reason: str | None, stats: VerificationStats):
+        self.quiver_name = quiver_name
+        self.nodes = nodes
+        self.dims = dims
+        self.dim_rep = dim_rep
+        self.disc_weight = disc_weight
+        self.components = components
+        self.verdict = verdict
+        self.reason = reason
+        self.stats = stats
 
     @property
     def definitive(self) -> bool:
@@ -372,17 +377,13 @@ def _squarefree(f, p: int | None) -> bool:
     return poly_degree(poly_gcd(f, poly_deriv(f, p), p)) == 0
 
 
-class LineCertificate(NamedTuple):
-    """What ``line_certificate`` found: the identity on every line drawn,
-    the squarefreeness of P|_L on the last one, the ratio c of the first
-    line (None when P|_L could not be formed), the number of lines, and the
-    handles, one per component root, with their degrees."""
-
-    identity: bool
-    squarefree: bool
-    unit: object
-    lines_used: int
-    handles: tuple
+# What ``line_certificate`` found: the identity on every line drawn, the
+# squarefreeness of P|_L on the last one, the ratio c of the first line (None
+# when P|_L could not be formed), the number of lines, and the handles, one
+# per component root, with their degrees.
+LineCertificate = namedtuple(
+    "LineCertificate", "identity squarefree unit lines_used handles"
+)
 
 
 def line_certificate(

@@ -23,7 +23,6 @@ from .certify import (
     check_seed,
     discriminant_degree,
 )
-from .fixtures import block_handles, builtin, builtin_names
 from .qfile import QuiverFileError, parse_path, serialize
 from .quiver import (
     cartan_matrix,
@@ -56,6 +55,8 @@ def _load(args) -> tuple:
     if not args.builtin and not args.file:
         raise SystemExit2("one of --builtin or --file is required")
     if args.builtin:
+        from .fixtures import builtin
+
         try:
             return builtin(args.builtin)
         except KeyError as exc:
@@ -246,6 +247,8 @@ def _cmd_semiinv(q, d, args) -> int:
             f"handle {c.handle_kind}"
         )
     if args.builtin:
+        from .fixtures import block_handles
+
         try:
             recipes = block_handles(args.builtin)
         except KeyError:
@@ -310,6 +313,12 @@ _COMMANDS = {
 }
 
 
+def _builtins_epilog() -> str:
+    from .fixtures import builtin_names
+
+    return "builtin fixtures: " + ", ".join(builtin_names())
+
+
 def _build_parser(command) -> argparse.ArgumentParser:
     """The parser with the subparser of ``command`` only, or with every
     subparser when ``command`` names none (a bare ``qlfd``, ``--help``, a
@@ -321,7 +330,8 @@ def _build_parser(command) -> argparse.ArgumentParser:
             "semi-invariant factorizations, and linear free divisor "
             "certification. " + _LAYOUT_NOTE
         ),
-        epilog="builtin fixtures: " + ", ".join(builtin_names()),
+        # shown only by the top-level help, which a named command never prints
+        epilog=None if command in _COMMANDS else _builtins_epilog(),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     env_seed = os.environ.get("QLFD_SEED")

@@ -8,8 +8,6 @@ with that order.
 
 from __future__ import annotations
 
-from difflib import get_close_matches
-
 from .quiver import Quiver, build_quiver
 from .semiinv import BlockHandle, BlockRecipe, weight_of_schofield
 
@@ -190,6 +188,8 @@ def builtin(name: str) -> tuple[Quiver, tuple[int, ...]]:
         return _d_n_prop(int(key[1:-5]))
     if key.startswith("star") and key[4:].isdigit():
         return _star(int(key[4:]))
+    from difflib import get_close_matches  # only on this error path
+
     close = get_close_matches(key, builtin_names(), n=4, cutoff=0.4)
     hint = f"; did you mean {', '.join(close)}?" if close else ""
     raise KeyError(f"unknown builtin quiver {name!r}{hint}")

@@ -9,15 +9,10 @@ is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
-
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    tail: str
-    head: str
+Arrow = namedtuple("Arrow", "name tail head")
 
 
 class Quiver:
@@ -276,11 +271,9 @@ def opposite_quiver(q: Quiver) -> Quiver:
 # Underlying-graph classification
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "dynkin" | "extended" | "other"
-    letter: str | None = None
-    rank: int | None = None
+# kind: "dynkin" | "extended" | "other"
+class Classification(namedtuple("Classification", "kind letter rank", defaults=(None, None))):
+    __slots__ = ()
 
     @property
     def label(self) -> str:

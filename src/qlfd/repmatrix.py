@@ -1,7 +1,6 @@
 """Concrete matrix realizations over a field: representations, the defect
-matrix of the fundamental exact sequence, the infinitesimal-action matrix
-whose determinant is the discriminant's equation, and the middle term of an
-extension.
+matrix of the fundamental exact sequence, and the infinitesimal-action
+matrix whose determinant is the discriminant's equation.
 
 A representation assigns to each arrow a d(head) x d(tail) matrix.  The
 field is a prime field (``modulus`` an int, entries in [0, p)) or the exact
@@ -10,7 +9,7 @@ rationals (``modulus`` None, entries int/Fraction).
 
 from __future__ import annotations
 
-from .arith import Rng, det, rank, reduce
+from .arith import Rng, rank, reduce
 from .quiver import Quiver, is_acyclic, support, tits_form
 
 
@@ -130,65 +129,6 @@ def hom_ext_dims(w: Representation, v: Representation) -> tuple[int, int]:
     return cols - r, rows - r
 
 
-def apply_defect(w: Representation, v: Representation, psi):
-    """Image of a node-wise map tuple under the defect map: one
-    d(head) x e(tail) matrix per arrow."""
-    _check_pair(w, v)
-    q = w.quiver
-    e, d = w.dims, v.dims
-    out = []
-    for a in range(q.arrow_count):
-        t, h = q.tails[a], q.heads[a]
-        wa, va = w.mats[a], v.mats[a]
-        block = _zeros(d[h], e[t])
-        for r in range(d[h]):
-            for s in range(e[t]):
-                acc = 0
-                for j in range(e[h]):
-                    acc += psi[h][r][j] * wa[j][s]
-                for i in range(d[t]):
-                    acc -= va[r][i] * psi[t][i][s]
-                block[r][s] = reduce(acc, w.modulus)
-        out.append(block)
-    return out
-
-
-def extension_middle_term(v: Representation, w: Representation, theta) -> Representation:
-    """Representation on V_x + W_x with arrow blocks [[V(a), theta_a], [0, W(a)]].
-
-    ``theta`` holds one d(head) x e(tail) matrix per arrow, indexed like the
-    rows of the defect matrix; theta = 0 yields the direct sum, and theta in
-    the image of the defect map yields a split extension.
-    """
-    _check_pair(w, v)
-    q = v.quiver
-    d, e = v.dims, w.dims
-    dims = tuple(a + b for a, b in zip(d, e))
-    mats = []
-    for a in range(q.arrow_count):
-        t, h = q.tails[a], q.heads[a]
-        th = theta[a]
-        if len(th) != d[h] or any(len(r) != e[t] for r in th):
-            raise ValueError(f"theta block for arrow {q.arrows[a].name!r} has wrong shape")
-        block = _zeros(dims[h], dims[t])
-        for r in range(d[h]):
-            for c in range(d[t]):
-                block[r][c] = v.mats[a][r][c]
-            for c in range(e[t]):
-                block[r][d[t] + c] = th[r][c]
-        for r in range(e[h]):
-            for c in range(e[t]):
-                block[d[h] + r][d[t] + c] = w.mats[a][r][c]
-        mats.append(block)
-    return Representation(q, dims, v.modulus, mats)
-
-
-def direct_sum(v: Representation, w: Representation) -> Representation:
-    q = v.quiver
-    theta = [_zeros(v.dims[q.heads[a]], w.dims[q.tails[a]]) for a in range(q.arrow_count)]
-    return extension_middle_term(v, w, theta)
-
-
 # ---------------------------------------------------------------------------
 # Representation-space coordinates and the infinitesimal action
 
@@ -306,12 +246,3 @@ def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatri
     if col != size:
         raise AssertionError("action matrix is not square despite q(d) = 1")
     return LinearFormMatrix(size, cells, coords, (q.nodes[drop], 0, 0))
-
-
-def discriminant_value(q: Quiver, d, v: Representation, drop_node: str | None = None):
-    """Value of the discriminant's equation at V (up to the fixed scalar
-    determined by the dropped direction)."""
-    if v.quiver != q or v.dims != tuple(d):
-        raise ValueError("representation does not live in this space")
-    lfm = action_matrix(q, d, drop_node)
-    return det(lfm.evaluate(lfm.coords.flatten(v), v.modulus), v.modulus)

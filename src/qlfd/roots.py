@@ -7,7 +7,7 @@ components.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import Rng
 from .quiver import (
@@ -80,24 +80,12 @@ def is_real_root(q: Quiver, d) -> tuple[bool, bool]:
     return tits_form(q, d) == 1, kac_criterion_applicable(sub)
 
 
-def is_imaginary_root(q: Quiver, d) -> tuple[bool, bool]:
-    """(is imaginary, criterion applicable); imaginary means q(d) <= 0."""
-    sub, _ = support_subquiver(q, d)
-    return tits_form(q, d) <= 0, kac_criterion_applicable(sub)
-
-
-@dataclass(frozen=True)
-class SchurCertificate:
-    """Outcome of random sampling for generic endomorphism/extension
-    dimensions.  A brick verdict certifies a Schur root (one-sided: random
-    points only ever overestimate the generic dimensions)."""
-
-    endomorphism_dim: int
-    ext_dim: int
-    prime: int
-    seed: int
-    trials: int
-    verdict: str  # "brick" | "not-brick"
+# Outcome of random sampling for generic endomorphism/extension dimensions.
+# A brick verdict ("brick" | "not-brick") certifies a Schur root (one-sided:
+# random points only ever overestimate the generic dimensions).
+SchurCertificate = namedtuple(
+    "SchurCertificate", "endomorphism_dim ext_dim prime seed trials verdict"
+)
 
 
 def brick_probe(q: Quiver, d, prime: int, seed: int, trials: int = 8) -> SchurCertificate:

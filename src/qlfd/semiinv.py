@@ -23,7 +23,6 @@ from .quiver import (
     build_quiver,
     classify_underlying_graph,
     euler_form,
-    euler_inverse,
     euler_matrix,
     in_out_degree,
     level_function,
@@ -56,16 +55,6 @@ def weight_degree(q: Quiver, w, d) -> int | None:
     it scales the semi-invariant by lam**k with k that sum."""
     levels = level_function(q)
     return None if levels is None else sum(a * b * c for a, b, c in zip(w, levels, d))
-
-
-def root_from_weight(q: Quiver, w) -> tuple[int, ...]:
-    """Recover the orthogonal root from a weight: -w E^{-1}; inverse of
-    weight_of_schofield.  Errors when the result has a negative entry."""
-    w = tuple(int(x) for x in w)
-    e = _row_times_matrix(tuple(-x for x in w), euler_inverse(q))
-    if any(x < 0 for x in e):
-        raise ValueError(f"weight {w} does not come from a dimension vector (got {e})")
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import pytest
 
 from qlfd import CertifyOptions, certify
@@ -14,7 +12,7 @@ def cached_certify(q, d, options=None):
     the option values, so that every test asking for the same certification
     (through the library or through the CLI) shares one run."""
     opts = options or CertifyOptions()
-    key = (serialize(q, d), astuple(opts))
+    key = (serialize(q, d), (opts.prime, opts.seed, opts.exact))
     if key not in _CACHE:
         _CACHE[key] = certify(q, d, opts)
     return _CACHE[key]

@@ -9,6 +9,11 @@ off one scaled value, as the oracle for the degree formula and the degrees
 read off the pencils, and ``verify_weight``, a handle's weight checked
 under the group action, as the oracle for the weight formula -eE.
 
+The last section holds helpers that only the tests use: extensions and
+direct sums, the discriminant's value at one representation, the
+imaginary-root test, the root of a weight, and the dense characteristic
+polynomial (``charpoly_mod``, the dense entry into ``arith._charpoly_op``).
+
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
 matrix into such polynomials, so that ``mp_det`` expands its determinant
@@ -20,14 +25,29 @@ from operator import mul
 
 from qlfd.arith import (
     Rng,
+    _charpoly_op,
     _factor_mod,
+    det,
     poly_deriv,
     poly_trim,
     power,
     reduce,
 )
-from qlfd.repmatrix import Representation, random_representation
-from qlfd.semiinv import DegenerateWitnessError
+from qlfd.quiver import (
+    Quiver,
+    euler_inverse,
+    kac_criterion_applicable,
+    support_subquiver,
+    tits_form,
+)
+from qlfd.repmatrix import (
+    Representation,
+    _check_pair,
+    _zeros,
+    action_matrix,
+    random_representation,
+)
+from qlfd.semiinv import DegenerateWitnessError, _row_times_matrix
 
 
 def mp_zero():
@@ -352,3 +372,97 @@ def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
                 return k
         raise AssertionError("restriction of a homogeneous handle is not a monomial")
     raise DegenerateWitnessError("handle evaluates to zero along every sampled ray")
+
+
+# ---------------------------------------------------------------------------
+# Helpers no stage calls
+
+
+def apply_defect(w: Representation, v: Representation, psi):
+    """Image of a node-wise map tuple under the defect map: one
+    d(head) x e(tail) matrix per arrow."""
+    _check_pair(w, v)
+    q = w.quiver
+    e, d = w.dims, v.dims
+    out = []
+    for a in range(q.arrow_count):
+        t, h = q.tails[a], q.heads[a]
+        wa, va = w.mats[a], v.mats[a]
+        block = _zeros(d[h], e[t])
+        for r in range(d[h]):
+            for s in range(e[t]):
+                acc = 0
+                for j in range(e[h]):
+                    acc += psi[h][r][j] * wa[j][s]
+                for i in range(d[t]):
+                    acc -= va[r][i] * psi[t][i][s]
+                block[r][s] = reduce(acc, w.modulus)
+        out.append(block)
+    return out
+
+
+def extension_middle_term(v: Representation, w: Representation, theta) -> Representation:
+    """Representation on V_x + W_x with arrow blocks [[V(a), theta_a], [0, W(a)]].
+
+    ``theta`` holds one d(head) x e(tail) matrix per arrow, indexed like the
+    rows of the defect matrix; theta = 0 yields the direct sum, and theta in
+    the image of the defect map yields a split extension.
+    """
+    _check_pair(w, v)
+    q = v.quiver
+    d, e = v.dims, w.dims
+    dims = tuple(a + b for a, b in zip(d, e))
+    mats = []
+    for a in range(q.arrow_count):
+        t, h = q.tails[a], q.heads[a]
+        th = theta[a]
+        if len(th) != d[h] or any(len(r) != e[t] for r in th):
+            raise ValueError(f"theta block for arrow {q.arrows[a].name!r} has wrong shape")
+        block = _zeros(dims[h], dims[t])
+        for r in range(d[h]):
+            for c in range(d[t]):
+                block[r][c] = v.mats[a][r][c]
+            for c in range(e[t]):
+                block[r][d[t] + c] = th[r][c]
+        for r in range(e[h]):
+            for c in range(e[t]):
+                block[d[h] + r][d[t] + c] = w.mats[a][r][c]
+        mats.append(block)
+    return Representation(q, dims, v.modulus, mats)
+
+
+def direct_sum(v: Representation, w: Representation) -> Representation:
+    q = v.quiver
+    theta = [_zeros(v.dims[q.heads[a]], w.dims[q.tails[a]]) for a in range(q.arrow_count)]
+    return extension_middle_term(v, w, theta)
+
+
+def discriminant_value(q: Quiver, d, v: Representation, drop_node: str | None = None):
+    """Value of the discriminant's equation at V (up to the fixed scalar
+    determined by the dropped direction)."""
+    if v.quiver != q or v.dims != tuple(d):
+        raise ValueError("representation does not live in this space")
+    lfm = action_matrix(q, d, drop_node)
+    return det(lfm.evaluate(lfm.coords.flatten(v), v.modulus), v.modulus)
+
+
+def is_imaginary_root(q: Quiver, d) -> tuple[bool, bool]:
+    """(is imaginary, criterion applicable); imaginary means q(d) <= 0."""
+    sub, _ = support_subquiver(q, d)
+    return tits_form(q, d) <= 0, kac_criterion_applicable(sub)
+
+
+def root_from_weight(q: Quiver, w) -> tuple[int, ...]:
+    """Recover the orthogonal root from a weight: -w E^{-1}; inverse of
+    weight_of_schofield.  Errors when the result has a negative entry."""
+    w = tuple(int(x) for x in w)
+    e = _row_times_matrix(tuple(-x for x in w), euler_inverse(q))
+    if any(x < 0 for x in e):
+        raise ValueError(f"weight {w} does not come from a dimension vector (got {e})")
+    return e
+
+
+def charpoly_mod(mat, p: int):
+    """Coefficients of det(t*I - A) over F_p for a dense matrix A, by the
+    Hessenberg reduction of ``arith._charpoly_op``."""
+    return _charpoly_op(lambda u: [sum(map(mul, row, u)) for row in mat], len(mat), p)

@@ -9,7 +9,6 @@ from qlfd.arith import (
     DEFAULT_PRIME,
     PrimeField,
     Rng,
-    charpoly_mod,
     derive_seed,
     det_exact,
     det_mod,
@@ -28,6 +27,7 @@ from qlfd.repmatrix import action_matrix, defect_matrix, random_representation
 from mpoly import (
     _lu_solve,
     _solve_mod,
+    charpoly_mod,
     interpolate,
     mp_const,
     mp_det,
@@ -996,6 +996,18 @@ def test_det_pencil_poly_over_q_at_the_exact_mode_size():
     m0, m1 = ([[rng.below(2) * 198 - 99 for _ in range(n)] for _ in range(n)] for _ in range(2))
     f = det_pencil_poly(m0, m1, None)
     assert f == _pencil_by_interpolation(m0, m1) and poly_degree(f) == n
+
+
+def test_crt_primes_are_the_primes_below_the_default_prime():
+    # the listed primes are every prime stepping down from DEFAULT_PRIME, and
+    # the search past the list goes on to the next one
+    expected, q = [], DEFAULT_PRIME
+    while len(expected) <= len(arith._CRT_PRIMES):
+        if is_prime(q):
+            expected.append(q)
+        q -= 2
+    assert arith._CRT_PRIMES == tuple(expected[:-1])
+    assert [arith._crt_prime(i) for i in range(len(expected))] == expected
 
 
 def test_det_pencil_poly_runs_the_hessenberg_pass_on_live_columns(monkeypatch):

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and the CLI
+imports only what a certification runs."""
 
 import subprocess
 import sys
@@ -32,3 +33,21 @@ def test_package_imports_only_the_standard_library():
         env={"PYTHONPATH": str(SRC)},
     )
     assert out.stdout.split() == ["qlfd"]
+
+
+# Modules a certification never runs, each of which would add to the set-up
+# of every CLI call.  The standard-library modules the CLI does use load none
+# of them on Pythons 3.10 to 3.13.
+NOT_ON_THE_CLI_PATH = ("dataclasses", "inspect", "typing", "difflib", "ast", "dis", "qlfd.fixtures")
+
+
+def test_cli_import_loads_no_unused_module():
+    # -S keeps site hooks from .pth files, which may load typing, out of it
+    probe = f"import sys; sys.path.insert(0, {str(SRC)!r}); import qlfd.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60, env={},
+    )
+    loaded = set(out.stdout.split())
+    assert "qlfd.cli" in loaded
+    assert loaded.isdisjoint(NOT_ON_THE_CLI_PATH), sorted(loaded.intersection(NOT_ON_THE_CLI_PATH))

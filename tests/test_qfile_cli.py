@@ -9,7 +9,7 @@ import pytest
 import qlfd
 from qlfd import arith, cli
 from qlfd.cli import main
-from qlfd.fixtures import builtin, builtin_names
+from qlfd.fixtures import block_handles, builtin, builtin_names
 from qlfd.qfile import QuiverFileError, parse, serialize
 
 from conftest import cached_certify
@@ -79,6 +79,30 @@ def test_cli_unknown_builtin_suggests(capsys):
     code, _, err = run_cli(capsys, "euler", "--builtin", "e8-central-sync")
     assert code == 1
     assert "e8-central-sink" in err
+
+
+def test_cli_certify_unknown_builtin_suggests(capsys):
+    # the suggestion comes from the fixtures, which the CLI loads only here
+    code, out, err = run_cli(capsys, "certify", "--builtin", "e8-centrl-sink")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown builtin quiver 'e8-centrl-sink'; did you mean e8-central-sink?\n"
+
+
+def test_cli_help_epilog_lists_every_builtin(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "4000")  # one line: no wrap inside a name
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\nbuiltin fixtures: " + ", ".join(builtin_names()) + "\n")
+
+
+def test_cli_semiinv_lists_the_block_recipes(capsys):
+    code, out, _ = run_cli(capsys, "semiinv", "--builtin", "e8-central-sink", "--format", "json")
+    recipes = json.loads(out)["block_recipes"]
+    assert code == 0 and len(recipes) == 7
+    roots = block_handles("e8-central-sink")
+    assert sorted(recipes) == sorted(",".join(map(str, r)) for r in roots)
 
 
 def test_cli_euler_text(capsys):

@@ -6,16 +6,22 @@ from qlfd.quiver import build_quiver, euler_form
 from qlfd.repmatrix import (
     Representation,
     action_matrix,
-    apply_defect,
     defect_matrix,
-    direct_sum,
-    discriminant_value,
-    extension_middle_term,
     hom_ext_dims,
     random_representation,
 )
 
-from mpoly import mp_det, mp_mul, mp_var, mpoly_matrix, scale_first_coordinates
+from mpoly import (
+    apply_defect,
+    direct_sum,
+    discriminant_value,
+    extension_middle_term,
+    mp_det,
+    mp_mul,
+    mp_var,
+    mpoly_matrix,
+    scale_first_coordinates,
+)
 
 P = DEFAULT_PRIME
 

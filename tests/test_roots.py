@@ -21,14 +21,14 @@ from qlfd.repmatrix import hom_ext_dims, random_representation
 from qlfd.roots import (
     brick_probe,
     highest_root,
-    is_imaginary_root,
     is_real_root,
     orthogonal_roots,
     perpendicular_simples,
     positive_roots,
 )
-from qlfd.semiinv import discriminant_weight, root_from_weight, weight_of_schofield
+from qlfd.semiinv import discriminant_weight, weight_of_schofield
 
+from mpoly import is_imaginary_root, root_from_weight
 from randquiver import random_real_roots
 from roots_oracle import lattice_roots, old_components, semigroup_basis
 

@@ -13,7 +13,6 @@ from qlfd.semiinv import (
     DegenerateWitnessError,
     SchofieldHandle,
     discriminant_weight,
-    root_from_weight,
     root_support_type,
     sample_generic_witness,
     weight_degree,
@@ -21,7 +20,7 @@ from qlfd.semiinv import (
     weight_support_type,
 )
 
-from mpoly import degree_of, interpolate, verify_weight
+from mpoly import degree_of, interpolate, root_from_weight, verify_weight
 
 P = DEFAULT_PRIME
 
