@@ -402,10 +402,12 @@ def line_certificate(
     read off the pencil.
 
     The line V0 + t V1 comes from ``_probe_line`` on
-    ``derive_seed(seed, 40)``.  On it ``sample_generic_witness`` draws the
-    witness of root e_i on ``derive_seed(seed, 10, *e_i)``, redrawing while
-    h(V1) = 0 (a [witnesses] error after 32 draws), and its pencil gives
-    h|_L; a wrong declared degree fails the identity.  So each handle costs
+    ``derive_seed(seed, 40)``.  On it ``sample_generic_witness`` takes the
+    tree representation of root e_i as its witness, or, for a root with
+    none, draws the witness on ``derive_seed(seed, 10, *e_i)``, redrawing
+    while h(V1) = 0; a [witnesses] error follows when the tree witness has
+    h(V1) = 0 or 32 draws do.  The witness's pencil gives h|_L; a wrong
+    declared degree fails the identity.  So each handle costs
     one pencil and nothing else.
 
     No weight is checked: c^W(g.V) = prod_x det(g_x)**w_x c^W(V) holds

@@ -10,7 +10,14 @@ rationals (``modulus`` None, entries int/Fraction).
 from __future__ import annotations
 
 from .arith import Rng, rank, reduce
-from .quiver import Quiver, is_acyclic, support, tits_form
+from .quiver import (
+    Quiver,
+    connected_components,
+    is_acyclic,
+    support,
+    support_subquiver,
+    tits_form,
+)
 
 
 def _zeros(rows: int, cols: int):
@@ -58,6 +65,47 @@ def random_representation(q: Quiver, d, modulus: int | None, seed: int) -> Repre
         rows, cols = d[q.heads[a]], d[q.tails[a]]
         mats.append([[entry() for _ in range(cols)] for _ in range(rows)])
     return Representation(q, d, modulus, mats)
+
+
+def tree_representation(q: Quiver, e, modulus: int | None) -> Representation | None:
+    """The 0/1 representation of e shaped like a tree with one centre, or
+    None when e has no such shape: the support arrows of e form a tree, at
+    most one node z has e_z = m > 1, and z's m + 1 support arrows all point
+    into z or all point out of it.
+
+    Every arrow between nodes of dimension 1 gets [1].  The k-th arrow at z,
+    in arrow order, gets the basis vector e_k for k <= m, and the last one
+    the all-ones vector, as a column into z or a row out of it: Sum_x e_x - 1
+    nonzero entries in all (Ringel 1998, "Exceptional modules are tree
+    modules").  Every representation of e with nonzero thin arrows and m + 1
+    (co)vectors in general position lies in one orbit, the dense one when e
+    is a real Schur root, and this is one of them, over F_p and over Q alike.
+    """
+    e = tuple(int(x) for x in e)
+    sub, _ = support_subquiver(q, e)
+    # n - 1 arrows that connect n nodes form a tree
+    if sub.arrow_count != sub.node_count - 1 or len(connected_components(sub)) != 1:
+        return None
+    big = [x for x in range(q.node_count) if e[x] > 1]
+    at_z, m = [], 0
+    if big:
+        if len(big) > 1:
+            return None
+        z, m = big[0], e[big[0]]
+        at_z = [a for a, (t, h) in enumerate(zip(q.tails, q.heads))
+                if z in (t, h) and e[t] and e[h]]
+        if len(at_z) != m + 1 or len({q.heads[a] == z for a in at_z}) != 1:
+            return None
+    mats = []
+    for a in range(q.arrow_count):
+        rows, cols = e[q.heads[a]], e[q.tails[a]]
+        if a in at_z:
+            k = at_z.index(a)
+            vec = [int(i == k) for i in range(m)] if k < m else [1] * m
+            mats.append([vec] if rows == 1 else [[x] for x in vec])
+        else:  # thin, or empty off the support
+            mats.append([[1] * cols for _ in range(rows)])
+    return Representation(q, e, modulus, mats)
 
 
 def _check_pair(w: Representation, v: Representation):

@@ -22,7 +22,7 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
-from .repmatrix import hom_ext_dims, random_representation
+from .repmatrix import hom_ext_dims, random_representation, tree_representation
 
 # Most (orientation, dimension vector) states one ``perpendicular_simples``
 # call may visit in its search for an (A) or (D) move.
@@ -95,11 +95,18 @@ def brick_probe(q: Quiver, d, prime: int, seed: int, trials: int = 8) -> SchurCe
 
     Sampling stops at the first sample with dim End = 1, the least value on
     a nonzero d.  Every sample has dim End - dim Ext^1 = <d, d>, so that
-    sample also has the least dim Ext^1 any further sample could show.
+    sample also has the least dim Ext^1 any further sample could show.  The
+    tree representation of d (``tree_representation``), when d has one, is
+    tried first, and counts only when it has dim End = 1.
     """
     if prime <= 2**40:
         raise ValueError("brick_probe needs a prime above 2**40")
     d = tuple(int(x) for x in d)
+    tree = tree_representation(q, d, prime)
+    if tree is not None:
+        end, ext = hom_ext_dims(tree, tree)
+        if end == 1:
+            return SchurCertificate(end, ext, prime, seed, trials, "brick")
     rng = Rng(seed)
     dims = []
     for t in range(trials):

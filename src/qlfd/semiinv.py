@@ -1,8 +1,8 @@
 """Determinantal semi-invariants of a representation space: weight formulas,
 degrees from the weight and a level function, handles built from a generic
-witness representation, hard-coded block-matrix recipes, and witnesses drawn
-on a line and restricted to it by one pencil (which also gives the degree on
-an unbalanced cycle).
+witness representation, hard-coded block-matrix recipes, and witnesses (a
+tree representation, or drawn at random) checked on a line and restricted to
+it by one pencil (which also gives the degree on an unbalanced cycle).
 
 Weights are not checked at run time.  For every W, V and g in the group,
 M(W, g.V) = L_g M(W, V) R_g^{-1} with det L_g / det R_g = prod_x
@@ -27,7 +27,12 @@ from .quiver import (
     in_out_degree,
     level_function,
 )
-from .repmatrix import Representation, defect_matrix, random_representation
+from .repmatrix import (
+    Representation,
+    defect_matrix,
+    random_representation,
+    tree_representation,
+)
 
 
 def _row_times_matrix(v, m) -> tuple[int, ...]:
@@ -256,28 +261,34 @@ class DegenerateWitnessError(RuntimeError):
 
 
 def sample_generic_witness(e, v0: Representation, v1: Representation, seed: int, degree=None):
-    """The handle c^W of a random witness W over the orthogonal root e,
-    redrawn until c^W(V1) != 0, with its pencil on the line V0 + t V1 (see
-    ``SchofieldHandle.pencil``).  Any such W gives the component: c^W has
-    weight w = -e E, a one-dimensional weight space.
+    """The handle c^W of a witness W over the orthogonal root e with
+    c^W(V1) != 0, with its pencil on the line V0 + t V1 (see
+    ``SchofieldHandle.pencil``).  Any W in the dense orbit of e gives the
+    component: c^W has weight w = -e E, a one-dimensional weight space.
+
+    W is e's tree representation (``tree_representation``) when e has one:
+    it lies in the dense orbit, so every other choice there gives the same
+    handle up to a scalar, and c^W(V1) = 0 raises DegenerateWitnessError at
+    once.  Otherwise W is drawn at random, and redrawn while c^W(V1) = 0.
 
     ``degree`` is the degree of c^W when the caller knows it.  Without it
     the degree is read off the pencil as k = n - ord_t f: ord_t f is n - k
     plus the order of c^W(V0 + t V1) at 0, so the reading is the degree
     exactly when c^W(V0) != 0, and too low otherwise.
     """
+    tree = tree_representation(v0.quiver, e, v0.modulus)
     rng = Rng(seed)
-    for attempt in range(WITNESS_DRAWS):
-        w = random_representation(v0.quiver, e, v0.modulus, rng.split(attempt, 0).seed)
+    for attempt in range(1 if tree is not None else WITNESS_DRAWS):
+        w = tree or random_representation(v0.quiver, e, v0.modulus, rng.split(attempt, 0).seed)
         h = SchofieldHandle(e, w, v0.dims)
         f = h.pencil(v0, v1)
         if f is not None:
             order = next(i for i, c in enumerate(f) if c)  # ord_t f
             h.degree = h.degree_bound - order if degree is None else degree
             return h, f
-    raise DegenerateWitnessError(
-        f"no generic witness found for root {tuple(e)} after {WITNESS_DRAWS} attempts"
-    )
+    why = ("as its tree witness vanishes at V1" if tree is not None
+           else f"after {WITNESS_DRAWS} attempts")
+    raise DegenerateWitnessError(f"no generic witness found for root {tuple(e)} {why}")
 
 
 # ---------------------------------------------------------------------------

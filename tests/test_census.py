@@ -1,5 +1,8 @@
 import pytest
 
+from qlfd.certify import certify
+from qlfd.fixtures import builtin
+
 from census import census
 
 
@@ -16,3 +19,16 @@ def test_every_positive_root_certifies_as_the_euler_form_predicts(name, counts):
     # census asserts each verdict against the prediction from the
     # multiplicities; the counts pin how many roots reach each verdict
     assert census(name) == counts
+
+
+def test_star_and_d_prop_families_at_scale():
+    # star_n: n + 1 sources into a sink of dimension n, n + 1 components of
+    # degree n; d_n-prop: n - 3 components of degree 2 and two of degree
+    # n - 2.  Every multiplicity is 1, so each is a linear free divisor
+    cases = [(f"star{n}", [n] * (n + 1)) for n in range(2, 15)]
+    cases += [(f"d{n}-prop", [2] * (n - 3) + [n - 2] * 2) for n in range(4, 31)]
+    for name, degrees in cases:
+        rep = certify(*builtin(name))
+        assert rep.verdict == "linear-free-divisor", (name, rep.reason)
+        assert [c.degree for c in rep.components] == degrees, name
+        assert {c.multiplicity for c in rep.components} == {1}, name

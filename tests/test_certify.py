@@ -28,7 +28,7 @@ from qlfd.certify import (
 )
 from qlfd.fixtures import builtin
 from qlfd.quiver import build_quiver, opposite_quiver
-from qlfd.repmatrix import RepCoordinates, action_matrix
+from qlfd.repmatrix import RepCoordinates, action_matrix, tree_representation
 from qlfd.semiinv import (
     DegenerateWitnessError,
     SchofieldHandle,
@@ -866,7 +866,7 @@ def test_each_handle_costs_one_pencil_and_no_evaluation(monkeypatch, name, exact
     # the witness is accepted on the certificate line by its pencil, and
     # nothing else touches the handle: no weight check, no evaluation at a
     # separate point, and the only representations drawn on the certificate
-    # are the witnesses themselves
+    # are the witnesses of the roots with no tree witness
     certify_module = importlib.import_module("qlfd.certify")
     pencils = _counting_pencils(monkeypatch)
     evaluations, drawn, active = [], [], [False]
@@ -902,7 +902,7 @@ def test_each_handle_costs_one_pencil_and_no_evaluation(monkeypatch, name, exact
     roots = sorted(c.root for c in rep.components)
     assert len(pencils) == len(roots)
     assert evaluations == []
-    assert sorted(drawn) == roots
+    assert sorted(drawn) == [e for e in roots if tree_representation(q, e, None) is None]
 
 
 def test_e8_meets_each_sparsity_pattern_once_but_the_delta_pair(monkeypatch):

@@ -13,11 +13,11 @@ import pytest
 
 from qlfd import arith
 from qlfd.arith import DEFAULT_PRIME
-from qlfd.certify import certify, multiplicity_vector
+from qlfd.certify import CertifyOptions, certify, multiplicity_vector
 from qlfd.cli import main
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.qfile import parse, serialize
-from qlfd.quiver import level_function, opposite_quiver
+from qlfd.quiver import build_quiver, level_function, opposite_quiver
 from qlfd.repmatrix import random_representation
 from qlfd.roots import brick_probe, perpendicular_simples
 from qlfd.semiinv import SchofieldHandle, weight_of_schofield
@@ -123,3 +123,22 @@ def test_repeated_cli_runs_give_byte_identical_json(argv):
     ]
     assert [out.returncode for out in outs] == [0, 0]
     assert outs[0].stdout == outs[1].stdout and outs[0].stdout.startswith(b'{"command"')
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "cycle3"])
+def test_verdict_and_component_table_do_not_depend_on_the_seed(name):
+    # only the randomized certificate sees the seed, and only unit_ratio may
+    # show it; cycle3 (1->2, 2->3, 1->3) reads its degrees off the pencils
+    if name == "cycle3":
+        arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")]
+        q, d = build_quiver(["1", "2", "3"], arrows), (1, 1, 2)
+    else:
+        q, d = builtin(name)
+    seen = set()
+    for seed in range(1, 5):
+        rep = certify(q, d, CertifyOptions(seed=seed))
+        table = tuple(json.dumps(c.to_dict(), sort_keys=True) for c in rep.components)
+        stats = rep.stats
+        seen.add((rep.verdict, rep.reason, table, stats.lines_used,
+                  stats.brick_endomorphism_dim, stats.brick_ext_dim))
+    assert len(seen) == 1, seen

@@ -28,23 +28,23 @@ PINNED = [
     (["--builtin", "a5"], 0,
      "1e45c2ef84b905bc3f0a0200c4974c0c3f482b7a0acc0187e69441b907813748"),
     (["--builtin", "e7-highroot"], 0,
-     "2d1f25c7baa585b2df525cda9ae13fa1b2efaeb87e95f2be313b51ad95c086d9"),
+     "7253c15dcdeb0ec718eadfc6a8c15954ff4f1966eb7f262fb7d04bbbcdf6cf17"),
     (["--builtin", "q3"], 0,
-     "74dcce7a282d04c3d291b6c9ee387312eee74534558d56ca327896cf94ae15e5"),
+     "9c229888bcc60c77b0b4d52f235d4c817733d9ae7fa6a6ca485094ea1be42e89"),
     (["--builtin", "tilde-d4-iv"], 2,
      "c586808437c8b1c0a9b0544cebaacaef6dc649d29568dc777b7061c72eb251aa"),
     (["--builtin", "d5-prop", "--exact"], 0,
-     "f5c7ebfabb8493c57ea7a2b82918f9fec2b79ba1fec427fa33cfccb913e0719f"),
+     "27ca9fa8f425cea48b260ca9562ff89bd2261ee2f15c1dce167b089a22d57968"),
     (["--file", "cycle3.qf"], 0,
-     "8ae9258d40a7dcf8dd2cf1966a8fd5a0d38b634a32e7a865a63f566c5e76bf36"),
+     "0bd76384913dacac3330e46d2df181625280359346accffc2b5011b45a6393e0"),
     (["--builtin", "e8-central-sink"], 0,
-     "b267ee1e0af09352838df4b33d3829b4a5ef8d69b7181945e70a2fc0a14ec5a2"),
+     "f5e3a9e1836854d747fb4e0f116e9161b2f48640ed0bdb7f27f278746af33710"),
     (["--builtin", "d7-prop", "--exact"], 0,
-     "d8ede91ce672f78bed0457328acdec1e40d7b9f0063574b0653f36c32a3e2ea4"),
+     "99b0858823621fa2f2f228cf6391ee5eef3f1f3c97f2d2a6f446502c9e6c9213"),
     (["--builtin", "e6-q1", "--exact"], 0,
-     "b8f94aae32a4f1ebb6029c5a078ad5078c4726522e43191529bc74272ec2aa63"),
+     "74f48c4562fcbedbede42805e89c5c374ec11ebc3b02b01ecc9f643d03bbe234"),
     (["--builtin", "star7"], 0,
-     "daf3bde6cb5a9e9060f21f6f86969fd0006b47dfcce0490d32161e3328dff2c4"),
+     "7d9706e5f92c22cd3301ddaa4d581839b3f28b20d5772e37edf54c0f523ca41f"),
     (["--builtin", "q2"], 0,
      "b9eb005cd07b80e1ee1ab711b6711af59b66044306bbdc355712e4ba274463e3"),
 ]
