@@ -1,5 +1,5 @@
-"""Arithmetic substrate: prime fields, seeded randomness, exact and modular
-linear algebra, and univariate polynomials.
+"""Arithmetic substrate: prime fields, seeded randomness, modular linear
+algebra, and univariate polynomials.
 
 Conventions used throughout the package:
 
@@ -10,8 +10,13 @@ Conventions used throughout the package:
 * a univariate polynomial is a coefficient list, constant term first,
   with trailing zeros trimmed (the zero polynomial is ``[]``);
 * a field argument ``p`` is a prime for F_p or None for Q; ``det``,
-  ``rank``, ``reduce``, ``power`` and ``det_pencil_poly`` make that
-  choice once, so that callers keep one code path for both fields.
+  ``reduce``, ``power`` and ``det_pencil_poly`` make that choice once, so
+  that callers keep one code path for both fields.
+
+There is one elimination, the sparse one of ``_factor_mod``, and one gcd,
+Euclid's over F_p.  A determinant over Q, of a matrix or of a pencil, is
+computed at several primes and lifted by the Chinese remainder theorem
+(``_crt_lift``) past Hadamard's bound.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, compress, islice
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 # 2**62 - 57, the default modulus for all randomized checks.  62 bits keeps
@@ -427,80 +432,32 @@ def _run_schedule(schedule, a, p: int, lower: bool):
     return det, pivots, (forward, backward[::-1]) if lower else None
 
 
-def det_exact(mat):
-    """Exact determinant for int/Fraction entries, by ``_bareiss``."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant of a non-square matrix")
-    return _bareiss(mat)[1]
-
-
-def rank_exact(mat) -> int:
-    """Exact rank for int/Fraction entries, by ``_bareiss``."""
-    return _bareiss(mat)[0]
-
-
-def _clear_denominators(xs):
-    """(m, [m*x for x in xs]) with m the lcm of the denominators of the
-    int/Fraction values xs, the products as ints."""
-    mult = 1
-    for x in xs:
-        mult = lcm(mult, x.denominator)
-    return mult, [x.numerator * (mult // x.denominator) for x in xs]
-
-
-def _bareiss(mat):
-    """(rank, det) of an int/Fraction matrix by one fraction-free pass.
-
-    Rows are scaled to integers, then a fraction-free Bareiss (1968)
-    elimination runs entirely in int arithmetic, skipping the columns
-    without a pivot; the determinant is the last pivot with the sign of the
-    row swaps and the tracked scale divided out, and 0 unless the matrix is
-    square of full rank.
-    """
-    a = []
-    scale = 1
-    for row in mat:
-        mult, ints = _clear_denominators(row)
-        scale *= mult
-        a.append(ints)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    sign = 1
-    prev = 1
-    rank = 0
-    for c in range(n):
-        if rank == m:
-            break
-        piv = next((i for i in range(rank, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
-        rowk = a[rank]
-        pk = rowk[c]
-        for i in range(rank + 1, m):
-            rowi = a[i]
-            f = rowi[c]
-            for j in range(c + 1, n):
-                rowi[j] = (rowi[j] * pk - f * rowk[j]) // prev
-            rowi[c] = 0
-        prev = pk
-        rank += 1
-    return rank, Fraction(sign * prev, scale) if rank == m == n else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # Field dispatch: ``p`` a prime for F_p, or None for the rationals Q
 
 
 def det(mat, p: int | None):
-    return det_exact(mat) if p is None else det_mod(mat, p)
+    """Determinant over F_p, or over Q (``p`` None) for int/Fraction entries.
 
-
-def rank(mat, p: int | None) -> int:
-    return rank_exact(mat) if p is None else rank_mod(mat, p)
+    Over Q each row is scaled to integers by the lcm of its denominators,
+    and ``_crt_lift`` lifts ``det_mod`` of the integer matrix from the
+    primes of ``_crt_prime`` until their product exceeds twice Hadamard's
+    bound prod_i |row_i|_2; the scale is divided out.
+    """
+    if p is not None:
+        return det_mod(mat, p)
+    rows = []
+    scale = bound = 1
+    for row in mat:
+        mult = 1
+        for x in row:
+            mult = lcm(mult, x.denominator)
+        ints = [x.numerator * (mult // x.denominator) for x in row]
+        rows.append(ints)
+        scale *= mult
+        # isqrt(s) + 1 exceeds the norm sqrt(s)
+        bound *= isqrt(sum(x * x for x in ints)) + 1
+    return Fraction(_crt_lift(lambda q: [det_mod(rows, q)], bound)[0], scale)
 
 
 def reduce(x, p: int | None):
@@ -555,12 +512,10 @@ def poly_deriv(f, p=None):
     return poly_trim(out)
 
 
-def poly_monic(f, p=None):
+def poly_monic(f, p: int):
     if not f:
         return []
-    lead = f[-1]
-    inv = pow(lead, -1, p) if p is not None else 1 / Fraction(lead)
-    return poly_scale(f, inv, p)
+    return poly_scale(f, pow(f[-1], -1, p), p)
 
 
 def poly_divmod(f, g, p: int):
@@ -582,58 +537,18 @@ def poly_divmod(f, g, p: int):
     return poly_trim(q), r
 
 
-def poly_gcd(f, g, p=None):
-    """Monic gcd; errors when both inputs are zero.
-
-    Over F_p by Euclid's algorithm.  Over Q by a primitive pseudo-remainder
-    sequence on integer coefficients (Collins 1967; Brown 1971): the inputs
-    are scaled to integers, and each pseudo-remainder is divided by its
-    content, which keeps the coefficients small without any rational
-    arithmetic.  The last nonzero remainder, made monic, is the gcd.
-    """
+def poly_gcd(f, g, p: int):
+    """Monic gcd over F_p, by Euclid's algorithm; errors when both inputs
+    are zero."""
     f, g = list(f), list(g)
     poly_trim(f)
     poly_trim(g)
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    if p is None:
-        f, g = _primitive_part(f), _primitive_part(g)
-        while g:
-            f, g = g, _primitive_part(_pseudo_remainder(f, g))
-        return poly_monic(f)
     while g:
         _, r = poly_divmod(f, g, p)
         f, g = g, r
     return poly_monic(f, p)
-
-
-def _primitive_part(f):
-    """f scaled to coprime integer coefficients (the zero polynomial stays [])."""
-    ints = _clear_denominators(f)[1]
-    content = gcd(*ints)
-    return [x // content for x in ints] if content > 1 else ints
-
-
-def _pseudo_remainder(f, g):
-    """The remainder of f by g times a nonzero integer, for integer
-    coefficient lists f and g != 0.
-
-    Each step cancels the leading term c*t^(k+n) of r, with n = deg g, by
-    r <- (b/h)*r - (c/h)*t^k*g, where b = lc(g) and h = gcd(b, c), so the
-    multiplier stays as small as the leading coefficients allow.
-    """
-    n = len(g) - 1
-    low = g[:-1]
-    lead = g[-1]
-    r = list(f)
-    while len(r) > n:
-        c = r.pop()
-        k = len(r) - n
-        h = gcd(lead, c)
-        b, c = lead // h, c // h
-        r = [b * x for x in r[:k]] + [b * x - c * y for x, y in zip(r[k:], low)]
-        poly_trim(r)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +637,8 @@ def det_pencil_poly(m0, m1, p: int | None):
     returned.
 
     Over Q the same kernel runs at the primes of ``_crt_prime``, skipping
-    those that divide det M1, and the coefficients are lifted by the
-    Chinese remainder theorem to symmetric residues.  Expanding the
+    those that divide det M1, and ``_crt_lift`` lifts the coefficients by
+    the Chinese remainder theorem to symmetric residues.  Expanding the
     determinant row by row, c_k is a sum of determinants that take each
     row from M0 or from M1, so by Hadamard's inequality
     |c_k| <= prod_i (|row_i M0|_2 + |row_i M1|_2), and primes are added
@@ -828,26 +743,45 @@ def _crt_prime(i: int) -> int:
     return q
 
 
+def _crt_lift(residues_at, bound: int):
+    """The integers of absolute value at most ``bound`` whose residues
+    modulo each prime q of ``_crt_prime`` are ``residues_at(q)``, a list of
+    the same length at every prime, or None where q is to be skipped.
+
+    Garner's algorithm adds one prime at a time until the product of the
+    primes used exceeds 2 * bound, and the lift is taken to symmetric
+    residues.  Returns None once the skipped primes multiply past 2 * bound.
+    """
+    limit = 2 * bound
+    lifted = None
+    modulus = skipped = 1
+    i = 0
+    while modulus <= limit:
+        q = _crt_prime(i)
+        i += 1
+        residues = residues_at(q)
+        if residues is None:
+            skipped *= q
+            if skipped > limit:
+                return None
+            continue
+        if lifted is None:
+            lifted = [0] * len(residues)
+        # Garner's step: keep each residue mod modulus, add the one mod q
+        inv = pow(modulus, -1, q)
+        lifted = [c + modulus * ((r - c) * inv % q) for c, r in zip(lifted, residues)]
+        modulus *= q
+    return [c - modulus if 2 * c > modulus else c for c in lifted]
+
+
 def _det_pencil_poly_q(m0, m1):
-    """``det_pencil_poly`` over Q for integer M0 and M1."""
-    det_m1 = det_exact(m1)
-    if not det_m1:
-        return None
+    """``det_pencil_poly`` over Q for integer M0 and M1, lifted by
+    ``_crt_lift`` from the pencil at each prime.  A prime where M1 is
+    singular is skipped.  The bound of ``det_pencil_poly`` covers the
+    leading coefficient det M1, and every skipped prime divides it, so
+    skipped primes whose product exceeds the bound prove det M1 = 0."""
     bound = 1
     for r0, r1 in zip(m0, m1):
         # isqrt(s) + 1 exceeds the norm sqrt(s)
         bound *= isqrt(sum(x * x for x in r0)) + isqrt(sum(x * x for x in r1)) + 2
-    coeffs = [0] * (len(m0) + 1)
-    modulus = 1
-    i = 0
-    while modulus <= 2 * bound:
-        q = _crt_prime(i)
-        i += 1
-        if det_m1 % q == 0:
-            continue
-        # Garner's step: keep each residue mod modulus, add the one mod q
-        inv = pow(modulus, -1, q)
-        f = det_pencil_poly(m0, m1, q)
-        coeffs = [c + modulus * ((r - c) * inv % q) for c, r in zip(coeffs, f)]
-        modulus *= q
-    return [c - modulus if 2 * c > modulus else c for c in coeffs]
+    return _crt_lift(lambda q: det_pencil_poly(m0, m1, q), bound)

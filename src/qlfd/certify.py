@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
+from itertools import count
 
 from .arith import (
     DEFAULT_PRIME,
@@ -43,7 +45,6 @@ from .arith import (
     poly_gcd,
     poly_mul,
     power,
-    rank,
     reduce,
 )
 from .quiver import (
@@ -100,6 +101,16 @@ def check_seed(seed: int) -> None:
     another seed."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def check_brick_prime(prime: int) -> None:
+    """Reject an option prime at or below 2**40 for a non-Dynkin support,
+    where the brick probe must run and needs a prime above 2**40."""
+    if prime <= 2**40:
+        raise ValueError(
+            f"option prime needs a prime above 2**40 on a non-Dynkin "
+            f"support: {prime} <= 2**40"
+        )
 
 
 class CertifyOptions:
@@ -287,25 +298,35 @@ def multiplicity_vector(q: Quiver, d, weights) -> list[int]:
     positive integers.  Errors on dependent weights or a non-integral or
     non-positive solution.
 
-    Over Q: rank tests decide dependence and solvability, and Cramer's rule
-    on s rows where the s weights are independent gives the solution.
+    One fraction-free Gauss-Jordan pass over the integer rows
+    [w_1(x) ... w_s(x) | w(discriminant)(x)], one per node x, each row
+    divided by its content after every update: a column without a pivot
+    means dependent weights, a row left as [0 ... 0 | c != 0] an
+    inconsistent equation, and the pivot row of column i gives a_i as the
+    ratio of its last entry to its pivot.
     """
     target = discriminant_weight(q, d)
     s = len(weights)
-    rows = [[w[x] for w in weights] for x in range(q.node_count)]
-    if rank(rows, None) < s:
-        raise ValueError("weights are linearly dependent")
-    if rank([row + [t] for row, t in zip(rows, target)], None) > s:
+    rows = [[w[x] for w in weights] + [t] for x, t in enumerate(target)]
+    pivots = []
+    for c in range(s):
+        r = next((r for r in range(len(rows)) if rows[r][c]), None)
+        if r is None:
+            raise ValueError("weights are linearly dependent")
+        prow = rows.pop(r)
+        a = prow[c]
+        for row in (*pivots, *rows):
+            f = row[c]
+            if f:
+                row[:] = [a * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row) or 1
+                row[:] = [x // g for x in row]
+        pivots.append(prow)
+    if any(row[s] for row in rows):
         raise ValueError("weight equation has no rational solution")
-    square, rhs = [], []
-    for row, t in zip(rows, target):
-        if len(square) < s and rank(square + [row], None) > len(square):
-            square.append(row)
-            rhs.append(t)
-    den = det(square, None)
     out = []
-    for i in range(s):
-        v = det([row[:i] + [t] + row[i + 1:] for row, t in zip(square, rhs)], None) / den
+    for i, row in enumerate(pivots):
+        v = Fraction(row[s], row[i])
         if v.denominator != 1:
             raise ValueError(f"non-integral multiplicity {v}")
         iv = int(v)
@@ -357,23 +378,19 @@ def verify_factorization(restrictions, mults, line, p: int | None):
 
 
 def _squarefree(f, p: int | None) -> bool:
-    """gcd(f, f') = 1 over F_p, or over Q (``p`` None) for integer
-    coefficients.
+    """gcd(f, f') = 1 over F_p, or, over Q (``p`` None) for integer
+    coefficients, modulo the first prime of ``_crt_prime`` that does not
+    divide the leading coefficient.
 
-    Over Q, f is first reduced modulo the first prime of ``_crt_prime``
-    that does not divide its leading coefficient.  A unit gcd there means
-    that disc(f) is nonzero modulo that prime, hence nonzero, so f is
-    squarefree.  A common factor modulo the prime may come from the prime
-    alone, so that case is decided by the rational gcd: the modular test
-    never answers "not squarefree" by itself.
+    Over Q the test is one-sided.  A unit gcd at that prime means that
+    disc(f) is nonzero modulo the prime, hence nonzero, so f is squarefree.
+    A common factor modulo the prime may come from the prime alone, when it
+    divides a nonzero disc(f), so "not squarefree" is only an answer at
+    that prime.
     """
     if p is None:
-        i = 0
-        while f[-1] % _crt_prime(i) == 0:
-            i += 1
-        q = _crt_prime(i)
-        if _squarefree([c % q for c in f], q):
-            return True
+        p = next(q for q in map(_crt_prime, count()) if f[-1] % q)
+        f = [c % p for c in f]
     return poly_degree(poly_gcd(f, poly_deriv(f, p), p)) == 0
 
 
@@ -429,11 +446,13 @@ def line_certificate(
     Delta|_L is squarefree exactly when P|_L is.  The line has
     P(vec1) != 0, so a repeated factor g^2 of P restricts to g|_L^2 with
     deg g|_L = deg g: a squarefree P|_L proves P, hence Delta, reduced.
-    Some a_i >= 2 makes P|_L not squarefree on every line, and one line
-    settles it.  When every a_i = 1 and P|_L is not squarefree, the line
-    may be unlucky: the discriminant of P|_L, a nonzero polynomial in the
-    line's coordinates when P is reduced, vanishes there with probability
-    at most its degree over |S|.  Then lines are redrawn, on
+    Some a_i >= 2 makes P|_L not squarefree on every line, so no test is
+    run and one line settles it.  When every a_i = 1 and P|_L is not
+    squarefree, the line may be unlucky: the discriminant of P|_L, a
+    nonzero polynomial in the line's coordinates when P is reduced,
+    vanishes there with probability at most its degree over |S| (over Q
+    the test of ``_squarefree`` also fails when its 62-bit prime divides
+    that discriminant).  Then lines are redrawn, on
     ``split(trial, attempt)`` for trial = 1, 2, ..., up to
     CERTIFICATE_LINES lines in all; a redrawn line reuses the handles, and
     each checks the identity with the first line's c.
@@ -465,7 +484,8 @@ def line_certificate(
             unit = c
         if not ok or c != unit:
             return LineCertificate(False, False, unit, trial + 1, tuple(handles))
-        squarefree = _squarefree(prod, p)
+        # some a_i >= 2 makes P|_L not squarefree on every line
+        squarefree = all_ones and _squarefree(prod, p)
         if squarefree or not all_ones:
             return LineCertificate(True, squarefree, unit, trial + 1, tuple(handles))
     return LineCertificate(True, False, unit, CERTIFICATE_LINES, tuple(handles))
@@ -522,11 +542,8 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     if p is not None:
         _require_prime_above_twice(prime, dim_rep, "option prime")
         # and the brick probe of a non-Dynkin support needs one above 2**40
-        if cls.kind != "dynkin" and prime <= 2**40:
-            raise ValueError(
-                f"option prime needs a prime above 2**40 on a non-Dynkin "
-                f"support: {prime} <= 2**40"
-            )
+        if cls.kind != "dynkin":
+            check_brick_prime(prime)
     if cls.kind == "dynkin":
         mode = "dynkin"
         stats.mode = mode

@@ -20,6 +20,7 @@ from .certify import (
     CertifyError,
     CertifyOptions,
     certify,
+    check_brick_prime,
     check_seed,
     discriminant_degree,
 )
@@ -141,11 +142,7 @@ def _cmd_roots(q, d, args) -> int:
         # every real root of a Dynkin support is a Schur root; elsewhere the
         # brick probe refuses a non-Schur root before the reflection search,
         # which would spend its whole state bound on it
-        if args.prime <= 2**40:
-            raise ValueError(
-                f"option prime needs a prime above 2**40 on a non-Dynkin "
-                f"support: {args.prime} <= 2**40"
-            )
+        check_brick_prime(args.prime)
         brick = brick_probe(sub, dsub, args.prime, derive_seed(args.seed, 101))
         if brick.verdict != "brick":
             raise SystemExit2(

@@ -82,24 +82,9 @@ def build_quiver(nodes, arrows, allow_cycles: bool = False, name: str = "") -> Q
     return q
 
 
-def is_acyclic(q: Quiver) -> bool:
-    indeg = [0] * q.node_count
-    for h in q.heads:
-        indeg[h] += 1
-    stack = [i for i, v in enumerate(indeg) if v == 0]
-    seen = 0
-    while stack:
-        x = stack.pop()
-        seen += 1
-        for a in range(q.arrow_count):
-            if q.tails[a] == x:
-                indeg[q.heads[a]] -= 1
-                if indeg[q.heads[a]] == 0:
-                    stack.append(q.heads[a])
-    return seen == q.node_count
-
-
-def topological_order(q: Quiver) -> list[int]:
+def _kahn(q: Quiver) -> list[int]:
+    """Kahn's algorithm: the nodes in topological order, as far as it
+    reaches; every node is listed exactly when q is acyclic."""
     indeg = [0] * q.node_count
     for h in q.heads:
         indeg[h] += 1
@@ -113,6 +98,15 @@ def topological_order(q: Quiver) -> list[int]:
                 indeg[q.heads[a]] -= 1
                 if indeg[q.heads[a]] == 0:
                     order.append(q.heads[a])
+    return order
+
+
+def is_acyclic(q: Quiver) -> bool:
+    return len(_kahn(q)) == q.node_count
+
+
+def topological_order(q: Quiver) -> list[int]:
+    order = _kahn(q)
     if len(order) != q.node_count:
         raise ValueError("topological order needs an acyclic quiver")
     return order

@@ -4,12 +4,14 @@ matrix whose determinant is the discriminant's equation.
 
 A representation assigns to each arrow a d(head) x d(tail) matrix.  The
 field is a prime field (``modulus`` an int, entries in [0, p)) or the exact
-rationals (``modulus`` None, entries int/Fraction).
+rationals (``modulus`` None, entries int/Fraction).  Over Q the matrices
+built here only feed determinants, which ``arith.det`` lifts from F_p;
+ranks, and so ``hom_ext_dims``, are taken over F_p only.
 """
 
 from __future__ import annotations
 
-from .arith import Rng, rank, reduce
+from .arith import Rng, rank_mod, reduce
 from .quiver import (
     Quiver,
     connected_components,
@@ -167,13 +169,16 @@ def defect_matrix(w: Representation, v: Representation, zero_w: bool = False):
 
 
 def hom_ext_dims(w: Representation, v: Representation) -> tuple[int, int]:
-    """(dim Hom, dim Ext^1) at the given pair, by rank of the defect matrix;
-    their difference is the Euler form of the dimension vectors."""
+    """(dim Hom, dim Ext^1) at the given pair over F_p, by rank of the
+    defect matrix; their difference is the Euler form of the dimension
+    vectors.  There is no rank over Q: a pair over Q is a ValueError."""
+    if w.modulus is None:
+        raise ValueError("hom_ext_dims needs representations over F_p")
     q = w.quiver
     m = defect_matrix(w, v)
     cols = sum(a * b for a, b in zip(w.dims, v.dims))
     rows = sum(w.dims[t] * v.dims[h] for t, h in zip(q.tails, q.heads))
-    r = rank(m, w.modulus)
+    r = rank_mod(m, w.modulus)
     return cols - r, rows - r
 
 

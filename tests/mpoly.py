@@ -1,7 +1,9 @@
 """Polynomial oracles for the tests: sparse multivariate polynomials over
 the integers, for the symbolic checks of small discriminants, Lagrange
 interpolation and Horner evaluation, for checking line restrictions against
-pointwise values, a linear solve through the F_p LU factors
+pointwise values, ``det_exact`` and ``rank_exact`` by a fraction-free
+Bareiss elimination over Q, the oracle for the multimodular determinants
+of ``arith``, a linear solve through the F_p LU factors
 (``_lu_solve``, the oracle for the pencil operator of
 ``arith._compile_operator``), the exhaustive Markowitz search as the
 oracle for the restricted one, ``degree_of``, the degree of a handle read
@@ -21,6 +23,7 @@ symbolically.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from qlfd.arith import (
@@ -282,6 +285,74 @@ def interpolate(points, p=None):
     if p is not None:
         acc = [x % p for x in acc]
     return poly_trim(acc)
+
+
+# ---------------------------------------------------------------------------
+# Exact rank and determinant by fraction-free elimination
+
+
+def det_exact(mat):
+    """Exact determinant for int/Fraction entries, by ``_bareiss``."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("determinant of a non-square matrix")
+    return _bareiss(mat)[1]
+
+
+def rank_exact(mat) -> int:
+    """Exact rank for int/Fraction entries, by ``_bareiss``."""
+    return _bareiss(mat)[0]
+
+
+def _clear_denominators(xs):
+    """(m, [m*x for x in xs]) with m the lcm of the denominators of the
+    int/Fraction values xs, the products as ints."""
+    mult = 1
+    for x in xs:
+        mult = lcm(mult, x.denominator)
+    return mult, [x.numerator * (mult // x.denominator) for x in xs]
+
+
+def _bareiss(mat):
+    """(rank, det) of an int/Fraction matrix by one fraction-free pass.
+
+    Rows are scaled to integers, then a fraction-free Bareiss (1968)
+    elimination runs entirely in int arithmetic, skipping the columns
+    without a pivot; the determinant is the last pivot with the sign of the
+    row swaps and the tracked scale divided out, and 0 unless the matrix is
+    square of full rank.
+    """
+    a = []
+    scale = 1
+    for row in mat:
+        mult, ints = _clear_denominators(row)
+        scale *= mult
+        a.append(ints)
+    m = len(a)
+    n = len(a[0]) if a else 0
+    sign = 1
+    prev = 1
+    rank = 0
+    for c in range(n):
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        rowk = a[rank]
+        pk = rowk[c]
+        for i in range(rank + 1, m):
+            rowi = a[i]
+            f = rowi[c]
+            for j in range(c + 1, n):
+                rowi[j] = (rowi[j] * pk - f * rowk[j]) // prev
+            rowi[c] = 0
+        prev = pk
+        rank += 1
+    return rank, Fraction(sign * prev, scale) if rank == m == n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from qlfd.arith import (
     PrimeField,
     Rng,
     derive_seed,
-    det_exact,
+    det,
     det_mod,
     det_pencil_poly,
     is_prime,
@@ -18,7 +18,6 @@ from qlfd.arith import (
     poly_deriv,
     poly_gcd,
     poly_mul,
-    rank_exact,
     rank_mod,
 )
 from qlfd.fixtures import builtin, builtin_names
@@ -28,6 +27,7 @@ from mpoly import (
     _lu_solve,
     _solve_mod,
     charpoly_mod,
+    det_exact,
     interpolate,
     mp_const,
     mp_det,
@@ -35,6 +35,7 @@ from mpoly import (
     mp_mul,
     mp_var,
     poly_eval,
+    rank_exact,
     search_all_rows,
 )
 
@@ -176,17 +177,17 @@ def test_det_mod_multiplicative():
 
 
 def test_det_exact_basics():
-    assert det_exact([[1, 2], [3, 4]]) == -2
-    assert det_exact([]) == 1
+    assert det([[1, 2], [3, 4]], None) == -2
+    assert det([], None) == 1
     m = [[Fraction(1, 2), 1], [1, Fraction(3, 2)]]
-    assert det_exact(m) == Fraction(3, 4) - 1
+    assert det(m, None) == Fraction(3, 4) - 1
 
 
 def test_det_exact_agrees_with_modular_reduction():
     rng = Rng(21)
     for _ in range(100):
         m = [[rng.randint(-50, 50) for _ in range(8)] for _ in range(8)]
-        exact = det_exact(m)
+        exact = det(m, None)
         assert exact.denominator == 1
         assert int(exact) % P == det_mod([[x % P for x in row] for row in m], P)
 
@@ -231,24 +232,50 @@ def test_kernel_edge_shapes_and_entries():
     # unreduced entries: 8 = 1 and -6 = 1 mod 7
     assert det_mod([[8, 1], [1, -6]], 7) == 0 and rank_mod([[8, 1], [1, -6]], 7) == 1
     assert det_mod([[-1, 7], [15, 5]], 7) == (-1 * 5 - 7 * 15) % 7
-    assert det_exact([]) == 1 and rank_exact([]) == 0 and rank_exact([[], []]) == 0
-    with pytest.raises(ValueError):
-        det_exact([[1, 2]])
+    assert det([], None) == 1
+    for m in ([[1, 2]], [[], []]):
+        with pytest.raises(ValueError):
+            det(m, None)
 
 
-def test_rank_and_det_exact_match_minor_oracle_over_fractions():
+def test_det_exact_matches_minor_oracle_over_fractions():
     rng = Rng(71)
     for _ in range(150):
-        rows, cols = rng.randint(0, 4), rng.randint(0, 5)
-        if rng.below(2):
-            cols = rows
+        n = rng.randint(0, 4)
         m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.below(3) else 0
-              for _ in range(cols)] for _ in range(rows)]
-        if rows > 1 and not rng.below(3):
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and not rng.below(3):
             m[0] = [Fraction(2, 3) * x for x in m[1]]
-        assert rank_exact(m) == _rank_by_minors(m)
-        if rows == cols:
-            assert det_exact(m) == _det_cofactor(m)
+        assert det(m, None) == _det_cofactor(m)
+
+
+def test_det_over_q_lifts_past_the_hadamard_bound(monkeypatch):
+    # int and Fraction matrices up to 8 x 8, with entries near 2**40 on every
+    # third one from 4 x 4 up: their determinants need 3 primes or more; the
+    # determinants take both signs
+    primes = []
+    real = arith.det_mod
+    monkeypatch.setattr(arith, "det_mod", lambda m, p: primes.append(p) or real(m, p))
+    rng = Rng(2323)
+    signs, most = set(), 0
+    for trial in range(120):
+        n = 1 + trial % 8
+        big = trial % 3 == 0 and n >= 4
+        r = 2**40 if big else 99
+
+        def entry():
+            x = rng.randint(r - 1000, r) * (1 - 2 * rng.below(2)) if big else rng.randint(-r, r)
+            return Fraction(x, rng.randint(1, 9)) if trial % 2 else x
+
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        primes.clear()
+        got = det(m, None)
+        assert got == det_exact(m), m
+        signs.add((got > 0) - (got < 0))
+        if big:
+            assert len(primes) >= 3 and primes == [arith._crt_prime(i) for i in range(len(primes))]
+            most = max(most, abs(got.numerator))
+    assert signs == {-1, 1} and most > arith._crt_prime(0)
 
 
 def test_interpolate_monomial_and_constant():
@@ -286,78 +313,9 @@ def test_poly_gcd_examples():
     assert poly_gcd(g, poly_deriv(g, P), P) == [0, 1]
     with pytest.raises(ValueError):
         poly_gcd([], [], P)
-
-
-def test_poly_gcd_exact_mode():
-    f = [Fraction(0), Fraction(0), Fraction(1)]
-    assert poly_gcd(f, poly_deriv(f), None) == [0, 1]
-
-
-def _gcd_fraction_euclid(f, g):
-    """Reference monic gcd over Q: Euclid's algorithm in Fraction arithmetic."""
-    f = [Fraction(x) for x in f]
-    g = [Fraction(x) for x in g]
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    while g:
-        r = f[:]
-        while len(r) >= len(g):
-            c = r[-1] / g[-1]
-            k = len(r) - len(g)
-            for i, b in enumerate(g):
-                r[k + i] -= c * b
-            while r and r[-1] == 0:
-                r.pop()
-        f, g = g, r
-    return [x / f[-1] for x in f]
-
-
-def _random_rational_poly(rng, deg, ints=False):
-    """A polynomial of exact degree deg; with ints=True about half of the
-    coefficients are plain ints."""
-    def coeff():
-        num = rng.randint(-30, 30)
-        if ints and rng.below(2):
-            return num
-        return Fraction(num, rng.randint(1, 12))
-
-    out = [coeff() for _ in range(deg)]
-    lead = 0
-    while lead == 0:
-        lead = coeff()
-    return out + [lead]
-
-
-def test_poly_gcd_exact_matches_fraction_euclid():
-    rng = Rng(2024)
-    cases = 0
-    for trial in range(300):
-        mixed = trial % 3 == 0
-        common = _random_rational_poly(rng, rng.randint(0, 3), mixed)
-        u = _random_rational_poly(rng, rng.randint(0, 4), mixed)
-        v = _random_rational_poly(rng, rng.randint(0, 4), mixed)
-        f = poly_mul(common, u)
-        pairs = [
-            (f, poly_mul(common, v)),  # common factor
-            (u, v),  # a random pair, almost always coprime
-            (poly_mul(f, f), poly_deriv(poly_mul(f, f))),  # square
-            (f, []),  # one zero input
-            ([], v),
-            (f, [rng.randint(1, 9)]),  # a constant
-            (poly_mul(u, v), [Fraction(rng.randint(1, 9), rng.randint(1, 9))]),
-        ]
-        for a, b in pairs:
-            if not a and not b:
-                continue
-            got = poly_gcd(a, b, None)
-            assert got == _gcd_fraction_euclid(a, b), (a, b)
-            assert got[-1] == 1
-            cases += 1
-    assert cases >= 2000
-    with pytest.raises(ValueError):
-        poly_gcd([Fraction(0)], [0, 0], None)
+    # there is no gcd over Q: the prime is required
+    with pytest.raises(TypeError):
+        poly_gcd([0, 1], [1])
 
 
 def _charpoly_right_looking(mat, p):
@@ -984,9 +942,12 @@ def test_det_pencil_poly_over_q_skips_primes_dividing_det_m1(monkeypatch):
         used.clear()
         f = real(m0, m1, None)
         assert f == _pencil_by_interpolation(m0, m1) and poly_degree(f) == n
+        # the primes are tried in order, and those dividing det M1, where the
+        # F_p pencil is None, are skipped
         skipped = [q for q in factors if q in (first, second)]
-        assert used and not set(skipped) & set(used)
-        assert used == [arith._crt_prime(i) for i in range(len(skipped), len(skipped) + len(used))]
+        assert used == [arith._crt_prime(i) for i in range(len(used))]
+        assert [q for q in used if real(m0, m1, q) is None] == skipped
+        assert len(used) > len(skipped)
 
 
 def test_det_pencil_poly_over_q_at_the_exact_mode_size():
@@ -1133,11 +1094,9 @@ def test_mpoly_symbolic_two_by_two():
 
 
 def test_field_dispatch_agrees_with_kernels():
-    from qlfd.arith import det, power, rank, reduce
+    from qlfd.arith import power, reduce
 
     m = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
     assert det(m, P) == det_mod(m, P) and det(m, None) == det_exact(m) == -78
-    singular = [[1, 2], [2, 4]]
-    assert rank(singular, P) == rank(singular, None) == 1
     assert reduce(-3, 7) == 4 and reduce(Fraction(-3, 2), None) == Fraction(-3, 2)
     assert power(3, -2, 7) == pow(9, -1, 7) and power(3, -2, None) == Fraction(1, 9)

@@ -36,7 +36,7 @@ from qlfd.semiinv import (
     weight_of_schofield,
 )
 
-from mpoly import degree_of, interpolate
+from mpoly import degree_of, det_exact, interpolate, rank_exact
 
 P = DEFAULT_PRIME
 
@@ -116,8 +116,63 @@ def test_multiplicity_vector_messages_in_order():
             multiplicity_vector(q, d, weights)
         assert str(err.value) == message
     assert multiplicity_vector(q, d, [(-1, 1, 0), (0, -1, 1)]) == [1, 1]
-    # a node row that repeats another is skipped for Cramer's rule
+    # node rows that repeat another, or are zero, take no pivot
     assert multiplicity_vector(q, d, [(-1, 0, 1)]) == [1]
+
+
+def _multiplicities_by_cramer(weights, target):
+    """The weight equation solved by rank tests and Cramer's rule over Q
+    (Bareiss determinants), as an oracle: the solution, or the message."""
+    s = len(weights)
+    rows = [[w[x] for w in weights] for x in range(len(target))]
+    if rank_exact(rows) < s:
+        return "weights are linearly dependent"
+    if rank_exact([row + [t] for row, t in zip(rows, target)]) > s:
+        return "weight equation has no rational solution"
+    square, rhs = [], []
+    for row, t in zip(rows, target):
+        if len(square) < s and rank_exact(square + [row]) > len(square):
+            square.append(row)
+            rhs.append(t)
+    den = det_exact(square)
+    out = []
+    for i in range(s):
+        v = det_exact([row[:i] + [t] + row[i + 1:] for row, t in zip(square, rhs)]) / den
+        if v.denominator != 1:
+            return f"non-integral multiplicity {v}"
+        if v < 1:
+            return f"non-positive multiplicity {int(v)}"
+        out.append(int(v))
+    return out
+
+
+def test_multiplicity_vector_matches_cramer(monkeypatch):
+    # random weight systems on up to 7 nodes, with a target that is a random
+    # combination of them (integral, fractional, non-positive), or not one
+    certify_module = importlib.import_module("qlfd.certify")
+    rng = Rng(3131)
+    seen = set()
+    for trial in range(600):
+        n, s = rng.randint(1, 7), rng.randint(1, 4)
+        weights = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(s)]
+        if trial % 5 == 0 and s > 1:
+            weights[-1] = tuple(2 * x - y for x, y in zip(weights[0], weights[1 % (s - 1)]))
+        a = [rng.randint(-1, 3) for _ in range(s)]
+        k = rng.randint(1, 2)
+        target = [sum(ai * w[x] for ai, w in zip(a, weights)) for x in range(n)]
+        if trial % 7 == 0:
+            target[rng.below(n)] += 1
+        if k == 2 and any(x % 2 for x in target):
+            weights = [tuple(2 * x for x in w) for w in weights]
+        monkeypatch.setattr(certify_module, "discriminant_weight", lambda *_: target)
+        expected = _multiplicities_by_cramer(weights, target)
+        try:
+            got = multiplicity_vector(build_quiver(list("abcdefg"[:n]), []), (1,) * n, weights)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (weights, target)
+        seen.add(expected.split(" multiplicity")[0] if isinstance(expected, str) else "solved")
+    assert len(seen) == 5  # each of the four messages, and solutions
 
 
 def _refuse_sampling(monkeypatch):
@@ -489,7 +544,7 @@ def test_exact_squarefree_test_reduces_modulo_a_prime_first(monkeypatch):
     fields = []
     real = certify_module.poly_gcd
     monkeypatch.setattr(
-        certify_module, "poly_gcd", lambda f, g, p=None: fields.append(p) or real(f, g, p)
+        certify_module, "poly_gcd", lambda f, g, p: fields.append(p) or real(f, g, p)
     )
     q0 = _crt_prime(0)
     # squarefree: one gcd, modulo the first prime
@@ -499,32 +554,54 @@ def test_exact_squarefree_test_reduces_modulo_a_prime_first(monkeypatch):
     fields.clear()
     assert certify_module._squarefree([1, 0, q0], None)
     assert fields == [_crt_prime(1)]
-    # a repeated factor is decided by the rational gcd
+    # a repeated factor: one gcd, modulo the first prime
     fields.clear()
     assert not certify_module._squarefree([2, -5, 4, -1], None)  # -(t - 1)^2 (t - 2)
-    assert fields == [q0, None]
-    # a repeated factor modulo the prime alone: t (t - q0) is squarefree over Q
+    assert fields == [q0]
+    # the test is one-sided: t (t - q0) is squarefree over Q, but not modulo
+    # q0, and the answer is the one at the prime
     fields.clear()
-    assert certify_module._squarefree([0, -q0, 1], None)
-    assert fields == [q0, None]
+    assert not certify_module._squarefree([0, -q0, 1], None)
+    assert fields == [q0]
 
 
 def test_exact_line_restriction_is_one_multimodular_pencil(monkeypatch):
-    # over Q the restriction of Delta is the F_p pencil lifted by CRT: one
-    # exact det M1, and it reduces to the F_p restriction
-    sizes = []
-    real = arith.det_exact
-    monkeypatch.setattr(arith, "det_exact", lambda m: sizes.append(len(m)) or real(m))
+    # over Q the restriction of Delta is the F_p pencil lifted by CRT, with
+    # no exact determinant, not even det M1, and it reduces to the F_p
+    # restriction
+    calls = []
+    for name in ("det", "det_mod"):
+        real = getattr(arith, name)
+        monkeypatch.setattr(
+            arith, name, lambda m, p, real=real: calls.append(len(m)) or real(m, p)
+        )
     lfm = action_matrix(*builtin("e6-q1"))
     rng = Rng(31)
     vec0, vec1 = ([rng.randint(-99, 99) for _ in range(lfm.coords.total)] for _ in range(2))
-    f = det_pencil_poly(lfm.evaluate(vec0, None), lfm.evaluate(vec1, None), None)
-    assert poly_degree(f) == lfm.size == 22 and sizes == [22]
-    assert all(type(c) is int for c in f)
+    m0, m1 = lfm.evaluate(vec0, None), lfm.evaluate(vec1, None)
+    f = det_pencil_poly(m0, m1, None)
+    assert poly_degree(f) == lfm.size == 22 and calls == []
+    assert all(type(c) is int for c in f) and f[-1] == det_exact(m1)
     modular = det_pencil_poly(
         lfm.evaluate([x % P for x in vec0], P), lfm.evaluate([x % P for x in vec1], P), P
     )
     assert [c % P for c in f] == modular
+
+
+@pytest.mark.parametrize("name", ["q3", "tilde-d4-ii", "tilde-d4-iii", "cycle3"])
+def test_a_multiplicity_above_one_settles_not_reduced_without_a_gcd(monkeypatch, name):
+    # some a_i >= 2 makes P|_L not squarefree on every line: the first line
+    # settles not-reduced, and no squarefree test runs
+    certify_module = importlib.import_module("qlfd.certify")
+    fields = []
+    real = certify_module.poly_gcd
+    monkeypatch.setattr(
+        certify_module, "poly_gcd", lambda f, g, p: fields.append(p) or real(f, g, p)
+    )
+    rep = certify(*(_cycle3() if name == "cycle3" else builtin(name)))
+    assert rep.verdict == "not-reduced" and rep.stats.lines_used == 1
+    assert max(c.multiplicity for c in rep.components) >= 2
+    assert fields == []
 
 
 def test_e8_report_needs_one_squarefree_line(report_for):

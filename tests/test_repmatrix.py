@@ -82,6 +82,14 @@ def test_hom_ext_dims_examples():
     assert hom_ext_dims(z, z) == (0, 0)
 
 
+def test_hom_ext_dims_needs_a_prime_field():
+    # ranks are taken over F_p only
+    q, _ = builtin("a3")
+    v = random_representation(q, (1, 1, 1), None, seed=5)
+    with pytest.raises(ValueError, match="over F_p"):
+        hom_ext_dims(v, v)
+
+
 def test_hom_ext_dims_e7_rigid_pair():
     q, d = builtin("e7-highroot")
     e = (1, 1, 1, 1, 1, 0, 0)
