@@ -9,10 +9,10 @@ JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .arith import DEFAULT_PRIME, PrimeField, derive_seed
 from .certify import (
@@ -72,16 +72,10 @@ class SystemExit2(Exception):
     """CLI-level error; rendered to stderr with exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors with exit code 1, not argparse's usage dump and
-    exit code 2, which would read as an inconclusive verdict."""
-
-    def error(self, message):
-        raise SystemExit2(message)
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        if args.quiver_file is not None:
+            payload["quiver_file"] = args.quiver_file
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -316,10 +310,87 @@ def _builtins_epilog() -> str:
     return "builtin fixtures: " + ", ".join(builtin_names())
 
 
-def _build_parser(command) -> argparse.ArgumentParser:
+# Each option's flag, kind, default and help: the one declaration that both
+# the argparse parser and _plain_args read.  The kind converts the value
+# token: int, str, a tuple of choices, or bool for a flag that takes none.
+_OPTIONS = (
+    ("--builtin", str, None, "builtin fixture name"),
+    ("--file", str, None, "quiver file path"),
+    ("--prime", int, DEFAULT_PRIME, None),
+    ("--seed", int, DEFAULT_SEED, None),
+    ("--format", ("text", "json"), "text", None),
+    ("--exact", bool, False, "exact rational checks (small Dynkin fixtures only)"),
+    ("--dump", bool, False, "also print the canonical quiver file form"),
+)
+_KINDS = {flag: kind for flag, kind, _, _ in _OPTIONS}
+
+
+def _defaults() -> dict:
+    """Each option's default by attribute name, the seed's taken from
+    QLFD_SEED when that is set."""
+    defaults = {flag[2:]: default for flag, _, default, _ in _OPTIONS}
+    env_seed = os.environ.get("QLFD_SEED")
+    if env_seed:
+        try:
+            defaults["seed"] = int(env_seed)
+        except ValueError:
+            raise SystemExit2(f"QLFD_SEED must be an integer, got {env_seed!r}") from None
+    return defaults
+
+
+def _plain_args(argv):
+    """The arguments argparse would return for a plain command line, or None.
+
+    Plain means a command name followed by exact option names, each valued
+    option taking the next token.  Anything else is left to argparse, which
+    alone prints help and usage errors: ``-h``, an abbreviation,
+    ``--opt=value``, ``--``, a stray token, a missing value, a value that
+    fails to convert, a value starting with ``-`` (argparse may read it as a
+    negative number or as an option) and a malformed QLFD_SEED.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    try:
+        args = _defaults()
+    except SystemExit2:
+        return None
+    args.update(command=argv[0], handler=_COMMANDS[argv[0]])
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = _KINDS.get(flag)
+        if kind is None:
+            return None
+        if kind is bool:
+            args[flag[2:]] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        args[flag[2:]] = value
+    return SimpleNamespace(**args)
+
+
+def _build_parser(command):
     """The parser with the subparser of ``command`` only, or with every
     subparser when ``command`` names none (a bare ``qlfd``, ``--help``, a
     typo), so that help and errors list them all."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports usage errors with exit code 1, not argparse's usage dump
+        and exit code 2, which would read as an inconclusive verdict."""
+
+        def error(self, message):
+            raise SystemExit2(message)
+
     parser = _Parser(
         prog="qlfd",
         description=(
@@ -331,22 +402,17 @@ def _build_parser(command) -> argparse.ArgumentParser:
         epilog=None if command in _COMMANDS else _builtins_epilog(),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_seed = os.environ.get("QLFD_SEED")
-    try:
-        default_seed = int(env_seed) if env_seed else DEFAULT_SEED
-    except ValueError:
-        raise SystemExit2(f"QLFD_SEED must be an integer, got {env_seed!r}") from None
+    defaults = _defaults()
     for name in [command] if command in _COMMANDS else _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--builtin", help="builtin fixture name")
-        p.add_argument("--file", help="quiver file path")
-        p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-        p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--exact", action="store_true",
-                       help="exact rational checks (small Dynkin fixtures only)")
-        p.add_argument("--dump", action="store_true",
-                       help="also print the canonical quiver file form")
+        for flag, kind, _, doc in _OPTIONS:
+            if kind is bool:
+                kwargs = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                kwargs = {"choices": kind}
+            else:
+                kwargs = {"type": kind}
+            p.add_argument(flag, default=defaults[flag[2:]], help=doc, **kwargs)
         p.set_defaults(handler=_COMMANDS[name])
     return parser
 
@@ -354,12 +420,14 @@ def _build_parser(command) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _plain_args(argv) or _build_parser(argv[0] if argv else None).parse_args(argv)
         PrimeField(args.prime)
         q, d = _load(args)
         check_seed(args.seed)  # for every command, not only those that draw
-        if args.dump:
-            sys.stdout.write(serialize(q, d))
+        # JSON carries the quiver file in its payload, so stdout stays one document
+        args.quiver_file = serialize(q, d) if args.dump else None
+        if args.dump and args.format == "text":
+            sys.stdout.write(args.quiver_file)
         return args.handler(q, d, args)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc.args[0] if exc.args else exc}\n")

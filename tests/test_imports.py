@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qlfd.fixtures import builtin
+from qlfd.qfile import serialize
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Imports every module of the package and runs a small modular and exact
@@ -37,8 +40,12 @@ def test_package_imports_only_the_standard_library():
 
 # Modules a certification never runs, each of which would add to the set-up
 # of every CLI call.  The standard-library modules the CLI does use load none
-# of them on Pythons 3.10 to 3.13.
-NOT_ON_THE_CLI_PATH = ("dataclasses", "inspect", "typing", "difflib", "ast", "dis", "qlfd.fixtures")
+# of them on Pythons 3.10 to 3.13.  argparse, with the gettext and locale it
+# loads, is built only for help and usage errors.
+NOT_ON_THE_CLI_PATH = (
+    "dataclasses", "inspect", "typing", "difflib", "ast", "dis", "qlfd.fixtures",
+    "argparse", "gettext", "locale",
+)
 
 
 def test_cli_import_loads_no_unused_module():
@@ -51,3 +58,23 @@ def test_cli_import_loads_no_unused_module():
     loaded = set(out.stdout.split())
     assert "qlfd.cli" in loaded
     assert loaded.isdisjoint(NOT_ON_THE_CLI_PATH), sorted(loaded.intersection(NOT_ON_THE_CLI_PATH))
+
+
+def test_plain_certify_loads_no_unused_module(tmp_path):
+    # a plain command line is read without argparse, which would load gettext
+    # and locale on its first message
+    path = tmp_path / "a5.qf"
+    path.write_text(serialize(*builtin("a5")))
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); from qlfd.cli import main; "
+        f"code = main(['certify', '--file', {str(path)!r}, '--format', 'json']); "
+        "print(code, *sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60, env={},
+    )
+    code, *loaded = out.stdout.splitlines()[-1].split()
+    assert code == "0" and "qlfd.certify" in loaded
+    unused = set(loaded).intersection(NOT_ON_THE_CLI_PATH)
+    assert not unused, sorted(unused)

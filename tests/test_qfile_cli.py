@@ -1,6 +1,9 @@
+import contextlib
 import importlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -264,6 +267,14 @@ def test_cli_dump_round_trip(capsys):
     assert serialize(q, d) in out
 
 
+@pytest.mark.parametrize("command, name", [("euler", "a3"), ("certify", "d4-prop")])
+def test_cli_dump_json_is_one_document(capsys, command, name):
+    # under JSON the quiver file is a payload field, not text before the document
+    code, out, err = run_cli(capsys, command, "--builtin", name, "--dump", "--format", "json")
+    assert (code, err) == (0, "")
+    assert parse(json.loads(out)["quiver_file"]) == builtin(name)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -423,3 +434,66 @@ def test_cli_certify_rejects_prime_below_five(capsys):
     code, out, err = run_cli(capsys, "certify", "--builtin", "a2", "--prime", "3")
     assert code == 1 and out == ""
     assert err == "error: prime must be at least 5, got 3\n"
+
+
+# Pieces of command lines: each option with a valid value, then invalid
+# values, missing values and the forms that only argparse reads.
+_VALID_PIECES = [
+    ["--builtin", "a3"], ["--builtin", ""], ["--file", "x.qf"], ["--prime", "101"],
+    ["--prime", "+7"], ["--prime", "1_0"], ["--prime", " 13"], ["--seed", "5"],
+    ["--seed", "+5"], ["--format", "json"], ["--format", "text"], ["--exact"],
+    ["--dump"], ["--exact", "--exact"], ["--seed", "5", "--seed", "6"],
+]
+_OTHER_PIECES = [
+    ["--builtin", "-x"], ["--builtin"], ["--file", "--exact"], ["--file"],
+    ["--prime", "-5"], ["--prime", "abc"], ["--prime", "1.5"], ["--prime"],
+    ["--seed", "-5"], ["--seed", "0x10"], ["--seed", "abc"], ["--seed", "-"], ["--seed"],
+    ["--format", "xml"], ["--format", ""], ["--format"],
+    ["--exact=1"], ["--seed=5"], ["--format=json"], ["--bui", "a3"], ["--se", "5"],
+    ["--f", "x"], ["--", "a3"], ["--"], ["-h"], ["--help"], ["stray"], ["-5"],
+    ["--trials", "0"], ["--bogus"],
+]
+_COMMAND_TOKENS = [*cli._COMMANDS, "certfy", "-h", "--help"]
+
+
+def _command_lines():
+    lines = [[], *([c] for c in _COMMAND_TOKENS)]
+    lines += [["certify", *piece] for piece in _VALID_PIECES + _OTHER_PIECES]
+    rng = random.Random(20240)
+    for _ in range(300):
+        pieces = [rng.choice(_VALID_PIECES if rng.random() < 0.8 else _OTHER_PIECES)
+                  for _ in range(rng.randint(1, 5))]
+        lines.append([rng.choice(_COMMAND_TOKENS), *(t for p in pieces for t in p)])
+    return lines
+
+
+def _argparse_outcome(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli._build_parser(argv[0] if argv else None).parse_args(argv))
+    except cli.SystemExit2 as exc:
+        return ("usage error", exc.args)
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+@pytest.mark.parametrize("env_seed", [None, "77", "abc"])
+def test_plain_reader_agrees_with_argparse(monkeypatch, env_seed):
+    # wherever the plain reader returns arguments, argparse returns the same
+    # ones; wherever argparse prints help or a usage error, the reader
+    # declines, so every message still comes from argparse
+    if env_seed is None:
+        monkeypatch.delenv("QLFD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QLFD_SEED", env_seed)
+    read = 0
+    for argv in _command_lines():
+        plain = cli._plain_args(argv)
+        parsed = _argparse_outcome(argv)
+        if plain is not None:
+            read += 1
+            assert vars(plain) == parsed, argv
+        if not isinstance(parsed, dict):
+            assert plain is None, argv
+    # the malformed QLFD_SEED is argparse's to report, on every line
+    assert read > 50 if env_seed != "abc" else read == 0
