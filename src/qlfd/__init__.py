@@ -1,7 +1,7 @@
 """Quiver representation spaces, semi-invariants, and linear free divisor
 certification."""
 
-from .arith import DEFAULT_PRIME, PrimeField, Rng, derive_seed
+from .arith import DEFAULT_PRIME, Rng, check_prime, derive_seed
 from .certify import (
     DEFAULT_SEED,
     CertifyError,
@@ -38,14 +38,11 @@ from .roots import (
     SchurCertificate,
     brick_probe,
     highest_root,
-    is_real_root,
     orthogonal_roots,
     perpendicular_simples,
     positive_roots,
 )
 from .semiinv import (
-    BlockHandle,
-    BlockRecipe,
     SchofieldHandle,
     discriminant_weight,
     sample_generic_witness,

@@ -68,31 +68,17 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _check_modulus(p: int) -> None:
-    """Raise ValueError unless p is a prime below ``_MR_BOUND``.  Cached, so
-    a modulus checked twice in one process (the CLI's option prime, then
-    ``CertifyOptions``) runs Miller-Rabin once; a rejection is not cached."""
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below ``_MR_BOUND``, the range
+    where ``is_prime`` is exact.  Cached, so a modulus checked twice in one
+    process (the CLI's option prime, then ``CertifyOptions``) runs
+    Miller-Rabin once; a rejection is not cached."""
     if p >= _MR_BOUND:
         raise ValueError(
             f"modulus {p} is too large: primality is proven only below {_MR_BOUND}"
         )
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-
-
-class PrimeField:
-    """A prime field F_p; primality of the modulus is checked on construction,
-    so the modulus must lie in the range where ``is_prime`` is exact."""
-
-    def __init__(self, p: int):
-        _check_modulus(p)
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 class Rng:

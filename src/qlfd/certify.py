@@ -35,9 +35,9 @@ from itertools import count
 
 from .arith import (
     DEFAULT_PRIME,
-    PrimeField,
     Rng,
     _crt_prime,
+    check_prime,
     derive_seed,
     det,
     poly_degree,
@@ -117,7 +117,7 @@ class CertifyOptions:
     def __init__(self, prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED,
                  exact: bool = False):
         check_seed(seed)
-        PrimeField(prime)
+        check_prime(prime)
         if prime < 5:
             # refused up front on every input: no check can use so small a
             # field, and a definitive verdict needs a prime above 2**40

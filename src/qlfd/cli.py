@@ -14,7 +14,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .arith import DEFAULT_PRIME, PrimeField, derive_seed
+from .arith import DEFAULT_PRIME, check_prime, derive_seed
 from .certify import (
     DEFAULT_SEED,
     CertifyError,
@@ -246,7 +246,7 @@ def _cmd_semiinv(q, d, args) -> int:
             recipes = {}
         if recipes:
             payload["block_recipes"] = {
-                ",".join(str(x) for x in root): bh.recipe.to_dict()
+                ",".join(str(x) for x in root): bh.to_dict()
                 for root, bh in sorted(recipes.items())
             }
             lines.append("block recipes:")
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _plain_args(argv) or _build_parser(argv[0] if argv else None).parse_args(argv)
-        PrimeField(args.prime)
+        check_prime(args.prime)
         q, d = _load(args)
         check_seed(args.seed)  # for every command, not only those that draw
         # JSON carries the quiver file in its payload, so stdout stays one document

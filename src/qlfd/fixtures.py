@@ -8,8 +8,10 @@ with that order.
 
 from __future__ import annotations
 
+from .arith import det, reduce
 from .quiver import Quiver, build_quiver
-from .semiinv import BlockHandle, BlockRecipe, weight_of_schofield
+from .repmatrix import Representation
+from .semiinv import weight_of_schofield
 
 
 def _chain(n: int):
@@ -200,118 +202,105 @@ def builtin(name: str) -> tuple[Quiver, tuple[int, ...]]:
 # cross-checks of the automatically generated witness handles; the automatic
 # path remains the source of truth for certification.
 
+# Each recipe is its label, keyed by the orthogonal root it realizes.  Inside
+# det[...], ";" separates block rows and a space or "|" separates cells; a
+# cell is 0 (a zero block) or an optional "-" and a path of one-letter arrow
+# names, applied right to left.
+_BLOCK_RECIPES = {
+    "e7-highroot": {
+        (0, 0, 1, 1, 1, 0, 1): "det[-C D 0; -C 0 F]",
+        (1, 1, 2, 2, 1, 1, 1): "det[F C 0 CBA; 0 C -DE 0]",
+    },
+    "e8-central-sink": {
+        (1, 1, 1, 1, 1, 0, 0, 0): "det[BA | DE]",
+        (0, 0, 1, 1, 1, 1, 0, 1): "det[C | DEF]",
+        (0, 1, 1, 1, 1, 1, 1, 0): "det[B | DEFG]",
+        (0, 1, 1, 1, 0, 0, 0, 1): "det[B 0 D; B -C 0]",
+        (1, 2, 2, 1, 1, 1, 0, 1): "det[BA B 0 DEF; 0 B -C 0]",
+        (1, 1, 2, 2, 1, 1, 1, 1): "det[BA C 0 DEFG; 0 C -D 0]",
+        (1, 2, 3, 2, 2, 1, 1, 2): "det[BA B 0 C 0 DEFG; 0 B -C 0 0 0; 0 0 0 C -DE 0]",
+    },
+}
 
-def _recipe(q, d, row_sizes, col_sizes, cells) -> BlockRecipe:
-    parsed = []
-    for row in cells:
+
+class BlockHandle:
+    """The semi-invariant V -> det of the block matrix its label describes.
+
+    Block row i has d[head] rows for the head of the first arrow of its
+    paths, and block column j has d[tail] columns for the tail of the last
+    arrow of its paths; cells that disagree raise ValueError.
+    """
+
+    def __init__(self, q: Quiver, d, root, label: str):
+        self.quiver, self.dims, self.label = q, tuple(d), label
+        self.weight = weight_of_schofield(q, root)
+        body = label.removeprefix("det[").removesuffix("]")
+        self.tokens = [row.replace("|", " ").split() for row in body.split(";")]
+        if len({len(row) for row in self.tokens}) != 1:
+            raise ValueError("block rows have different numbers of cells")
+        # (sign, path, shape) per cell, None for a zero block
+        self.cells = [[self._cell(tok) for tok in row] for row in self.tokens]
+        self.row_sizes = [self._size(row, 0, "row", i) for i, row in enumerate(self.cells)]
+        self.col_sizes = [self._size(col, 1, "column", j) for j, col in enumerate(zip(*self.cells))]
+        for i, row in enumerate(self.cells):
+            for j, cell in enumerate(row):
+                want = (self.row_sizes[i], self.col_sizes[j])
+                if cell is not None and cell[2] != want:
+                    raise ValueError(f"cell ({i},{j}) has shape {cell[2]}, grid expects {want}")
+        if sum(self.row_sizes) != sum(self.col_sizes):
+            raise ValueError("block recipe is not square")
+        self.degree_bound = sum(
+            w * max((len(c[1]) for c in col if c is not None), default=0)
+            for w, col in zip(self.col_sizes, zip(*self.cells))
+        )
+
+    def _cell(self, tok: str):
+        if tok == "0":
+            return None
+        q = self.quiver
+        sign, path = (-1, tok[1:]) if tok.startswith("-") else (1, tok)
+        for name in path:
+            if name not in q.arrow_index:
+                raise ValueError(f"unknown arrow {name!r} in block recipe path")
+        idx = [q.arrow_index[name] for name in path]
+        if any(q.tails[a] != q.heads[b] for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"path {'.'.join(path)} is not composable")
+        return sign, path, (self.dims[q.heads[idx[0]]], self.dims[q.tails[idx[-1]]])
+
+    @staticmethod
+    def _size(cells, axis: int, what: str, k: int) -> int:
+        for cell in cells:
+            if cell is not None:
+                return cell[2][axis]
+        raise ValueError(f"block {what} {k} has only zero cells")
+
+    def evaluate(self, v: Representation):
         out = []
-        for cell in row:
-            if cell is None:
-                out.append(None)
-            else:
-                sign, path = cell
-                out.append((sign, tuple(path.split("."))))
-        parsed.append(out)
-    return BlockRecipe(q, d, row_sizes, col_sizes, parsed)
+        for h, row in zip(self.row_sizes, self.cells):
+            blocks = [[[0] * w] * h if cell is None else _path_matrix(v, cell[0], cell[1])
+                      for w, cell in zip(self.col_sizes, row)]
+            out += [sum((b[r] for b in blocks), []) for r in range(h)]
+        return det(out, v.modulus)
+
+    def to_dict(self):
+        return {"row_sizes": self.row_sizes, "col_sizes": self.col_sizes, "cells": self.tokens}
+
+
+def _path_matrix(v: Representation, sign: int, path: str):
+    """sign times the product of the arrow matrices along path, the last
+    arrow applied first."""
+    p = v.modulus
+    m = [[reduce(sign * x, p) for x in row] for row in v.mat(path[-1])]
+    for name in reversed(path[:-1]):
+        cols = list(zip(*m))
+        m = [[reduce(sum(x * y for x, y in zip(row, col)), p) for col in cols] for row in v.mat(name)]
+    return m
 
 
 def block_handles(name: str) -> dict[tuple[int, ...], BlockHandle]:
     """Block-matrix handles for a builtin fixture, keyed by the orthogonal
     root each one realizes.  Available for e7-highroot and e8-central-sink."""
     q, d = builtin(name)
-    out: dict[tuple[int, ...], BlockHandle] = {}
-
-    def add(root, row_sizes, col_sizes, cells, label):
-        recipe = _recipe(q, d, row_sizes, col_sizes, cells)
-        handle = BlockHandle(recipe, weight_of_schofield(q, root), label=label)
-        out[tuple(root)] = handle
-
-    if name == "e7-highroot":
-        add(
-            (0, 0, 1, 1, 1, 0, 1),
-            [4, 4],
-            [3, 3, 2],
-            [
-                [(-1, "C"), (1, "D"), None],
-                [(-1, "C"), None, (1, "F")],
-            ],
-            "det[-C D 0; -C 0 F]",
-        )
-        add(
-            (1, 1, 2, 2, 1, 1, 1),
-            [4, 4],
-            [2, 3, 2, 1],
-            [
-                [(1, "F"), (1, "C"), None, (1, "C.B.A")],
-                [None, (1, "C"), (-1, "D.E"), None],
-            ],
-            "det[F C 0 CBA; 0 C -DE 0]",
-        )
-        return out
-
-    if name == "e8-central-sink":
-        add(
-            (1, 1, 1, 1, 1, 0, 0, 0),
-            [6],
-            [2, 4],
-            [[(1, "B.A"), (1, "D.E")]],
-            "det[BA | DE]",
-        )
-        add(
-            (0, 0, 1, 1, 1, 1, 0, 1),
-            [6],
-            [3, 3],
-            [[(1, "C"), (1, "D.E.F")]],
-            "det[C | DEF]",
-        )
-        add(
-            (0, 1, 1, 1, 1, 1, 1, 0),
-            [6],
-            [4, 2],
-            [[(1, "B"), (1, "D.E.F.G")]],
-            "det[B | DEFG]",
-        )
-        add(
-            (0, 1, 1, 1, 0, 0, 0, 1),
-            [6, 6],
-            [4, 3, 5],
-            [
-                [(1, "B"), None, (1, "D")],
-                [(1, "B"), (-1, "C"), None],
-            ],
-            "det[B 0 D; B -C 0]",
-        )
-        add(
-            (1, 2, 2, 1, 1, 1, 0, 1),
-            [6, 6],
-            [2, 4, 3, 3],
-            [
-                [(1, "B.A"), (1, "B"), None, (1, "D.E.F")],
-                [None, (1, "B"), (-1, "C"), None],
-            ],
-            "det[BA B 0 DEF; 0 B -C 0]",
-        )
-        add(
-            (1, 1, 2, 2, 1, 1, 1, 1),
-            [6, 6],
-            [2, 3, 5, 2],
-            [
-                [(1, "B.A"), (1, "C"), None, (1, "D.E.F.G")],
-                [None, (1, "C"), (-1, "D"), None],
-            ],
-            "det[BA C 0 DEFG; 0 C -D 0]",
-        )
-        add(
-            (1, 2, 3, 2, 2, 1, 1, 2),
-            [6, 6, 6],
-            [2, 4, 3, 3, 4, 2],
-            [
-                [(1, "B.A"), (1, "B"), None, (1, "C"), None, (1, "D.E.F.G")],
-                [None, (1, "B"), (-1, "C"), None, None, None],
-                [None, None, None, (1, "C"), (-1, "D.E"), None],
-            ],
-            "det[BA B 0 C 0 DEFG; 0 B -C 0 0 0; 0 0 0 C -DE 0]",
-        )
-        return out
-
-    raise KeyError(f"no block recipes for builtin {name!r}")
+    if name not in _BLOCK_RECIPES:
+        raise KeyError(f"no block recipes for builtin {name!r}")
+    return {root: BlockHandle(q, d, root, label) for root, label in _BLOCK_RECIPES[name].items()}

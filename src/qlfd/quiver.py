@@ -10,7 +10,6 @@ is safe.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
 
 Arrow = namedtuple("Arrow", "name tail head")
 
@@ -407,31 +406,3 @@ def classify_underlying_graph(q: Quiver):
     if len(results) == 1:
         return results[0]
     return results
-
-
-def kac_criterion_applicable(q: Quiver) -> bool:
-    """Whether every proper full subquiver is of finite or tame type.
-
-    Finite or extended Dynkin graphs qualify outright; otherwise all proper
-    node subsets are scanned (exponential, fine at fixture sizes).
-    """
-    c = classify_underlying_graph(q)
-    cs = [c] if isinstance(c, Classification) else c
-    if all(x.kind in ("dynkin", "extended") for x in cs):
-        return True
-    n = q.node_count
-    for size in range(1, n):
-        for sub in combinations(range(n), size):
-            sub_set = set(sub)
-            nodes = [q.nodes[i] for i in sub]
-            arrows = [
-                (a.name, a.tail, a.head)
-                for a in q.arrows
-                if q.index[a.tail] in sub_set and q.index[a.head] in sub_set
-            ]
-            sq = build_quiver(nodes, arrows, allow_cycles=True)
-            cc = classify_underlying_graph(sq)
-            ccs = [cc] if isinstance(cc, Classification) else cc
-            if any(x.kind == "other" for x in ccs):
-                return False
-    return True

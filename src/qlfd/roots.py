@@ -1,4 +1,4 @@
-"""Positive roots of Dynkin diagrams, real/imaginary/Schur root tests, roots
+"""Positive roots of Dynkin diagrams, the Schur root test (a brick probe), roots
 orthogonal to a dimension vector, and the simples of the perpendicular
 category of a general representation, which index the discriminant's
 components.
@@ -18,7 +18,6 @@ from .quiver import (
     embed_vector,
     euler_form,
     is_acyclic,
-    kac_criterion_applicable,
     support_subquiver,
     tits_form,
 )
@@ -67,17 +66,6 @@ def highest_root(q: Quiver) -> tuple[int, ...]:
     if top not in roots:
         raise ValueError("no componentwise-maximal root; quiver not connected Dynkin?")
     return top
-
-
-def is_real_root(q: Quiver, d) -> tuple[bool, bool]:
-    """(is real, criterion applicable).
-
-    Real means q(d) = 1.  The criterion characterizes roots only when every
-    proper subquiver of the support is of finite or tame type; outside that
-    hypothesis the answer is flagged heuristic via applicable=False.
-    """
-    sub, _ = support_subquiver(q, d)
-    return tits_form(q, d) == 1, kac_criterion_applicable(sub)
 
 
 # Outcome of random sampling for generic endomorphism/extension dimensions.

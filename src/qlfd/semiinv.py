@@ -1,8 +1,8 @@
 """Determinantal semi-invariants of a representation space: weight formulas,
 degrees from the weight and a level function, handles built from a generic
-witness representation, hard-coded block-matrix recipes, and witnesses (a
-tree representation, or drawn at random) checked on a line and restricted to
-it by one pencil (which also gives the degree on an unbalanced cycle).
+witness representation, and witnesses (a tree representation, or drawn at
+random) checked on a line and restricted to it by one pencil (which also
+gives the degree on an unbalanced cycle).
 
 Weights are not checked at run time.  For every W, V and g in the group,
 M(W, g.V) = L_g M(W, V) R_g^{-1} with det L_g / det R_g = prod_x
@@ -16,7 +16,7 @@ degree fails that check.
 
 from __future__ import annotations
 
-from .arith import Rng, det, det_pencil_poly, reduce
+from .arith import Rng, det, det_pencil_poly
 from .quiver import (
     Classification,
     Quiver,
@@ -110,142 +110,6 @@ class SchofieldHandle:
         if f is None or low < 0 or any(f[:low]):
             return None
         return f[low:]
-
-
-class BlockRecipe:
-    """A grid of cells assembling a square matrix from arrow-path products.
-
-    Cells are ``None`` (zero block), ``("ident", sign)``, or
-    ``(sign, (arrow, ...))`` with the path written in composition order
-    (leftmost applied last).  Row and column block sizes are declared and
-    every cell is validated against them.
-    """
-
-    def __init__(self, q: Quiver, dims, row_sizes, col_sizes, cells):
-        self.quiver = q
-        self.dims = tuple(dims)
-        self.row_sizes = tuple(row_sizes)
-        self.col_sizes = tuple(col_sizes)
-        if sum(self.row_sizes) != sum(self.col_sizes):
-            raise ValueError("block recipe is not square")
-        self.cells = tuple(tuple(row) for row in cells)
-        if len(self.cells) != len(self.row_sizes) or any(
-            len(r) != len(self.col_sizes) for r in self.cells
-        ):
-            raise ValueError("cell grid does not match declared block sizes")
-        for i, row in enumerate(self.cells):
-            for j, cell in enumerate(row):
-                shape = self._cell_shape(cell)
-                if shape is None:
-                    continue
-                if shape != (self.row_sizes[i], self.col_sizes[j]):
-                    raise ValueError(f"cell ({i},{j}) has shape {shape}, grid expects "
-                                     f"({self.row_sizes[i]}, {self.col_sizes[j]})")
-        self.size = sum(self.row_sizes)
-
-    def _cell_shape(self, cell):
-        if cell is None:
-            return None
-        if cell[0] == "ident":
-            return None  # square block, fits wherever row and column sizes agree
-        _, path = cell
-        q, d = self.quiver, self.dims
-        for name in path:
-            if name not in q.arrow_index:
-                raise ValueError(f"unknown arrow {name!r} in block recipe path")
-        for a, b in zip(path, path[1:]):
-            if q.arrows[q.arrow_index[a]].tail != q.arrows[q.arrow_index[b]].head:
-                raise ValueError(f"path {'.'.join(path)} is not composable")
-        rows = d[q.heads[q.arrow_index[path[0]]]]
-        cols = d[q.tails[q.arrow_index[path[-1]]]]
-        return rows, cols
-
-    def path_matrix(self, v: Representation, path):
-        m = v.mat(path[-1])
-        for name in reversed(path[:-1]):
-            left = v.mat(name)
-            p = v.modulus
-            rows = len(left)
-            inner = len(m)
-            cols = len(m[0]) if m else 0
-            out = [[0] * cols for _ in range(rows)]
-            for i in range(rows):
-                for k in range(inner):
-                    f = left[i][k]
-                    if f:
-                        mk = m[k]
-                        row = out[i]
-                        for j in range(cols):
-                            row[j] += f * mk[j]
-            m = [[reduce(x, p) for x in row] for row in out]
-        return m
-
-    def assemble(self, v: Representation):
-        n = self.size
-        out = [[0] * n for _ in range(n)]
-        r0 = 0
-        for i, row in enumerate(self.cells):
-            c0 = 0
-            for j, cell in enumerate(row):
-                h, w = self.row_sizes[i], self.col_sizes[j]
-                if cell is not None:
-                    if cell[0] == "ident":
-                        sign = reduce(cell[1], v.modulus)
-                        for t in range(min(h, w)):
-                            out[r0 + t][c0 + t] = sign
-                    else:
-                        sign, path = cell
-                        block = self.path_matrix(v, path)
-                        for r in range(h):
-                            for c in range(w):
-                                out[r0 + r][c0 + c] = reduce(sign * block[r][c], v.modulus)
-                c0 += w
-            r0 += h
-        return out
-
-    def degree_bound(self) -> int:
-        total = 0
-        for j, w in enumerate(self.col_sizes):
-            longest = 0
-            for row in self.cells:
-                cell = row[j]
-                if cell is not None and cell[0] != "ident":
-                    longest = max(longest, len(cell[1]))
-            total += w * longest
-        return total
-
-    def to_dict(self):
-        def enc(cell):
-            if cell is None:
-                return "0"
-            if cell[0] == "ident":
-                return f"{'+' if cell[1] > 0 else '-'}I"
-            sign, path = cell
-            return ("-" if sign < 0 else "") + "".join(path)
-
-        return {
-            "row_sizes": list(self.row_sizes),
-            "col_sizes": list(self.col_sizes),
-            "cells": [[enc(c) for c in row] for row in self.cells],
-        }
-
-
-class BlockHandle:
-    """Semi-invariant realized by a hard-coded block-matrix recipe."""
-
-    kind = "block"
-
-    def __init__(self, recipe: BlockRecipe, weight, label: str = ""):
-        self.recipe = recipe
-        self.quiver = recipe.quiver
-        self.dims = recipe.dims
-        self.weight = tuple(weight)
-        self.degree: int | None = None
-        self.label = label
-        self.degree_bound = recipe.degree_bound()
-
-    def evaluate(self, v: Representation):
-        return det(self.recipe.assemble(v), v.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ read off the pencils, and ``verify_weight``, a handle's weight checked
 under the group action, as the oracle for the weight formula -eE.
 
 The last section holds helpers that only the tests use: extensions and
-direct sums, the discriminant's value at one representation, the
-imaginary-root test, the root of a weight, and the dense characteristic
-polynomial (``charpoly_mod``, the dense entry into ``arith._charpoly_op``).
+direct sums, the discriminant's value at one representation, the root of
+a weight, and the dense characteristic polynomial (``charpoly_mod``, the
+dense entry into ``arith._charpoly_op``).
 
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
@@ -36,13 +36,7 @@ from qlfd.arith import (
     power,
     reduce,
 )
-from qlfd.quiver import (
-    Quiver,
-    euler_inverse,
-    kac_criterion_applicable,
-    support_subquiver,
-    tits_form,
-)
+from qlfd.quiver import Quiver, euler_inverse
 from qlfd.repmatrix import (
     Representation,
     _check_pair,
@@ -515,12 +509,6 @@ def discriminant_value(q: Quiver, d, v: Representation, drop_node: str | None = 
         raise ValueError("representation does not live in this space")
     lfm = action_matrix(q, d, drop_node)
     return det(lfm.evaluate(lfm.coords.flatten(v), v.modulus), v.modulus)
-
-
-def is_imaginary_root(q: Quiver, d) -> tuple[bool, bool]:
-    """(is imaginary, criterion applicable); imaginary means q(d) <= 0."""
-    sub, _ = support_subquiver(q, d)
-    return tits_form(q, d) <= 0, kac_criterion_applicable(sub)
 
 
 def root_from_weight(q: Quiver, w) -> tuple[int, ...]:

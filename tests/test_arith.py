@@ -7,8 +7,8 @@ import pytest
 from qlfd import arith
 from qlfd.arith import (
     DEFAULT_PRIME,
-    PrimeField,
     Rng,
+    check_prime,
     derive_seed,
     det,
     det_mod,
@@ -60,17 +60,17 @@ def test_is_prime_small_cases():
 
 
 def test_prime_field_rejects_composite():
-    with pytest.raises(ValueError):
-        PrimeField(2**62 - 1)
-    assert PrimeField(P).inv(7) * 7 % P == 1
+    with pytest.raises(ValueError, match="is not prime"):
+        check_prime(2**62 - 1)
+    assert check_prime(P) is None
 
 
 def test_prime_field_rejects_moduli_beyond_proven_range():
     # is_prime is exact only below 3317044064679887385961981 (about 3.3e24)
-    assert PrimeField(2**80 - 65).p == 2**80 - 65
+    assert check_prime(2**80 - 65) is None
     for p in (2**89 - 1, 3317044064679887385961981):
         with pytest.raises(ValueError, match="too large"):
-            PrimeField(p)
+            check_prime(p)
 
 
 def test_rng_deterministic_and_distinct():

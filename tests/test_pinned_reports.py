@@ -79,3 +79,25 @@ def test_cold_and_warm_plan_caches_give_the_same_report(capsys):
             reports.append(capsys.readouterr().out)
     assert any(plan.schedule is not None for plan in arith._PLANS.values())
     assert reports[:2] == reports[2:]
+
+
+# sha256 of the stdout of ``qlfd semiinv --builtin <name> --format <fmt>``
+# at the default seed and prime: they pin the block-recipe listing, the
+# labels and the block sizes derived from them, as well as the components.
+PINNED_RECIPE_LISTINGS = [
+    ("e7-highroot", "text", "b2c036fb77ad42a9beace9997f6a1a7b84fc703c14358c0c3c0e038c05936461"),
+    ("e7-highroot", "json", "e1df4f10158b641ce9f50d3d3e1d8a1db51c36e094c8d7701636a07ebbbaeafc"),
+    ("e8-central-sink", "text", "519ba8325d858c16fb5b9d43b8dec0567e873e2ad7f297f6bc53a03f5339ec1d"),
+    ("e8-central-sink", "json", "e67bc3c48d239a664e0024d468dbd25998d86090a97a334738ec34f9b57bebcf"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,fmt,digest", PINNED_RECIPE_LISTINGS,
+    ids=[f"{name}-{fmt}" for name, fmt, _ in PINNED_RECIPE_LISTINGS],
+)
+def test_semiinv_recipe_listing_is_pinned(name, fmt, digest, capsys):
+    assert main(["semiinv", "--builtin", name, "--format", fmt]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest

@@ -108,6 +108,17 @@ def test_cli_semiinv_lists_the_block_recipes(capsys):
     assert sorted(recipes) == sorted(",".join(map(str, r)) for r in roots)
 
 
+def test_cli_exact_mode_limits_apply_to_certify_not_discriminant(capsys):
+    # discriminant --exact is one determinant lifted by the Chinese remainder
+    # theorem, on any support; certify --exact needs a small Dynkin support
+    argv = ["--builtin", "star7", "--exact", "--format", "json"]
+    code, out, err = run_cli(capsys, "discriminant", *argv)
+    assert code == 0 and err == "" and json.loads(out)["dim_rep"] == 56
+    code, out, err = run_cli(capsys, "certify", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: [exact] exact mode requires a Dynkin support\n"
+
+
 def test_cli_euler_text(capsys):
     code, out, _ = run_cli(capsys, "euler", "--builtin", "a3")
     assert code == 0
@@ -369,7 +380,7 @@ def test_cli_certify_tests_the_option_prime_once(capsys, monkeypatch):
     tested = []
     is_prime = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
-    arith._check_modulus.cache_clear()
+    arith.check_prime.cache_clear()
     code, out, _ = run_cli(capsys, "certify", "--builtin", "a4", "--prime", str(prime))
     assert code == 0 and "linear-free-divisor" in out
     assert tested.count(prime) == 1

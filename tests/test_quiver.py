@@ -12,7 +12,6 @@ from qlfd.quiver import (
     euler_matrix,
     in_out_degree,
     is_acyclic,
-    kac_criterion_applicable,
     level_function,
     opposite_quiver,
     support_subquiver,
@@ -248,12 +247,6 @@ def test_support_subquiver():
     qe7, _ = builtin("e7-highroot")
     sub3, _ = support_subquiver(qe7, (0, 0, 1, 1, 1, 0, 1))
     assert classify_underlying_graph(sub3).label == "D4"
-
-
-def test_kac_criterion_applicability():
-    assert kac_criterion_applicable(builtin("tilde-d4-ii")[0])
-    assert kac_criterion_applicable(builtin("e8-central-sink")[0])
-    assert not kac_criterion_applicable(builtin("q2")[0])
 
 
 def test_opposite_quiver():

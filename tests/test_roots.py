@@ -21,14 +21,13 @@ from qlfd.repmatrix import hom_ext_dims, random_representation
 from qlfd.roots import (
     brick_probe,
     highest_root,
-    is_real_root,
     orthogonal_roots,
     perpendicular_simples,
     positive_roots,
 )
 from qlfd.semiinv import discriminant_weight, weight_of_schofield
 
-from mpoly import is_imaginary_root, root_from_weight
+from mpoly import root_from_weight
 from randquiver import random_real_roots
 from roots_oracle import lattice_roots, old_components, semigroup_basis
 
@@ -98,19 +97,6 @@ def test_highest_roots():
     for name in ["e6-q1", "e7-highroot", "e8-central-sink", "d5-prop"]:
         q, d = builtin(name)
         assert highest_root(q) == d, name
-
-
-def test_real_and_imaginary_root_tests():
-    q, d = builtin("tilde-d4-i")
-    real, applicable = is_real_root(q, d)
-    assert real and applicable
-    imag, applicable2 = is_imaginary_root(q, (1, 1, 1, 1, 2))
-    assert imag and applicable2
-    qa = builtin("a3")[0]
-    assert is_real_root(qa, (1, 0, 0)) == (True, True)
-    # the q2 support is minimally outside the criterion's hypothesis
-    q2, d2 = builtin("q2")
-    assert is_real_root(q2, d2) == (True, False)
 
 
 def test_brick_probe_a3():

@@ -9,7 +9,6 @@ from qlfd.repmatrix import Representation, random_representation
 from qlfd.roots import perpendicular_simples
 from qlfd.semiinv import (
     WITNESS_DRAWS,
-    BlockRecipe,
     DegenerateWitnessError,
     SchofieldHandle,
     discriminant_weight,
@@ -249,31 +248,53 @@ def test_verify_weight_block_handles():
             assert _checked_weight(bh, bh.weight, P, seed=15), (name, root)
 
 
-def test_block_recipe_identity_cells_and_unknown_arrows():
+def test_block_recipe_label_paths_apply_right_to_left():
     from qlfd.arith import det_mod
+    from qlfd.fixtures import BlockHandle
 
-    q, d = builtin("a3")  # arrows a1: 1->2, a2: 2->3
-    r = BlockRecipe(
-        q, d, [1, 1], [1, 1], [[("ident", -1), (1, ("a1",))], [None, (1, ("a2",))]]
-    )
+    q = build_quiver(["1", "2", "3"], [("A", "1", "2"), ("B", "2", "3")])
+    d = (1, 1, 1)
     v = random_representation(q, d, P, seed=5)
-    m = r.assemble(v)
-    va, vb = v.mats[0][0][0], v.mats[1][0][0]
-    assert m == [[P - 1, va], [0, vb]]
-    assert det_mod(m, P) == (-vb) % P
-    assert r.degree_bound() == 1  # identity column contributes degree 0
-    with pytest.raises(ValueError, match="unknown arrow"):
-        BlockRecipe(q, d, [1, 1], [1, 1], [[("ident", 1), (1, ("zz",))], [None, (1, ("a2",))]])
+    va, vb = v.mat("A")[0][0], v.mat("B")[0][0]
+    h = BlockHandle(q, d, (1, 0, 0), "det[-A 0; 0 B]")
+    assert h.evaluate(v) == det_mod([[P - va, 0], [0, vb]], P) == (-va * vb) % P
+    assert h.degree_bound == 2
+    h = BlockHandle(q, d, (1, 0, 0), "det[BA]")  # A applied first
+    assert h.evaluate(v) == va * vb % P and h.degree_bound == 2
+    assert h.to_dict() == {"row_sizes": [1], "col_sizes": [1], "cells": [["BA"]]}
+    d = (1, 2, 3)
+    h = BlockHandle(q, d, (1, 0, 0), "det[BA | B]")
+    assert h.to_dict() == {"row_sizes": [3], "col_sizes": [1, 2], "cells": [["BA", "B"]]}
+    assert h.degree_bound == 1 * 2 + 2 * 1  # longest path per column times its width
+    with pytest.raises(ValueError, match="unknown arrow 'Z' in block recipe path"):
+        BlockHandle(q, d, (1, 0, 0), "det[BZ | B]")
+    with pytest.raises(ValueError, match="path A.B is not composable"):
+        BlockHandle(q, d, (1, 0, 0), "det[AB | B]")
 
 
 def test_block_recipe_shape_validation():
+    from qlfd.fixtures import BlockHandle
+
     q, d = builtin("e7-highroot")
-    with pytest.raises(ValueError):
-        BlockRecipe(q, d, [4, 4], [3, 3], [[None, None], [None, None]])  # not square
-    with pytest.raises(ValueError):
-        BlockRecipe(q, d, [4], [2, 2], [[(1, ("C",)), None]])  # C is 4x3, slot is 4x2
-    with pytest.raises(ValueError):
-        BlockRecipe(q, d, [4], [1, 3], [[(1, ("A", "C")), None]])  # not composable
+    with pytest.raises(ValueError, match="not square"):
+        BlockHandle(q, d, (0,) * 7, "det[C D]")  # 4 x (3 + 3)
+    with pytest.raises(ValueError, match=r"cell \(1,0\) has shape \(4, 2\), grid expects \(4, 3\)"):
+        BlockHandle(q, d, (0,) * 7, "det[-C D 0; CB 0 F]")  # CB is 4x2, column 0 is 3 wide
+    with pytest.raises(ValueError, match=r"cell \(0,1\) has shape \(3, 2\)"):
+        BlockHandle(q, d, (0,) * 7, "det[C B; C D]")  # B is 3x2 in a block row of height 4
+    with pytest.raises(ValueError, match="different numbers of cells"):
+        BlockHandle(q, d, (0,) * 7, "det[-C D 0; -C F]")
+    with pytest.raises(ValueError, match="block column 1 has only zero cells"):
+        BlockHandle(q, d, (0,) * 7, "det[C 0; C 0]")
+
+
+def test_block_recipes_live_only_in_the_fixtures():
+    import qlfd
+
+    assert not hasattr(importlib.import_module("qlfd.semiinv"), "BlockRecipe")
+    assert not hasattr(importlib.import_module("qlfd.semiinv"), "BlockHandle")
+    for name in ("BlockRecipe", "BlockHandle", "PrimeField", "is_real_root"):
+        assert not hasattr(qlfd, name), name
 
 
 def test_block_handles_match_automatic_handles():
