@@ -35,8 +35,6 @@ from .repmatrix import (
     random_representation,
 )
 from .roots import (
-    SchurCertificate,
-    brick_probe,
     highest_root,
     orthogonal_roots,
     perpendicular_simples,

@@ -1,18 +1,20 @@
 """End-to-end certification: decide whether the discriminant of non-rigid
 representations is a linear free divisor and emit the component table.
 
-Pipeline: support restriction, real-root check, then a deterministic core
-and one randomized line certificate.  The core draws nothing: the component
+Pipeline: support restriction, real-root check, one random line, then a
+deterministic core and the randomized line certificate on that line.  The
+line's leading member has Delta(vec1) = det A(vec1) != 0, which proves d a
+Schur root on every support (see ``_probe_line``); on a non-Dynkin support
+the pipeline runs in advisory mode.  The core draws nothing: the component
 roots are the simples of the perpendicular category of a general
 representation, read off by ``perpendicular_simples`` (the list is complete
-on every acyclic support where d is a real Schur root; on a non-Dynkin
-support a brick probe must certify that first, and the pipeline runs in
-advisory mode), their weights are -eE, their degrees sum_x w_x l(x) d_x for
-a level function l, and their multiplicities solve the weight equation.
+on every acyclic support where d is a real Schur root), their weights are
+-eE, their degrees sum_x w_x l(x) d_x for a level function l, and their
+multiplicities solve the weight equation.
 
-The line certificate (``line_certificate``) draws one random line, then on
-it one witness per component, whose pencil restricts the handle to the
-line: one determinant per handle and nothing else.  It never restricts the
+The line certificate (``line_certificate``) takes on the line one witness
+per component, whose pencil restricts the handle to the line: one
+determinant per handle and nothing else.  It never restricts the
 discriminant Delta itself to the line: it checks Delta = c * P, with
 P = prod h_i^{a_i} over the handles, at the line's two ends, one
 determinant of Delta per end.  Once the identity holds, Delta|_L = c * P|_L,
@@ -45,6 +47,7 @@ from .arith import (
     poly_gcd,
     poly_mul,
     power,
+    rank_mod,
     reduce,
 )
 from .quiver import (
@@ -56,7 +59,7 @@ from .quiver import (
     tits_form,
 )
 from .repmatrix import action_matrix
-from .roots import brick_probe, perpendicular_simples
+from .roots import perpendicular_simples
 from .semiinv import (
     DegenerateWitnessError,
     discriminant_weight,
@@ -101,16 +104,6 @@ def check_seed(seed: int) -> None:
     another seed."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-
-
-def check_brick_prime(prime: int) -> None:
-    """Reject an option prime at or below 2**40 for a non-Dynkin support,
-    where the brick probe must run and needs a prime above 2**40."""
-    if prime <= 2**40:
-        raise ValueError(
-            f"option prime needs a prime above 2**40 on a non-Dynkin "
-            f"support: {prime} <= 2**40"
-        )
 
 
 class CertifyOptions:
@@ -229,24 +222,44 @@ def _random_coordinate_vector(lfm, p: int | None, rng: Rng):
     return [rng.below(p) for _ in range(lfm.coords.total)]
 
 
-def _probe_line(lfm, p: int | None, rng: Rng, trial: int):
-    """The first of 8 lines vec0 + t*vec1, drawn on ``rng.split(trial,
-    attempt)``, where Delta(vec1) = det A(vec1) is nonzero, as
-    (vec0, vec1, Delta(vec0), Delta(vec1)).
+def _probe_line(lfm, p: int | None, seed: int, trial: int = 0):
+    """The first of 8 lines vec0 + t*vec1, drawn on
+    ``Rng(derive_seed(seed, 40)).split(trial, attempt)``, where
+    Delta(vec1) = det A(vec1) is nonzero, as ((vec0, vec1, Delta(vec1)), N)
+    with N = dim Rep = ``lfm.size``; when all 8 leading members are
+    singular, (None, r), r the largest rank of A(vec1) seen over F_p (None
+    over Q).
 
     Every cell of the action matrix A is a signed coordinate, so Delta is
-    homogeneous of degree ``lfm.size`` and Delta(vec1) is the leading
-    coefficient of Delta|_L: each accepted line proves deg Delta = dim Rep.
+    homogeneous of degree N and Delta(vec1) is the leading coefficient of
+    Delta|_L: each accepted line proves deg Delta = dim Rep.
+
+    It also proves d a Schur root.  A maps gl(d), less one diagonal
+    direction, into Rep; the identity acts as 0, so the dropped direction
+    lies in the span of the others, and with q(d) = 1,
+    rank A(V) = N + 1 - dim End V.  So Delta(vec1) != 0 makes V1 a brick,
+    and, Delta having integer coefficients, a nonzero value over F_p proves
+    Delta nonzero over Q as well.  When every sample is singular, each has
+    dim End >= N + 1 - r.
     """
+    rng = Rng(derive_seed(seed, 40))
+    rank = None if p is None else 0
     for attempt in range(8):
         stream = rng.split(trial, attempt)
         vec0 = _random_coordinate_vector(lfm, p, stream)
         vec1 = _random_coordinate_vector(lfm, p, stream)
-        delta1 = det(lfm.evaluate(vec1, p), p)
+        a1 = lfm.evaluate(vec1, p)
+        delta1 = det(a1, p)
         if delta1:
-            # A(vec0) has the sparsity pattern of A(vec1): it replays its plan
-            return vec0, vec1, det(lfm.evaluate(vec0, p), p), delta1
-    raise CertifyError(
+            return (vec0, vec1, delta1), lfm.size
+        if p is not None:
+            rank = max(rank, rank_mod(a1, p))
+    return None, rank
+
+
+def _no_line() -> CertifyError:
+    """The failure of a line draw where d is known to be a Schur root."""
+    return CertifyError(
         "line",
         "the discriminant vanishes at the leading member A(vec1) of every "
         "sampled line",
@@ -266,8 +279,8 @@ def discriminant_degree(
     q: Quiver, d, p: int | None = DEFAULT_PRIME, seed: int = DEFAULT_SEED
 ) -> int:
     """Degree of the discriminant's equation over F_p, or over Q when ``p``
-    is None: sum over arrows of d(tail) * d(head), proved by one
-    determinant.
+    is None: sum over arrows of d(tail) * d(head), proved by the leading
+    member of the first line ``certify`` draws at ``seed``.
 
     det A is homogeneous of degree ``size`` (see ``_probe_line``), so one
     nonzero det A(v) at a random point proves that the degree equals the
@@ -281,16 +294,13 @@ def discriminant_degree(
     if formula == 0:
         return 0
     _require_prime_above_twice(p, formula, "discriminant_degree")
-    rng = Rng(seed)
-    for attempt in range(6):
-        vec = _random_coordinate_vector(lfm, p, rng.split(attempt))
-        if det(lfm.evaluate(vec, p), p):
-            return formula
-    raise CertifyError(
-        "discriminant-degree",
-        "determinant vanishes at every sampled point; "
-        "the dimension vector is likely not a Schur root",
-    )
+    if _probe_line(lfm, p, seed)[0] is None:
+        raise CertifyError(
+            "discriminant-degree",
+            "determinant vanishes at every sampled point; "
+            "the dimension vector is likely not a Schur root",
+        )
+    return formula
 
 
 def multiplicity_vector(q: Quiver, d, weights) -> list[int]:
@@ -348,7 +358,7 @@ def _ends_agree(delta0, delta1, prod, p: int | None):
 def verify_factorization(restrictions, mults, line, p: int | None):
     """The factorization identity Delta = c * prod h_i^{a_i}, over F_p or Q
     (``p`` None), at the two ends of the line (vec0, vec1, Delta(vec0),
-    Delta(vec1)) that ``_probe_line`` draws, from the restrictions h_i|_L
+    Delta(vec1)) that ``line_certificate`` uses, from the restrictions h_i|_L
     of the handles to the line (``SchofieldHandle.restrict``); P|_L is
     their product.  Returns (ok, c, P|_L), with c the ratio
     Delta(vec1) / P(vec1); (False, None, None) when some restriction is
@@ -404,8 +414,8 @@ LineCertificate = namedtuple(
 
 
 def line_certificate(
-    q: Quiver,
-    d,
+    lfm,
+    line,
     roots,
     degrees,
     mults,
@@ -415,17 +425,18 @@ def line_certificate(
     """The handles of the component ``roots``, the factorization identity
     and the reducedness of the discriminant Delta over F_p, or over Q when
     ``p`` is None, from one random line, with no restriction of Delta
-    itself.  ``degrees`` holds each root's degree, or None where it is to be
-    read off the pencil.
+    itself.  ``lfm`` is the action matrix A of (q, d); ``degrees`` holds
+    each root's degree, or None where it is to be read off the pencil.
 
-    The line V0 + t V1 comes from ``_probe_line`` on
-    ``derive_seed(seed, 40)``.  On it ``sample_generic_witness`` takes the
-    tree representation of root e_i as its witness, or, for a root with
-    none, draws the witness on ``derive_seed(seed, 10, *e_i)``, redrawing
-    while h(V1) = 0; a [witnesses] error follows when the tree witness has
-    h(V1) = 0 or 32 draws do.  The witness's pencil gives h|_L; a wrong
-    declared degree fails the identity.  So each handle costs
-    one pencil and nothing else.
+    The line V0 + t V1 is ``line`` = (vec0, vec1, Delta(vec1)), the first
+    line that ``_probe_line(lfm, p, seed)`` accepts, which ``certify`` draws
+    before any other stage; Delta(vec0) is computed here.  On it
+    ``sample_generic_witness`` takes the tree representation of root e_i
+    as its witness, or, for a root with none, draws the witness on
+    ``derive_seed(seed, 10, *e_i)``, redrawing while h(V1) = 0; a
+    [witnesses] error follows when the tree witness has h(V1) = 0 or 32
+    draws do.  The witness's pencil gives h|_L; a wrong declared degree
+    fails the identity.  So each handle costs one pencil and nothing else.
 
     No weight is checked: c^W(g.V) = prod_x det(g_x)**w_x c^W(V) holds
     exactly with w = -eE (see ``semiinv``), and a wrong weight could only
@@ -457,15 +468,18 @@ def line_certificate(
     CERTIFICATE_LINES lines in all; a redrawn line reuses the handles, and
     each checks the identity with the first line's c.
     """
-    d = tuple(int(x) for x in d)
-    lfm = action_matrix(q, d)
     _require_prime_above_twice(p, lfm.size, "line_certificate")
     all_ones = all(a == 1 for a in mults)
-    rng = Rng(derive_seed(seed, 40))
     handles, unit = [], None
     for trial in range(CERTIFICATE_LINES):
-        line = _probe_line(lfm, p, rng, trial)
-        v0, v1 = (lfm.coords.unflatten(vec, p) for vec in line[:2])
+        if trial:
+            line = _probe_line(lfm, p, seed, trial)[0]
+            if line is None:
+                raise _no_line()
+        vec0, vec1, delta1 = line
+        # A(vec0) has the sparsity pattern of A(vec1): it replays its plan
+        ends = (vec0, vec1, det(lfm.evaluate(vec0, p), p), delta1)
+        v0, v1 = (lfm.coords.unflatten(vec, p) for vec in (vec0, vec1))
         if trial:
             restrictions = [h.restrict(h.pencil(v0, v1)) for h in handles]
         else:
@@ -479,7 +493,7 @@ def line_certificate(
                     ) from None
                 handles.append(h)
                 restrictions.append(h.restrict(f))
-        ok, c, prod = verify_factorization(restrictions, mults, line, p)
+        ok, c, prod = verify_factorization(restrictions, mults, ends, p)
         if trial == 0:
             unit = c
         if not ok or c != unit:
@@ -541,29 +555,32 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     # one before any stage samples
     if p is not None:
         _require_prime_above_twice(prime, dim_rep, "option prime")
-        # and the brick probe of a non-Dynkin support needs one above 2**40
-        if cls.kind != "dynkin":
-            check_brick_prime(prime)
-    if cls.kind == "dynkin":
-        mode = "dynkin"
-        stats.mode = mode
-    else:
-        mode = "advisory"
-        stats.mode = mode
-        if opts.exact:
-            raise CertifyError("exact", "exact mode requires a Dynkin support")
-        brick = brick_probe(q0, d0, prime, derive_seed(seed, 101), trials=8)
-        stats.brick_endomorphism_dim = brick.endomorphism_dim
-        stats.brick_ext_dim = brick.ext_dim
-        if brick.verdict != "brick":
-            return report(
-                VERDICT_INCONCLUSIVE,
-                f"generic endomorphism dimension >= {brick.endomorphism_dim}; "
-                "not a Schur root, the discriminant is the whole space",
-                dim_rep=dim_rep,
-            )
+    mode = "dynkin" if cls.kind == "dynkin" else "advisory"
+    stats.mode = mode
+    if opts.exact and mode != "dynkin":
+        raise CertifyError("exact", "exact mode requires a Dynkin support")
     if opts.exact and dim_rep > 24:
         raise CertifyError("exact", "oversize exact-mode request (dim Rep > 24)")
+
+    # the line, first on every support: Delta(vec1) != 0 proves d a Schur
+    # root.  Every real root of a Dynkin support is one, so there 8 singular
+    # leading members are a failure, not a verdict
+    lfm = action_matrix(q0, d0)
+    line, rank = _probe_line(lfm, p, seed)
+    if line is None:
+        if mode == "dynkin":
+            raise _no_line()
+        # every sample has dim End - dim Ext^1 = q(d) = 1
+        end = dim_rep + 1 - rank
+        stats.brick_endomorphism_dim, stats.brick_ext_dim = end, end - 1
+        return report(
+            VERDICT_INCONCLUSIVE,
+            f"generic endomorphism dimension >= {end}; "
+            "not a Schur root, the discriminant is the whole space",
+            dim_rep=dim_rep,
+        )
+    if mode == "advisory":
+        stats.brick_endomorphism_dim, stats.brick_ext_dim = 1, 0
 
     disc_w0 = discriminant_weight(q0, d0)
     disc_w = embed_vector(q, q0, disc_w0)
@@ -593,7 +610,7 @@ def certify(q: Quiver, d, options: CertifyOptions | None = None) -> LfdReport:
     # the line certificate: the witnesses on one line, the identity at its
     # two ends and the squarefreeness of P|_L; its bound is dim Rep / |S|
     # (see verify_factorization)
-    cert = line_certificate(q0, d0, simples, degrees, mults, p, seed)
+    cert = line_certificate(lfm, line, simples, degrees, mults, p, seed)
     stats.lines_used = cert.lines_used
     unit = cert.unit
     stats.unit_ratio = str(unit) if p is None and unit is not None else unit

@@ -14,13 +14,14 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .arith import DEFAULT_PRIME, check_prime, derive_seed
+from .arith import DEFAULT_PRIME, check_prime
 from .certify import (
     DEFAULT_SEED,
     CertifyError,
     CertifyOptions,
+    _probe_line,
+    _require_prime_above_twice,
     certify,
-    check_brick_prime,
     check_seed,
     discriminant_degree,
 )
@@ -35,8 +36,8 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
+from .repmatrix import action_matrix
 from .roots import (
-    brick_probe,
     highest_root,
     orthogonal_roots,
     perpendicular_simples,
@@ -132,16 +133,17 @@ def _cmd_roots(q, d, args) -> int:
     sub, dsub = support_subquiver(q, d)
     cls = classify_underlying_graph(sub)
     dynkin = not isinstance(cls, list) and cls.kind == "dynkin"
-    if not dynkin:
+    if not dynkin and is_acyclic(sub) and tits_form(sub, dsub) == 1:
         # every real root of a Dynkin support is a Schur root; elsewhere the
-        # brick probe refuses a non-Schur root before the reflection search,
-        # which would spend its whole state bound on it
-        check_brick_prime(args.prime)
-        brick = brick_probe(sub, dsub, args.prime, derive_seed(args.seed, 101))
-        if brick.verdict != "brick":
+        # first line of certify refuses a non-Schur root before the
+        # reflection search, which would spend its whole state bound on it
+        lfm = action_matrix(sub, dsub)
+        _require_prime_above_twice(args.prime, lfm.size, "option prime")
+        line, rank = _probe_line(lfm, args.prime, args.seed)
+        if line is None:
             raise SystemExit2(
-                f"not a Schur root: dim End >= {brick.endomorphism_dim} at "
-                f"{brick.trials} sampled representations"
+                f"not a Schur root: dim End >= {lfm.size + 1 - rank} at "
+                "8 sampled representations"
             )
     simples = [embed_vector(q, sub, s) for s in perpendicular_simples(sub, dsub)]
     payload = {

@@ -301,6 +301,7 @@ def block_handles(name: str) -> dict[tuple[int, ...], BlockHandle]:
     """Block-matrix handles for a builtin fixture, keyed by the orthogonal
     root each one realizes.  Available for e7-highroot and e8-central-sink."""
     q, d = builtin(name)
-    if name not in _BLOCK_RECIPES:
+    key = name.strip().lower()  # the key ``builtin`` looks up
+    if key not in _BLOCK_RECIPES:
         raise KeyError(f"no block recipes for builtin {name!r}")
-    return {root: BlockHandle(q, d, root, label) for root, label in _BLOCK_RECIPES[name].items()}
+    return {root: BlockHandle(q, d, root, label) for root, label in _BLOCK_RECIPES[key].items()}

@@ -1,15 +1,12 @@
-"""Positive roots of Dynkin diagrams, the Schur root test (a brick probe), roots
-orthogonal to a dimension vector, and the simples of the perpendicular
-category of a general representation, which index the discriminant's
-components.
+"""Positive roots of Dynkin diagrams, roots orthogonal to a dimension
+vector, and the simples of the perpendicular category of a general
+representation, which index the discriminant's components.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 
-from .arith import Rng
 from .quiver import (
     Classification,
     Quiver,
@@ -21,7 +18,6 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
-from .repmatrix import hom_ext_dims, random_representation, tree_representation
 
 # Most (orientation, dimension vector) states one ``perpendicular_simples``
 # call may visit in its search for an (A) or (D) move.
@@ -66,46 +62,6 @@ def highest_root(q: Quiver) -> tuple[int, ...]:
     if top not in roots:
         raise ValueError("no componentwise-maximal root; quiver not connected Dynkin?")
     return top
-
-
-# Outcome of random sampling for generic endomorphism/extension dimensions.
-# A brick verdict ("brick" | "not-brick") certifies a Schur root (one-sided:
-# random points only ever overestimate the generic dimensions).
-SchurCertificate = namedtuple(
-    "SchurCertificate", "endomorphism_dim ext_dim prime seed trials verdict"
-)
-
-
-def brick_probe(q: Quiver, d, prime: int, seed: int, trials: int = 8) -> SchurCertificate:
-    """Sample random representations of dimension vector d over F_prime and
-    report the minimal observed dim End and dim Ext^1 (``hom_ext_dims`` of
-    the sample with itself).
-
-    Sampling stops at the first sample with dim End = 1, the least value on
-    a nonzero d.  Every sample has dim End - dim Ext^1 = <d, d>, so that
-    sample also has the least dim Ext^1 any further sample could show.  The
-    tree representation of d (``tree_representation``), when d has one, is
-    tried first, and counts only when it has dim End = 1.
-    """
-    if prime <= 2**40:
-        raise ValueError("brick_probe needs a prime above 2**40")
-    d = tuple(int(x) for x in d)
-    tree = tree_representation(q, d, prime)
-    if tree is not None:
-        end, ext = hom_ext_dims(tree, tree)
-        if end == 1:
-            return SchurCertificate(end, ext, prime, seed, trials, "brick")
-    rng = Rng(seed)
-    dims = []
-    for t in range(trials):
-        v = random_representation(q, d, prime, rng.split(t).seed)
-        dims.append(hom_ext_dims(v, v))
-        if dims[-1][0] == 1:
-            break
-    ends, exts = zip(*dims)
-    best_end, best_ext = min(ends), min(exts)
-    verdict = "brick" if best_end == 1 else "not-brick"
-    return SchurCertificate(best_end, best_ext, prime, seed, trials, verdict)
 
 
 def orthogonal_roots(q: Quiver, d) -> list[tuple[int, ...]]:
@@ -169,7 +125,7 @@ def _simples(n: int, arrows, d, budget) -> list[tuple[int, ...]]:
         if budget[0] < 0:
             raise ValueError(
                 f"no (A) or (D) move within {MAX_REFLECTION_STATES} reflection "
-                "states; d may not be a Schur root"
+                "states; the search ran out"
             )
         found = _direct_simples(n, arr, v, budget)
         if found is not None:
@@ -188,8 +144,7 @@ def _simples(n: int, arrows, d, budget) -> list[tuple[int, ...]]:
                     heapq.heappush(heap, (sum(w), len(parent), *state))
     else:
         raise ValueError(
-            "no (A) or (D) move in a finite reflection orbit; d may not be a "
-            "Schur root"
+            "no (A) or (D) move in a finite reflection orbit; the search ran out"
         )
     while parent[arr, v] is not None:
         arr, v, x = parent[arr, v]

@@ -5,11 +5,13 @@ earlier one by an arrow of random direction, plus at most one extra arrow
 oriented along a topological order, so it stays acyclic; when it closes a
 cycle with unequal numbers of arrows each way there is no level function,
 as on the ``cycle3`` triangle.  The dimension vector is drawn from [1, 4]^n
-until q(d) = 1.  Standard library and ``qlfd.arith.Rng`` only.
+until q(d) = 1.  ``is_schur`` tells the Schur roots among them.  Standard
+library and ``qlfd`` only.
 """
 
-from qlfd.arith import Rng
+from qlfd.arith import DEFAULT_PRIME, Rng, det_mod
 from qlfd.quiver import build_quiver, tits_form, topological_order
+from qlfd.repmatrix import action_matrix
 
 
 def random_quiver(rng: Rng, n: int, extra: bool):
@@ -51,3 +53,15 @@ def random_real_roots(seed: int, count: int, sizes=range(3, 8)):
                 out.append((q, d))
                 break
     return out
+
+
+def is_schur(q, d, seed: int) -> bool:
+    """Whether the real root d of the acyclic quiver q is a Schur root, by
+    det A(V) != 0 at one random V over the default prime field: with
+    q(d) = 1, rank A(V) = dim Rep + 1 - dim End V.  A Schur root fails only
+    when V lands on the discriminant, with probability at most
+    dim Rep / p."""
+    lfm = action_matrix(q, d)
+    rng = Rng(seed)
+    vec = [rng.below(DEFAULT_PRIME) for _ in range(lfm.coords.total)]
+    return det_mod(lfm.evaluate(vec, DEFAULT_PRIME), DEFAULT_PRIME) != 0

@@ -706,7 +706,7 @@ def _schedule_updates(a, pivots):
 
 
 def test_restricted_search_matches_the_exhaustive_oracle(monkeypatch):
-    # on every builtin's action matrix A(v) and its brick-probe matrix
+    # on every builtin's action matrix A(v) and the defect matrix
     # M(V, V), whose rank is below its column count: the same rank,
     # determinant and solves as the search over every active row, and
     # schedules at most 10% costlier over the whole set

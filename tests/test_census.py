@@ -1,9 +1,10 @@
 import pytest
 
-from qlfd.certify import certify
+from qlfd.certify import CertifyError, certify
 from qlfd.fixtures import builtin
+from qlfd.quiver import build_quiver
 
-from census import census
+from census import census, predicted_verdict
 
 
 @pytest.mark.parametrize(
@@ -32,3 +33,20 @@ def test_star_and_d_prop_families_at_scale():
         assert rep.verdict == "linear-free-divisor", (name, rep.reason)
         assert [c.degree for c in rep.components] == degrees, name
         assert {c.multiplicity for c in rep.components} == {1}, name
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=CertifyError,
+    reason="ROADMAP item 16: the reflection search of perpendicular_simples "
+    "runs out on this real Schur root",
+)
+def test_a_wild_real_schur_root_certifies_as_the_euler_form_predicts():
+    # (12, 18, 1) on 0 => 1 => 2: the line proves it a Schur root, and then
+    # the search finds no (A) or (D) move within MAX_REFLECTION_STATES
+    q = build_quiver(
+        ["0", "1", "2"],
+        [("a", "0", "1"), ("b", "0", "1"), ("c", "1", "2"), ("e", "1", "2")],
+    )
+    d = (12, 18, 1)
+    assert certify(q, d).verdict == predicted_verdict(q, d)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import sys
 import time
@@ -11,7 +12,7 @@ from qlfd.arith import (
     DEFAULT_PRIME,
     Rng,
     _crt_prime,
-    derive_seed,
+    det,
     det_pencil_poly,
     poly_degree,
     poly_mul,
@@ -182,7 +183,7 @@ def _refuse_sampling(monkeypatch):
     certify_module = importlib.import_module("qlfd.certify")
     monkeypatch.setattr(certify_module, "sample_generic_witness", refuse)
     monkeypatch.setattr(certify_module, "perpendicular_simples", refuse)
-    monkeypatch.setattr(certify_module, "brick_probe", refuse)
+    monkeypatch.setattr(certify_module, "_probe_line", refuse)
 
 
 def test_certify_checks_the_prime_before_any_stage(monkeypatch):
@@ -196,28 +197,39 @@ def test_certify_checks_the_prime_before_any_stage(monkeypatch):
 
 
 @pytest.mark.parametrize("name,prime", [("q3", 101), ("star3", 1000003)])
-def test_certify_checks_the_brick_probe_prime_before_any_stage(monkeypatch, name, prime):
-    # the brick probe of a non-Dynkin support needs a prime above 2**40
-    _refuse_sampling(monkeypatch)
-    with pytest.raises(ValueError) as err:
-        certify(*builtin(name), CertifyOptions(prime=prime))
-    assert str(err.value) == (
-        f"option prime needs a prime above 2**40 on a non-Dynkin support: "
-        f"{prime} <= 2**40"
+def test_certify_gates_a_mid_size_prime_on_a_non_dynkin_support_by_its_bound(
+    report_for, capsys, name, prime
+):
+    # a prime above 2 * dim Rep runs every stage on any support; the line
+    # proves d a Schur root at any such prime, and the 2^-40 gate alone
+    # keeps the verdict from being definitive: exit 2, not an error
+    from qlfd.cli import main
+
+    rep = certify(*builtin(name), CertifyOptions(prime=prime))
+    assert rep.stats.mode == "advisory" and rep.verdict == "inconclusive"
+    assert rep.reason == (
+        f"false-accept bound 2^{rep.stats.ratio_point_bound_log2:.1f} is not below "
+        "2^-40; use a larger prime"
     )
+    assert (rep.stats.brick_endomorphism_dim, rep.stats.brick_ext_dim) == (1, 0)
+    tables = [[c.to_dict() for c in r.components] for r in (rep, report_for(name))]
+    assert tables[0] == tables[1] and tables[0]
+    assert main(["certify", "--builtin", name, "--prime", str(prime), "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["reason"] == rep.reason
 
 
 @pytest.mark.parametrize("command", ["certify", "semiinv"])
 def test_cli_refuses_a_small_prime_on_a_non_dynkin_support(monkeypatch, capsys, command):
+    # at or below 2 * dim Rep (2 * 36 on q3), before any stage samples
     from qlfd.cli import main
 
     _refuse_sampling(monkeypatch)
-    assert main([command, "--builtin", "q3", "--prime", "101"]) == 1
+    assert main([command, "--builtin", "q3", "--prime", "71"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "error: option prime needs a prime above 2**40 on a non-Dynkin support: "
-        "101 <= 2**40\n"
+        "error: option prime needs a prime above twice the degree: 71 <= 2 * 36\n"
     )
 
 
@@ -229,10 +241,20 @@ def test_exact_certify_does_not_use_the_prime():
 
 
 def _probe_line(q, d, p, seed):
-    """The first line ``line_certificate`` draws at ``seed``: (vec0, vec1,
-    Delta(vec0), Delta(vec1))."""
+    """The first line ``certify`` draws at ``seed``, with Delta at its two
+    ends: (vec0, vec1, Delta(vec0), Delta(vec1))."""
     certify_module = importlib.import_module("qlfd.certify")
-    return certify_module._probe_line(action_matrix(q, d), p, Rng(derive_seed(seed, 40)), 0)
+    lfm = action_matrix(q, d)
+    vec0, vec1, delta1 = certify_module._probe_line(lfm, p, seed)[0]
+    return vec0, vec1, det(lfm.evaluate(vec0, p), p), delta1
+
+
+def _line_certificate(q, d, roots, degrees, mults, p, seed):
+    """``line_certificate`` on the first line ``certify`` draws at ``seed``."""
+    certify_module = importlib.import_module("qlfd.certify")
+    lfm = action_matrix(q, d)
+    line = certify_module._probe_line(lfm, p, seed)[0]
+    return line_certificate(lfm, line, roots, degrees, mults, p, seed)
 
 
 def _points(q, d, line, p):
@@ -430,7 +452,7 @@ def test_squarefree_probe_fixtures(report_for):
         ("d7-prop", None, True),
     ]:
         q, d, roots, degrees, mults = _certificate_inputs(report_for, name)
-        cert = line_certificate(q, d, roots, degrees, mults, p, seed=6)
+        cert = _line_certificate(q, d, roots, degrees, mults, p, seed=6)
         assert cert[:4] == (True, reduced, cert.unit, 1), (name, p)
         assert cert.unit not in (None, 0)
         assert [h.root for h in cert.handles] == roots
@@ -447,9 +469,9 @@ def test_squarefree_probe_one_squarefree_vote_proves_reduced(report_for, monkeyp
     monkeypatch.setattr(
         certify_module,
         "_probe_line",
-        lambda lfm, p, rng, trial: trials.append(trial) or real_line(lfm, p, rng, trial),
+        lambda lfm, p, seed, trial=0: trials.append(trial) or real_line(lfm, p, seed, trial),
     )
-    cert = line_certificate(q, d, roots, degrees, mults, P, seed=5)
+    cert = _line_certificate(q, d, roots, degrees, mults, P, seed=5)
     assert cert[:4] == (True, True, cert.unit, 2) and trials == [0, 1]
     # the reported ratio is the first line's
     first = _probe_line(q, d, P, seed=5)
@@ -477,7 +499,7 @@ def test_a_redrawn_line_needs_the_first_line_ratio(report_for, monkeypatch):
     ratios = iter([5, 6])
     monkeypatch.setattr(certify_module, "_ends_agree", lambda *_: (True, next(ratios)))
     monkeypatch.setattr(certify_module, "_squarefree", lambda f, p: False)
-    assert line_certificate(q, d, roots, degrees, mults, P, seed=5)[:4] == (False, False, 5, 2)
+    assert _line_certificate(q, d, roots, degrees, mults, P, seed=5)[:4] == (False, False, 5, 2)
 
 
 def test_squarefree_probe_not_reduced_needs_one_line(report_for):
@@ -486,7 +508,7 @@ def test_squarefree_probe_not_reduced_needs_one_line(report_for):
     for name in ("tilde-d4-ii", "q3"):
         q, d, roots, degrees, mults = _certificate_inputs(report_for, name)
         assert max(mults) == 2
-        assert line_certificate(q, d, roots, degrees, mults, P, seed=5)[1:4] == (False, ANY, 1)
+        assert _line_certificate(q, d, roots, degrees, mults, P, seed=5)[1:4] == (False, ANY, 1)
         rep = report_for(name)
         assert rep.verdict == "not-reduced" and rep.stats.lines_used == 1
 
@@ -609,13 +631,25 @@ def test_e8_report_needs_one_squarefree_line(report_for):
     assert rep.verdict == "linear-free-divisor" and rep.stats.lines_used == 1
 
 
-def test_squarefree_probe_without_full_degree_lines_raises():
-    # tilde-d4-iv is not a Schur root: the discriminant vanishes identically,
-    # so no line has an invertible leading member
-    q, d = builtin("tilde-d4-iv")
-    with pytest.raises(CertifyError, match="every sampled line") as info:
-        line_certificate(q, d, [], [], [], P, seed=5)
-    assert info.value.stage == "line"
+def test_squarefree_probe_without_full_degree_lines_raises(report_for, monkeypatch):
+    # lines whose leading members are all singular, on a Dynkin support,
+    # where d is known to be a Schur root: certify's first line, and a line
+    # the certificate redraws after a product that is not squarefree
+    certify_module = importlib.import_module("qlfd.certify")
+    real_line = certify_module._probe_line
+    singular_from = [0]
+
+    def singular(lfm, p, seed, trial=0):
+        return (None, 0) if trial >= singular_from[0] else real_line(lfm, p, seed, trial)
+
+    monkeypatch.setattr(certify_module, "_probe_line", singular)
+    with pytest.raises(CertifyError, match="every sampled line") as first:
+        certify(*builtin("e6-q1"))
+    singular_from[0] = 1
+    monkeypatch.setattr(certify_module, "_squarefree", lambda f, p: False)
+    with pytest.raises(CertifyError, match="every sampled line") as redrawn:
+        _line_certificate(*_certificate_inputs(report_for, "e6-q1"), P, seed=5)
+    assert first.value.stage == redrawn.value.stage == "line"
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -678,10 +712,16 @@ def test_certify_q2_q3(report_for):
 
 
 def test_certify_non_schur_inconclusive(report_for):
+    # all 8 leading members are singular: dim End >= N + 1 - their largest
+    # rank, and dim Ext^1 = dim End - q(d)
     rep = report_for("tilde-d4-iv")
     assert rep.verdict == "inconclusive"
-    assert rep.stats.brick_endomorphism_dim >= 2
-    assert "Schur" in rep.reason
+    assert (rep.stats.brick_endomorphism_dim, rep.stats.brick_ext_dim) == (2, 1)
+    assert rep.reason == (
+        "generic endomorphism dimension >= 2; not a Schur root, the "
+        "discriminant is the whole space"
+    )
+    assert rep.stats.lines_used == 0 and rep.components == []
 
 
 def test_certify_rejects_bad_input():
@@ -847,12 +887,15 @@ def test_certify_verdicts_stable_across_seeds():
 
 
 def test_brick_probe_deterministic():
-    from qlfd.roots import brick_probe
-
-    q, d = builtin("e6-q1")
-    a = brick_probe(q, d, P, seed=99, trials=4)
-    b = brick_probe(q, d, P, seed=99, trials=4)
-    assert a == b
+    # the line, with the brick its leading member proves, is a function of
+    # the seed; a non-Schur root reports the same rank at the same seed
+    certify_module = importlib.import_module("qlfd.certify")
+    for name in ("e6-q1", "tilde-d4-iv"):
+        lfm = action_matrix(*builtin(name))
+        line, rank = certify_module._probe_line(lfm, P, seed=99)
+        assert (line, rank) == certify_module._probe_line(lfm, P, seed=99)
+        assert (line is None) == (name == "tilde-d4-iv")
+        assert rank == lfm.size if line else rank < lfm.size
 
 
 def test_component_weights_orthogonal_to_d(report_for):
@@ -921,9 +964,9 @@ def test_a_low_degree_reading_is_never_definitive(monkeypatch):
     certify_module = importlib.import_module("qlfd.certify")
     real = certify_module._probe_line
 
-    def through_the_origin(lfm, p, rng, trial):
-        vec0, vec1, _, delta1 = real(lfm, p, rng, trial)
-        return [0] * len(vec0), vec1, 0, delta1
+    def through_the_origin(lfm, p, seed, trial=0):
+        (vec0, vec1, delta1), rank = real(lfm, p, seed, trial)
+        return ([0] * len(vec0), vec1, delta1), rank
 
     monkeypatch.setattr(certify_module, "_probe_line", through_the_origin)
     for seed in range(1, 6):

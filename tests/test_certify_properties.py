@@ -19,11 +19,11 @@ from qlfd.fixtures import builtin, builtin_names
 from qlfd.qfile import parse, serialize
 from qlfd.quiver import build_quiver, level_function, opposite_quiver
 from qlfd.repmatrix import random_representation
-from qlfd.roots import brick_probe, perpendicular_simples
+from qlfd.roots import perpendicular_simples
 from qlfd.semiinv import SchofieldHandle, weight_of_schofield
 
 from mpoly import degree_of
-from randquiver import random_real_roots
+from randquiver import is_schur, random_real_roots
 
 P = DEFAULT_PRIME
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -36,7 +36,7 @@ def test_definitive_verdicts_match_the_euler_form_prediction():
     # pencils, and a fresh witness's degree_of must agree with each
     definitive = cycles = 0
     for i, (q, d) in enumerate(random_real_roots(29, 100)):
-        if brick_probe(q, d, P, seed=i).verdict != "brick":
+        if not is_schur(q, d, seed=i):
             continue
         rep = certify(q, d)
         simples = perpendicular_simples(q, d)

@@ -108,6 +108,15 @@ def test_cli_semiinv_lists_the_block_recipes(capsys):
     assert sorted(recipes) == sorted(",".join(map(str, r)) for r in roots)
 
 
+@pytest.mark.parametrize("name", ["E8-central-sink", " e8-central-sink "])
+def test_cli_semiinv_finds_the_block_recipes_under_any_name_builtin_accepts(capsys, name):
+    # builtin strips and lowercases the name; the recipes are looked up by
+    # the same key
+    assert block_handles(name).keys() == block_handles("e8-central-sink").keys()
+    code, out, _ = run_cli(capsys, "semiinv", "--builtin", name, "--format", "json")
+    assert code == 0 and len(json.loads(out)["block_recipes"]) == 7
+
+
 def test_cli_exact_mode_limits_apply_to_certify_not_discriminant(capsys):
     # discriminant --exact is one determinant lifted by the Chinese remainder
     # theorem, on any support; certify --exact needs a small Dynkin support
@@ -194,8 +203,9 @@ def test_cli_roots_on_definite_non_dynkin_support(capsys):
 
 @pytest.mark.parametrize("name", ["tilde-d4-iv"])
 def test_cli_roots_rejects_non_definite_lattice(capsys, name):
-    # d is a real root but not a Schur root there: the brick probe refuses it
-    # before the reflection search runs
+    # d is a real root but not a Schur root there: the leading members of
+    # certify's first line, all singular, refuse it before the reflection
+    # search runs
     code, out, err = run_cli(capsys, "roots", "--builtin", name)
     assert code == 1 and out == ""
     assert err == "error: not a Schur root: dim End >= 2 at 8 sampled representations\n"
@@ -225,17 +235,25 @@ def test_cli_roots_probes_a_wild_non_schur_root_before_the_search(tmp_path, caps
     code, out, err = run_cli(capsys, "roots", "--file", str(path))
     assert (code, out) == (1, "") and calls == []
     assert err == "error: not a Schur root: dim End >= 10 at 8 sampled representations\n"
-    code, out, err = run_cli(capsys, "roots", "--file", str(path), "--prime", "101")
+    # the line needs a prime above 2 * dim Rep = 2 * 56, as in certify
+    code, out, err = run_cli(capsys, "roots", "--file", str(path), "--prime", "109")
     assert (code, out) == (1, "") and calls == []
-    assert err == (
-        "error: option prime needs a prime above 2**40 on a non-Dynkin support: "
-        "101 <= 2**40\n"
+    assert err == "error: option prime needs a prime above twice the degree: 109 <= 2 * 56\n"
+    code, out, err = run_cli(capsys, "roots", "--file", str(path), "--prime", "113")
+    assert (code, out) == (1, "") and calls == []
+    assert err == "error: not a Schur root: dim End >= 10 at 8 sampled representations\n"
+    # certify reads the same lines: inconclusive, and not an error
+    code, out, err = run_cli(capsys, "certify", "--file", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"], doc["stats"]["brick_endomorphism_dim"]) == (
+        2, "", "inconclusive", 10
     )
 
 
 def test_cli_roots_skips_the_brick_probe_on_a_dynkin_support(capsys, monkeypatch):
-    # every real root of a Dynkin support is a Schur root
-    monkeypatch.setattr(cli, "brick_probe", None)
+    # every real root of a Dynkin support is a Schur root: roots draws no
+    # line there, at any prime
+    monkeypatch.setattr(cli, "_probe_line", None)
     code, out, err = run_cli(capsys, "roots", "--builtin", "e8-central-sink", "--prime", "101")
     assert code == 0 and err == ""
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlfd import roots as roots_module
-from qlfd.arith import DEFAULT_PRIME, Rng
+from qlfd.arith import DEFAULT_PRIME, Rng, rank_mod
 from qlfd.certify import multiplicity_vector
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.quiver import (
@@ -17,9 +17,8 @@ from qlfd.quiver import (
     support_subquiver,
     tits_form,
 )
-from qlfd.repmatrix import hom_ext_dims, random_representation
+from qlfd.repmatrix import action_matrix, hom_ext_dims
 from qlfd.roots import (
-    brick_probe,
     highest_root,
     orthogonal_roots,
     perpendicular_simples,
@@ -28,10 +27,11 @@ from qlfd.roots import (
 from qlfd.semiinv import discriminant_weight, weight_of_schofield
 
 from mpoly import root_from_weight
-from randquiver import random_real_roots
+from randquiver import is_schur, random_real_roots
 from roots_oracle import lattice_roots, old_components, semigroup_basis
 
 P = DEFAULT_PRIME
+certify_module = importlib.import_module("qlfd.certify")
 
 
 def box_scan_roots(q, box):
@@ -99,61 +99,81 @@ def test_highest_roots():
         assert highest_root(q) == d, name
 
 
+def _probe(q, d, seed):
+    """The first line ``certify`` draws at ``seed``, or None, and the least
+    N + 1 - rank A(V1) over the leading members V1 it tried."""
+    lfm = action_matrix(q, d)
+    line, rank = certify_module._probe_line(lfm, P, seed)
+    return line, lfm.size + 1 - rank
+
+
+def _end_by_rank(q, d, rng):
+    """A random point V over F_p, and N + 1 - rank A(V), N = dim Rep."""
+    lfm = action_matrix(q, d)
+    vec = [rng.below(P) for _ in range(lfm.coords.total)]
+    v = lfm.coords.unflatten(vec, P)
+    return v, lfm.size + 1 - rank_mod(lfm.evaluate(vec, P), P)
+
+
 def test_brick_probe_a3():
+    # an invertible leading member A(V1) makes V1 a brick: dim End 1
     q, _ = builtin("a3")
-    cert = brick_probe(q, (1, 1, 1), P, seed=3)
-    assert cert.endomorphism_dim == 1
-    assert cert.ext_dim == 0
-    assert cert.verdict == "brick"
+    line, end = _probe(q, (1, 1, 1), seed=3)
+    assert line is not None and end == 1
 
 
 def test_brick_probe_single_node():
+    # dim Rep 0: the empty action matrix has determinant 1
     q = build_quiver(["1"], [])
-    cert = brick_probe(q, (1,), P, seed=5)
-    assert cert.endomorphism_dim == 1 and cert.ext_dim == 0
+    assert _probe(q, (1,), seed=5) == (([], [], 1), 1)
 
 
 def test_brick_probe_non_schur_case():
     q, d = builtin("tilde-d4-iv")
-    cert = brick_probe(q, d, P, seed=11)
-    assert cert.endomorphism_dim >= 2
-    assert cert.verdict == "not-brick"
+    line, end = _probe(q, d, seed=11)
+    assert line is None and end >= 2
 
 
 def test_brick_probe_rank_nullity_invariant():
-    # endo - ext = <d, d> at every sampled point
-    for name, d in [("a3", (1, 1, 1)), ("tilde-d4-iv", None), ("e6-q1", None)]:
-        q, dd = builtin(name)
-        d = d or dd
-        cert = brick_probe(q, d, P, seed=13)
-        assert cert.endomorphism_dim - cert.ext_dim == tits_form(q, d)
+    # the identity behind certify's Schur proof, N + 1 - rank A(V) = dim End V,
+    # and dim End - dim Ext^1 = <d, d>, against hom_ext_dims: on builtins,
+    # on random real roots, bricks and not, and on the non-Schur real root
+    # (2,7,2) of 0 => 1 => 2, whose general representation has dim End 10
+    wild = build_quiver(
+        ["0", "1", "2"],
+        [("a", "0", "1"), ("b", "0", "1"), ("c", "1", "2"), ("e", "1", "2")],
+    )
+    cases = [builtin(name) for name in ("a3", "tilde-d4-iv", "e6-q1", "q3")]
+    cases += [*random_real_roots(26, 60), (wild, (2, 7, 2))]
+    rng = Rng(13)
+    ends = []
+    for q, d in cases:
+        v, end = _end_by_rank(q, d, rng)
+        assert hom_ext_dims(v, v) == (end, end - tits_form(q, d)), (q.name, q.arrows, d)
+        ends.append(end)
+    assert ends[:4] == [1, 2, 1, 1] and ends[-1] == 10
+    bricks = ends.count(1)
+    assert bricks >= 20 and len(ends) - bricks >= 10
 
 
 @pytest.mark.parametrize("name,calls", [("star7", 1), ("tilde-d4-iv", 8)])
 def test_brick_probe_stops_at_the_first_brick_sample(name, calls, monkeypatch):
-    # a sample with dim End = 1 also has the least dim Ext, so the probe
-    # stops there; a non-brick runs all its trials
-    roots_module = importlib.import_module("qlfd.roots")
-    seen = []
+    # the line stops at its first invertible leading member A(V1), a brick;
+    # a non-Schur root tries all 8, and reports the least dim End among them
+    drawn = []
+    draw = certify_module._random_coordinate_vector
 
-    def counted(w, v):
-        seen.append(1)
-        return hom_ext_dims(w, v)
+    def recorded(lfm, p, rng):
+        drawn.append(draw(lfm, p, rng))
+        return drawn[-1]
 
+    monkeypatch.setattr(certify_module, "_random_coordinate_vector", recorded)
     q, d = builtin(name)
-    rng = Rng(101)
-    samples = [random_representation(q, d, P, rng.split(t).seed) for t in range(8)]
-    ends, exts = zip(*(hom_ext_dims(v, v) for v in samples))
-    monkeypatch.setattr(roots_module, "hom_ext_dims", counted)
-    cert = brick_probe(q, d, P, seed=101, trials=8)
-    assert (cert.endomorphism_dim, cert.ext_dim, cert.trials) == (min(ends), min(exts), 8)
-    assert len(seen) == calls
-
-
-def test_brick_probe_requires_large_prime():
-    q, _ = builtin("a3")
-    with pytest.raises(ValueError):
-        brick_probe(q, (1, 1, 1), 101, seed=1)
+    line, end = _probe(q, d, seed=101)
+    assert (line is None) == (calls == 8) and len(drawn) == 2 * calls
+    coords = action_matrix(q, d).coords
+    leading = [coords.unflatten(vec, P) for vec in drawn[1::2]]
+    assert end == min(hom_ext_dims(v, v)[0] for v in leading)
 
 
 def test_orthogonal_roots_a3():
@@ -436,7 +456,7 @@ def test_perpendicular_simples_on_builtins(name):
 def test_perpendicular_simples_on_random_acyclic_quivers():
     checked = definite = unbalanced = 0
     for i, (q, d) in enumerate(random_real_roots(15, 150)):
-        if brick_probe(q, d, P, seed=i).verdict != "brick":
+        if not is_schur(q, d, seed=i):
             continue
         simples = perpendicular_simples(q, d)
         _assert_simples(q, d, simples)
@@ -477,8 +497,9 @@ def test_move_r_maps_back_by_the_cartan_reflection():
 
 
 def test_perpendicular_simples_refusals():
-    # tilde-d4-iv: a real root that is not a Schur root
-    with pytest.raises(ValueError, match="Schur root"):
+    # tilde-d4-iv: a real root that is not a Schur root, where the search
+    # runs out; certify's first line refuses such a root before the search
+    with pytest.raises(ValueError, match="finite reflection orbit; the search ran out"):
         perpendicular_simples(*builtin("tilde-d4-iv"))
     q, _ = builtin("a3")
     with pytest.raises(ValueError, match="positive real root"):

@@ -17,7 +17,7 @@ from qlfd.repmatrix import (
     random_representation,
     tree_representation,
 )
-from qlfd.roots import brick_probe, perpendicular_simples
+from qlfd.roots import perpendicular_simples
 from qlfd.semiinv import (
     DegenerateWitnessError,
     SchofieldHandle,
@@ -26,7 +26,7 @@ from qlfd.semiinv import (
     weight_of_schofield,
 )
 
-from randquiver import random_real_roots
+from randquiver import is_schur, random_real_roots
 
 P = DEFAULT_PRIME
 
@@ -80,7 +80,7 @@ def test_tree_witnesses_of_star14_and_random_bricks_are_exceptional():
     trees = 0
     for seed in range(2, 6):
         for i, (q, d) in enumerate(random_real_roots(seed, 100)):
-            if brick_probe(q, d, P, seed=i).verdict != "brick":
+            if not is_schur(q, d, seed=i):
                 continue
             for e in perpendicular_simples(q, d):
                 if tree_representation(q, e, P) is not None:
