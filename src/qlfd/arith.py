@@ -235,8 +235,15 @@ def _factor_mod(a, p: int, lower: bool = False):
     perm = [0] * n
     for r, c in pivots:
         perm[r] = c
-    seen = [False] * n
-    for i in range(n):
+    return rank, det * _permutation_sign(perm) % p, lu
+
+
+def _permutation_sign(perm) -> int:
+    """+1 or -1, the sign of the permutation i -> perm[i] of range(n): each
+    cycle of even length flips it."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
         if not seen[i]:
             j = i
             length = 0
@@ -245,8 +252,8 @@ def _factor_mod(a, p: int, lower: bool = False):
                 j = perm[j]
                 length += 1
             if length % 2 == 0:
-                det = -det
-    return rank, det % p, lu
+                sign = -sign
+    return sign
 
 
 def _search_mod(a, p: int, lower: bool):

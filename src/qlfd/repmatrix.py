@@ -11,7 +11,9 @@ ranks, and so ``hom_ext_dims``, are taken over F_p only.
 
 from __future__ import annotations
 
-from .arith import Rng, rank_mod, reduce
+from fractions import Fraction
+
+from .arith import Rng, _permutation_sign, power, rank_mod, reduce
 from .quiver import (
     Quiver,
     connected_components,
@@ -117,15 +119,13 @@ def _check_pair(w: Representation, v: Representation):
         raise ValueError("representations live over different fields")
 
 
-def defect_matrix(w: Representation, v: Representation, zero_w: bool = False):
+def defect_matrix(w: Representation, v: Representation):
     """Matrix of the map sending node-wise linear maps (psi_x: W_x -> V_x) to
     their commutation defects psi_head W(a) - V(a) psi_tail along the arrows.
 
     Columns: node blocks in node order, psi_x entries row-major.  Rows: arrow
     blocks in arrow order, target entries row-major.  Its kernel consists of
-    the morphisms W -> V; its cokernel is the space of extensions.  With
-    ``zero_w`` it is M(0, V) for the zero representation of W's dimension
-    vector: W's entries are left out.
+    the morphisms W -> V; its cokernel is the space of extensions.
 
     Each row of arrow a takes W(a)'s entries in the psi_head block and
     V(a)'s in the psi_tail block, which are disjoint unless a is a loop, so
@@ -158,11 +158,10 @@ def defect_matrix(w: Representation, v: Representation, zero_w: bool = False):
             for s in range(et):
                 row = [0] * total_cols
                 # + (psi_h W(a))[r, s]: coefficient W(a)[j, s] at psi_h[r, j]
-                if not zero_w:
-                    row[head:head + eh] = wcols[s]
+                row[head:head + eh] = wcols[s]
                 # - (V(a) psi_t)[r, s]: coefficient -V(a)[r, i] at psi_t[i, s]
                 row[tail + s:tail_end:et] = vrow
-                if h == t and not zero_w:  # a loop: both blocks meet at psi[r, s]
+                if h == t:  # a loop: both blocks meet at psi[r, s]
                     row[head + s] = reduce(wcols[s][s] + vrow[r], p)
                 m.append(row)
     return m
@@ -180,6 +179,177 @@ def hom_ext_dims(w: Representation, v: Representation) -> tuple[int, int]:
     rows = sum(w.dims[t] * v.dims[h] for t, h in zip(q.tails, q.heads))
     r = rank_mod(m, w.modulus)
     return cols - r, rows - r
+
+
+# ---------------------------------------------------------------------------
+# The defect matrix without the columns of its sinks
+
+
+def _row_basis(b, k: int, p: int | None):
+    """(R, det B_R, g) for the rows of B, an m x k matrix over F_p or Q:
+    R the first k linearly independent rows in order, and for every other
+    row i, g[i] its coefficients in the rows of R times det B_R, so that
+    det B_R * B_i = sum_j g[i][j] * B_{R_j}; over Q, for integer B, these
+    are integers (det B_R * B_R^-1 is the adjugate).  None when B has rank
+    below k.
+
+    One pass of row reduction, each row against the rows of R before it,
+    tracking its combination of those rows.  The rows of R so reduced are
+    T B_R with T unit lower triangular, and with their columns in pivot
+    order they are upper triangular, so det B_R is the product of the
+    pivots times the sign of that order.
+    """
+    def axpy(f, x, y):  # f x + y in the field
+        if p is None:
+            return [f * a + b for a, b in zip(x, y)]
+        return [(f * a + b) % p for a, b in zip(x, y)]
+
+    basis = []  # (pivot column, row scaled to 1 there, its combination of R)
+    chosen, pivots, combos = [], [], {}
+    det, zeros = 1, [0] * k
+    for i, row in enumerate(b):
+        comb = zeros  # row now = B_i + sum_j comb[j] * B_{R_j}
+        for c, brow, bcomb in basis:
+            f = row[c]
+            if f:
+                row = axpy(-f, brow, row)
+                comb = axpy(-f, bcomb, comb)
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            combos[i] = [-x for x in comb]
+            continue
+        comb = comb[:len(chosen)] + [1] + comb[len(chosen) + 1:]
+        v = row[c]
+        det = reduce(det * v, p)
+        inv = 1 / Fraction(v) if p is None else pow(v, -1, p)
+        basis.append((c, axpy(inv, row, zeros), axpy(inv, comb, zeros)))
+        chosen.append(i)
+        pivots.append(c)
+    if len(chosen) < k:
+        return None
+    det = reduce(int(det) * _permutation_sign(pivots), p)
+    return chosen, det, {i: [reduce(int(det * x), p) for x in g] for i, g in combos.items()}
+
+
+class SinkReduction:
+    """M(W, V) for a fixed witness W with the columns of its sinks taken
+    out by a Schur complement that does not depend on V.
+
+    A sink z (d_z, e_z > 0, every arrow out of z ends where d is 0) owns
+    the columns psi_z.  They meet only the rows of arrows a -> z, where
+    psi_z[r, :] has the coefficients W(a)[:, s] in row (a, r, s): d_z
+    copies of one block B_z, with rows (a, s) and entries W(a)^T.  With R
+    the first e_z independent rows of B_z (``_row_basis``; the identity for
+    a tree witness) and delta = det B_R, each row (a, r, s) outside R
+    becomes delta * C(a, r, s) - sum_j g_j C(R_j, r), where C is the row on
+    the other columns (-V(a)[r, i] at psi_t[i, s]) and g = delta * B_(a,s)
+    B_R^-1 is integral over Q.  The rows of arrows into other nodes stay.
+    The result, ``matrix``, has ``size`` = L = sum over the other nodes x
+    of d_x e_x rows and columns, both in the order of M(W, V).
+
+    Moving the rows of R and the sink columns to the front makes M(W, V)
+    block triangular after the elimination, so det M(W, V) = sign *
+    prod_z delta_z^(d_z) * det(Schur complement), and each of the
+    d_z (m_z - e_z) rows outside R, m_z the rows of B_z, was scaled by
+    delta_z: det M(W, V) = ``scale`` * det ``matrix``(V).  The pencil
+    M(0, V0) + t M(W, V1) is t B in the sink columns, so the same
+    elimination leaves det(M(0, V0) + t M(W, V1)) = ``scale`` *
+    t^``zeros`` * det(``matrix``(V0, False) + t ``matrix``(V1)), with
+    ``zeros`` = sum_z d_z e_z.
+
+    ``sink_reduction`` returns None when some B_z has rank below e_z: then
+    M(W, V) is singular for every V.
+    """
+
+    def __init__(self, size: int, zeros: int, scale, rows, modulus: int | None):
+        self.size = size
+        self.zeros = zeros
+        self.scale = scale
+        self.rows = rows  # per row: (r, [(coef, arrow, column, stride)], [(column, W entry)])
+        self.modulus = modulus
+
+    def matrix(self, v: Representation, with_w: bool = True):
+        """The reduced M(W, V), or M(0, V) with ``with_w`` False."""
+        p = self.modulus
+        out = []
+        for r, vterms, wterms in self.rows:
+            row = [0] * self.size
+            if with_w:
+                for c, x in wterms:
+                    row[c] += x
+            for coef, a, c, stride in vterms:
+                for x in v.mats[a][r]:
+                    row[c] += coef * x
+                    c += stride
+            out.append(row if p is None else [x % p for x in row])
+        return out
+
+
+def sink_reduction(w: Representation, d) -> SinkReduction | None:
+    """The ``SinkReduction`` of the witness W against Rep(Q, d)."""
+    q, e, p = w.quiver, w.dims, w.modulus
+    d = tuple(int(x) for x in d)
+    heads, tails = q.heads, q.tails
+    arrows = range(q.arrow_count)
+    sinks = [z for z in range(q.node_count) if d[z] and e[z]
+             and not any(d[heads[a]] for a in arrows if tails[a] == z)]
+    # columns of M(W, V), and of the reduced matrix off the sinks
+    full, col = [], {}
+    n = size = 0
+    for x in range(q.node_count):
+        full.append(n)
+        n += d[x] * e[x]
+        if x not in sinks:
+            col[x] = size
+            size += d[x] * e[x]
+    row_off, n = [], 0
+    for a in arrows:
+        row_off.append(n)
+        n += d[heads[a]] * e[tails[a]]
+
+    def vterm(coef, a, s):  # coef times the row C(a, r, s), for any r
+        return coef, a, col[tails[a]] + s, e[tails[a]]
+
+    # per sink: the rows R of B_z and the reduced rows outside R
+    blocks = {}
+    scale = _permutation_sign(
+        [full[z] + i for z in sinks for i in range(d[z] * e[z])]
+        + [full[x] + i for x in col for i in range(d[x] * e[x])]
+    )
+    for z in sinks:
+        keys = [(a, s) for a in arrows if heads[a] == z for s in range(e[tails[a]])]
+        basis = _row_basis([[reduce(w.mats[a][j][s], p) for j in range(e[z])]
+                            for a, s in keys], e[z], p)
+        if basis is None:
+            return None
+        chosen, delta, g = basis
+        scale *= power(delta, d[z] * (1 + e[z] - len(keys)), p)
+        pivots = [keys[i] for i in chosen]
+        blocks[z] = pivots, {
+            keys[i]: [vterm(-delta, *keys[i])] + [vterm(c, *k) for k, c in zip(pivots, gi) if c]
+            for i, gi in g.items()
+        }
+    rows, kept = [], []
+    for a in arrows:
+        t, h = tails[a], heads[a]
+        for r in range(d[h]):
+            for s in range(e[t]):
+                if h in blocks:
+                    terms = blocks[h][1].get((a, s))
+                    if terms is None:  # a row of R
+                        continue
+                    rows.append((r, terms, ()))
+                else:
+                    wterms = [(col[h] + r * e[h] + j, reduce(w.mats[a][j][s], p))
+                              for j in range(e[h])]
+                    rows.append((r, [vterm(-1, a, s)], [x for x in wterms if x[1]]))
+                kept.append(row_off[a] + r * e[t] + s)
+    # rows R of each copy of B_z first, in the order of the sink columns
+    scale *= _permutation_sign(
+        [row_off[a] + r * e[tails[a]] + s
+         for z in sinks for r in range(d[z]) for a, s in blocks[z][0]] + kept
+    )
+    return SinkReduction(size, sum(d[z] * e[z] for z in sinks), reduce(scale, p), rows, p)
 
 
 # ---------------------------------------------------------------------------

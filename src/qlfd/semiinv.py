@@ -31,6 +31,7 @@ from .repmatrix import (
     Representation,
     defect_matrix,
     random_representation,
+    sink_reduction,
     tree_representation,
 )
 
@@ -84,6 +85,7 @@ class SchofieldHandle:
         self.label = label
         # square by orthogonality
         self.degree_bound = sum(a * b for a, b in zip(self.root, self.dims))
+        self.sinks = sink_reduction(witness, self.dims)
 
     def evaluate(self, v: Representation):
         return det(defect_matrix(self.witness, v), v.modulus)
@@ -97,9 +99,24 @@ class SchofieldHandle:
         det(M(0, V0) + t M(W, V1)) = t^n h(V1 + V0/t) = t^(n-k) h(V0 + t V1).
         Its leading coefficient is det M(W, V1) = h(V1), so it has full
         degree exactly when h(V1) != 0.
+
+        The pencil runs on ``self.sinks``, the defect matrices without the
+        columns of the sinks of the support, of size L = sum over the other
+        nodes x of d_x e_x (``repmatrix.SinkReduction``).  Its coefficients
+        times the constant ``scale`` = +-prod_z det(B_z,R)^(d_z (1 + e_z -
+        m_z)), after t^``zeros`` with ``zeros`` = sum_z d_z e_z, are exactly
+        those of the full pencil.
         """
-        m0 = defect_matrix(self.witness, v0, zero_w=True)
-        return det_pencil_poly(m0, defect_matrix(self.witness, v1), v0.modulus)
+        red = self.sinks
+        if red is None:  # some B_z has rank below e_z: h = 0
+            return None
+        p = v0.modulus
+        f = det_pencil_poly(red.matrix(v0, False), red.matrix(v1), p)
+        if f is None:
+            return None
+        scale = red.scale
+        # over Q each c * scale is an integer, a coefficient of the full pencil
+        return [0] * red.zeros + [c * scale % p if p is not None else int(c * scale) for c in f]
 
     def restrict(self, f):
         """h(V0 + t V1) from its pencil f = t^(n-k) h(V0 + t V1), k the

@@ -12,9 +12,12 @@ read off the pencils, and ``verify_weight``, a handle's weight checked
 under the group action, as the oracle for the weight formula -eE.
 
 The last section holds helpers that only the tests use: extensions and
-direct sums, the discriminant's value at one representation, the root of
-a weight, and the dense characteristic polynomial (``charpoly_mod``, the
-dense entry into ``arith._charpoly_op``).
+direct sums, the zero representation, the pencil of a handle from the
+dense defect matrices (``dense_pencil``, the oracle for
+``SchofieldHandle.pencil``), the discriminant's value at one
+representation, the root of a weight, and the dense characteristic
+polynomial (``charpoly_mod``, the dense entry into
+``arith._charpoly_op``).
 
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
@@ -31,6 +34,7 @@ from qlfd.arith import (
     _charpoly_op,
     _factor_mod,
     det,
+    det_pencil_poly,
     poly_deriv,
     poly_trim,
     power,
@@ -42,6 +46,7 @@ from qlfd.repmatrix import (
     _check_pair,
     _zeros,
     action_matrix,
+    defect_matrix,
     random_representation,
 )
 from qlfd.semiinv import DegenerateWitnessError, _row_times_matrix
@@ -500,6 +505,17 @@ def direct_sum(v: Representation, w: Representation) -> Representation:
     q = v.quiver
     theta = [_zeros(v.dims[q.heads[a]], w.dims[q.tails[a]]) for a in range(q.arrow_count)]
     return extension_middle_term(v, w, theta)
+
+
+def zero_representation(q: Quiver, e, p: int | None) -> Representation:
+    return Representation(q, e, p, [_zeros(e[h], e[t]) for t, h in zip(q.tails, q.heads)])
+
+
+def dense_pencil(w: Representation, v0: Representation, v1: Representation):
+    """det(M(0, V0) + t M(W, V1)) from the dense defect matrices, M(0, V0)
+    that of the zero representation of W's dimension vector."""
+    m0 = defect_matrix(zero_representation(w.quiver, w.dims, w.modulus), v0)
+    return det_pencil_poly(m0, defect_matrix(w, v1), w.modulus)
 
 
 def discriminant_value(q: Quiver, d, v: Representation, drop_node: str | None = None):

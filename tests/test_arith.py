@@ -37,6 +37,7 @@ from mpoly import (
     poly_eval,
     rank_exact,
     search_all_rows,
+    zero_representation,
 )
 
 P = DEFAULT_PRIME
@@ -1060,7 +1061,7 @@ def test_backward_pass_runs_over_the_live_closure_only():
     q, d = builtin("star7")
     e = (0, 1, 1, 1, 1, 1, 1, 1, 6)
     w = random_representation(q, e, P, 2001)
-    m0 = defect_matrix(w, random_representation(q, d, P, 2002), zero_w=True)
+    m0 = defect_matrix(zero_representation(q, e, P), random_representation(q, d, P, 2002))
     m1 = defect_matrix(w, random_representation(q, d, P, 2003))
     _, _, lu = arith._factor_mod(m1, P, True)
     m, size, forward, backward = arith._compile_operator(m0, lu, P)

@@ -26,7 +26,7 @@ def test_star_and_d_prop_families_at_scale():
     # star_n: n + 1 sources into a sink of dimension n, n + 1 components of
     # degree n; d_n-prop: n - 3 components of degree 2 and two of degree
     # n - 2.  Every multiplicity is 1, so each is a linear free divisor
-    cases = [(f"star{n}", [n] * (n + 1)) for n in range(2, 15)]
+    cases = [(f"star{n}", [n] * (n + 1)) for n in range(2, 21)]
     cases += [(f"d{n}-prop", [2] * (n - 3) + [n - 2] * 2) for n in range(4, 31)]
     for name, degrees in cases:
         rep = certify(*builtin(name))

@@ -21,6 +21,7 @@ from mpoly import (
     mp_var,
     mpoly_matrix,
     scale_first_coordinates,
+    zero_representation,
 )
 
 P = DEFAULT_PRIME
@@ -254,9 +255,9 @@ def test_field_mismatch_rejected():
         defect_matrix(w, v2)
 
 
-def _defect_by_accumulation(w, v, zero_w=False):
+def _defect_by_accumulation(w, v):
     # every coefficient added into a zero matrix, then reduced: the
-    # definition of M(W, V), or of M(0, V)
+    # definition of M(W, V)
     q, e, d, p = w.quiver, w.dims, v.dims, w.modulus
     col_off = [sum(d[y] * e[y] for y in range(x)) for x in range(q.node_count)]
     m = []
@@ -266,7 +267,7 @@ def _defect_by_accumulation(w, v, zero_w=False):
             for s in range(e[t]):
                 row = [0] * sum(x * y for x, y in zip(d, e))
                 for j in range(e[h]):
-                    row[col_off[h] + r * e[h] + j] += 0 if zero_w else w.mats[a][j][s]
+                    row[col_off[h] + r * e[h] + j] += w.mats[a][j][s]
                 for i in range(d[t]):
                     row[col_off[t] + i * e[t] + s] -= v.mats[a][r][i]
                 m.append([reduce(x, p) for x in row])
@@ -276,7 +277,8 @@ def _defect_by_accumulation(w, v, zero_w=False):
 @pytest.mark.parametrize("p", [7, P, None])
 def test_defect_matrix_matches_accumulation_with_loops_and_zero_witness(p):
     # a chain, a loop with an arrow out of it, and a two-cycle with a loop:
-    # on a loop the W and V blocks meet at one cell of each row
+    # on a loop the W and V blocks meet at one cell of each row; M(0, V)
+    # comes from the zero representation of W's dimension vector
     rng = Rng(31)
     for arrows in ([("a", "1", "2"), ("b", "2", "3")],
                    [("l", "1", "1"), ("a", "1", "2")],
@@ -287,8 +289,8 @@ def test_defect_matrix_matches_accumulation_with_loops_and_zero_witness(p):
             d = tuple(rng.below(3) for _ in range(3))
             w = random_representation(q, e, p, rng.u64())
             v = random_representation(q, d, p, rng.u64())
-            for zero_w in (False, True):
-                assert defect_matrix(w, v, zero_w) == _defect_by_accumulation(w, v, zero_w)
+            for witness in (w, zero_representation(q, e, p)):
+                assert defect_matrix(witness, v) == _defect_by_accumulation(witness, v)
 
 
 @pytest.mark.parametrize("p", [P, None])

@@ -1,11 +1,12 @@
 import importlib
+from itertools import product
 
 import pytest
 
 from qlfd.arith import DEFAULT_PRIME, Rng
 from qlfd.fixtures import block_handles, builtin, builtin_names
-from qlfd.quiver import build_quiver, classify_underlying_graph, support_subquiver
-from qlfd.repmatrix import Representation, random_representation
+from qlfd.quiver import build_quiver, classify_underlying_graph, euler_form, support_subquiver
+from qlfd.repmatrix import Representation, random_representation, tree_representation
 from qlfd.roots import perpendicular_simples
 from qlfd.semiinv import (
     WITNESS_DRAWS,
@@ -19,7 +20,8 @@ from qlfd.semiinv import (
     weight_support_type,
 )
 
-from mpoly import degree_of, interpolate, root_from_weight, verify_weight
+from mpoly import dense_pencil, degree_of, interpolate, root_from_weight, verify_weight
+from randquiver import random_real_roots
 
 P = DEFAULT_PRIME
 
@@ -235,11 +237,12 @@ def test_witness_and_weight_cost_one_pencil_and_one_evaluation(monkeypatch):
     v0, v1 = _line(q, d, P, seed=6)
     h, f = sample_generic_witness(root, v0, v1, seed=5)
     assert h.degree == E7_TABLE[root][0]
-    assert values == [] and pencils == [h.degree_bound]
+    # the one pencil runs without the sink columns: 9 of the 13 rows
+    assert values == [] and pencils == [h.sinks.size] == [h.degree_bound - h.sinks.zeros] == [9]
     assert f[-1] == evaluate(h, v1) != 0
     values.clear()
     assert verify_weight(h, weight_of_schofield(q, root), v1, f[-1], seed=6)
-    assert len(values) == 1 and pencils == [h.degree_bound]
+    assert len(values) == 1 and pencils == [h.sinks.size]
 
 
 def test_verify_weight_block_handles():
@@ -481,3 +484,84 @@ def test_level_formula_matches_degree_of_on_random_trees():
             assert degree_of(h, P, seed=i) == deg, (q.arrows, d, root)
             checked += 1
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# The pencil without the sink columns against the dense defect matrices
+
+
+def _pencil_matches_dense(q, d, e, p, rng):
+    """Compares ``SchofieldHandle.pencil`` with ``dense_pencil`` for a
+    random witness of e and, when e has one, its tree witness; returns the
+    handles."""
+    witnesses = [random_representation(q, e, p, rng.u64())]
+    tree = tree_representation(q, e, p)
+    witnesses += [tree] if tree is not None else []
+    handles = []
+    for w in witnesses:
+        h = SchofieldHandle(e, w, d)
+        v0, v1 = (random_representation(q, d, p, rng.u64()) for _ in range(2))
+        f = h.pencil(v0, v1)
+        assert f == dense_pencil(w, v0, v1), (q.name, d, e, p)
+        assert f is None or len(f) == h.degree_bound + 1
+        handles.append(h)
+    return handles
+
+
+@pytest.mark.parametrize("p", [P, None])
+def test_pencil_without_sinks_equals_the_dense_pencil(p):
+    # coefficient by coefficient, on the simples of every builtin and of
+    # cycle3, and on the roots orthogonal to d on random acyclic quivers
+    rng = Rng(2701)
+    cases = []
+    for name in builtin_names():
+        q, d = support_subquiver(*builtin(name))
+        if name != "tilde-d4-iv":  # not a Schur root: no simples
+            cases += [(q, d, e) for e in perpendicular_simples(q, d)]
+    cases += [(CYCLE_QUIVER, CYCLE_DIMS, e) for e in CYCLE_DEGREES]
+    for q, d in random_real_roots(2702, 24):
+        box = product(range(3), repeat=q.node_count)
+        cases += [(q, d, e) for e in box if any(e) and euler_form(q, e, d) == 0][:4]
+    reduced = vanishing = 0
+    for q, d, e in cases:
+        for h in _pencil_matches_dense(q, d, e, p, rng):
+            if h.sinks is None:
+                vanishing += 1
+            else:
+                reduced += h.sinks.zeros > 0
+    assert reduced >= 100 and vanishing >= 10
+
+
+def test_a_rank_deficient_sink_block_vanishes():
+    # into the sink z come arrows from 1 and 2 (e = 1 each, e_z = 1): B_z
+    # is W(a), W(b) stacked, here 0, so M(W, V) is singular at every V
+    q = build_quiver(["1", "2", "3", "z"], [("a", "1", "z"), ("b", "2", "z"), ("c", "3", "z")])
+    d, e = (1, 1, 1, 2), (1, 1, 0, 1)
+    w = Representation(q, e, P, [[[0]], [[0]], [[]]])
+    h = SchofieldHandle(e, w, d)
+    v0, v1 = _line(q, d, P, seed=27)
+    assert h.sinks is None and h.pencil(v0, v1) is None
+    assert h.evaluate(v1) == 0 and dense_pencil(w, v0, v1) is None
+    w.mats[0], w.mats[1] = [[2]], [[3]]  # rank 1: 2 of the 4 rows are left
+    h = SchofieldHandle(e, w, d)
+    f = h.pencil(v0, v1)
+    assert h.sinks.size == 2 and f is not None and f == dense_pencil(w, v0, v1)
+
+
+def test_an_integral_elimination_over_q_divides_its_scale_back_out():
+    # E8's random witnesses over Q have det B_R != +-1 at the sink, so the
+    # reduced rows carry that factor; where they carry more of it than the
+    # constant det M(W, V) = scale * det(reduced) takes, the scale is a
+    # fraction, and the pencil divides it back out to integers
+    q, d = support_subquiver(*builtin("e8-central-sink"))
+    rng = Rng(2703)
+    scales = []
+    for e in perpendicular_simples(q, d):
+        for h in _pencil_matches_dense(q, d, e, None, rng):
+            if h.sinks is not None and h.sinks.zeros:
+                scales.append(h.sinks.scale)
+                v0, v1 = _line(q, d, None, seed=len(scales))
+                f = h.pencil(v0, v1)
+                assert f is None or all(type(c) is int for c in f)
+    assert any(s not in (1, -1) for s in scales)
+    assert any(s.denominator != 1 for s in scales)
