@@ -13,7 +13,10 @@ Conventions used throughout the package:
   ``reduce``, ``power`` and ``det_pencil_poly`` make that choice once, so
   that callers keep one code path for both fields.
 
-There is one elimination, the sparse one of ``_factor_mod``, and one gcd,
+Every determinant, rank and solve over F_p is the sparse elimination of
+``_factor_mod``.  The package's one other elimination is
+``repmatrix._row_basis``: a pass over a witness's small block B_z, in either
+field, that picks its pivot rows for the handle pencils.  There is one gcd,
 Euclid's over F_p.  A determinant over Q, of a matrix or of a pencil, is
 computed at several primes and lifted by the Chinese remainder theorem
 (``_crt_lift``) past Hadamard's bound.
@@ -621,13 +624,12 @@ def det_pencil_poly(m0, m1, p: int | None):
     ``_factor_mod`` factors M1, and the Hessenberg reduction of
     ``_charpoly_op`` takes X = M1^{-1} M0 as an operator, compiled once per
     pencil by ``_compile_operator`` from the sparse rows of M0 and the
-    factors of M1, so X is never formed.  X is zero on every column where
-    M0 is, so with the m live columns of M0 first, det(t I + X) =
-    t^(n-m) det(t I_m + X[live, live]), and the reduction runs on the live
-    block only.  det(t I + X) = (-1)^n chi_X(-t) flips the signs of
-    alternate coefficients of the characteristic polynomial of X.  The
-    leading coefficient is det M1, so f has full degree whenever it is
-    returned.
+    factors of M1, so X is never formed.  det(t I + X) = (-1)^n chi_X(-t)
+    flips the signs of alternate coefficients of the characteristic
+    polynomial of X.  The leading coefficient is det M1, so f has full
+    degree whenever it is returned.  The reduction runs at the full size n:
+    a zero column of M0 is a zero column of X, and only costs time, so the
+    handle pencils take theirs out beforehand (``repmatrix.sink_reduction``).
 
     Over Q the same kernel runs at the primes of ``_crt_prime``, skipping
     those that divide det M1, and ``_crt_lift`` lifts the coefficients by
@@ -646,72 +648,50 @@ def det_pencil_poly(m0, m1, p: int | None):
     if lu is None:
         return None
     op = _compile_operator(m0, lu, p)
-    m = op[0]
-    chi = [0] * (n - m) + _charpoly_op(lambda u: _run_operator(op, u, p), m, p)
+    chi = _charpoly_op(lambda u: _run_operator(op, u, p), n, p)
     neg = (p - det_m1) % p
     return [c * (neg if (n - i) % 2 else det_m1) % p for i, c in enumerate(chi)]
 
 
 def _compile_operator(m0, lu, p: int):
-    """The operator u -> X[live, live] u of ``det_pencil_poly``, X =
-    M1^{-1} M0, for the factors ``lu`` of M1 by ``_factor_mod``.
+    """The operator u -> X u of ``det_pencil_poly``, X = M1^{-1} M0, for the
+    factors ``lu`` of M1 by ``_factor_mod``.
 
-    Returns (m, size, forward, backward) for ``_run_operator``, with m the
-    number of live columns of M0.  Forward step k, with pivot row r, is one
-    pair of index and coefficient tuples over the list z = u + y, which the
-    pass grows by y_k: row r of M0 on the live columns (indices into u),
-    then the earlier steps that updated row r (indices into y), each with
-    its multiplier f stored as p - f.  So y_k = (L^{-1} M0 u)_k is one
-    gathered product.  The backward pass needs the solution only on the
-    live columns, which read the columns of their pivot rows in U, and so
-    on: it keeps only the steps whose pivot column lies in that closure, in
-    back-substitution order, as (position, index of y_k in z, inverse pivot,
-    positions of the pivot row's other columns, their values), with
-    positions in a list of ``size`` entries that holds the live columns
-    first.
+    Returns (forward, backward) for ``_run_operator``.  Forward step k,
+    with pivot row r, is one pair of index and coefficient tuples over the
+    list z = u + y, which the pass grows by y_k: row r of M0 on its nonzero
+    columns (indices into u), then the earlier steps that updated row r
+    (indices into y), each with its multiplier f stored as p - f.  So y_k =
+    (L^{-1} M0 u)_k is one gathered product.  The backward steps are those
+    of the factors, in back-substitution order, so they meet y from its
+    end.
     """
     n = len(m0)
     cols = range(n)
-    supports = [tuple(compress(cols, row)) for row in m0]
-    live = sorted(set().union(*supports))
-    m = len(live)
-    at = {j: i for i, j in enumerate(live)}  # column of M0 -> index in u
     lower, upper = lu
     forward = tuple(
-        ((*map(at.__getitem__, supports[r]), *(m + k for k in steps)),
-         (*(m0[r][j] for j in supports[r]), *(p - f for f in fs)))
+        ((*compress(cols, m0[r]), *(n + k for k in steps)),
+         (*filter(None, m0[r]), *(p - f for f in fs)))
         for r, steps, fs in lower
     )
-    # U's pivot rows hold only later pivot columns, so one pass in pivot
-    # order closes the live columns under "its pivot row reads column j"
-    need = set(live)
-    for c, _, row, _ in reversed(upper):
-        if c in need:
-            need.update(row)
-    for c in sorted(need.difference(live)):
-        at[c] = len(at)
-    backward = tuple(
-        (at[c], m + n - 1 - i, inv, tuple(map(at.__getitem__, row)), vals)
-        for i, (c, inv, row, vals) in enumerate(upper)
-        if c in need
-    )
-    return m, len(need), forward, backward
+    return forward, upper
 
 
 def _run_operator(op, u, p: int):
-    """X[live, live] u over F_p for an operator of ``_compile_operator``:
-    one gathered product per forward step, and one per kept backward step."""
-    m, size, forward, backward = op
+    """X u over F_p for an operator of ``_compile_operator``: one gathered
+    product per forward step, and one per backward step."""
+    forward, backward = op
     z = list(u)
     get = z.__getitem__
     push = z.append
     for idx, coef in forward:
         push(sum(map(mul, coef, map(get, idx))) % p)
-    x = [0] * size
+    x = [0] * len(u)
     xget = x.__getitem__
-    for c, k, inv, idx, vals in backward:
-        x[c] = (z[k] - sum(map(mul, vals, map(xget, idx)))) * inv % p
-    return x[:m]
+    # backward step i solves for the pivot of forward step n - 1 - i
+    for y, (c, inv, idx, vals) in zip(reversed(z), backward):
+        x[c] = (y - sum(map(mul, vals, map(xget, idx)))) * inv % p
+    return x
 
 
 # DEFAULT_PRIME and the primes just below it.  A pencil of exact mode's

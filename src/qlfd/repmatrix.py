@@ -182,7 +182,7 @@ def hom_ext_dims(w: Representation, v: Representation) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The defect matrix without the columns of its sinks
+# The defect matrix without the columns of its peeled nodes
 
 
 def _row_basis(b, k: int, p: int | None):
@@ -232,30 +232,41 @@ def _row_basis(b, k: int, p: int | None):
 
 
 class SinkReduction:
-    """M(W, V) for a fixed witness W with the columns of its sinks taken
-    out by a Schur complement that does not depend on V.
+    """M(W, V) for a fixed witness W with the columns of its peeled nodes
+    taken out by a Schur complement that does not depend on V.
 
-    A sink z (d_z, e_z > 0, every arrow out of z ends where d is 0) owns
-    the columns psi_z.  They meet only the rows of arrows a -> z, where
-    psi_z[r, :] has the coefficients W(a)[:, s] in row (a, r, s): d_z
-    copies of one block B_z, with rows (a, s) and entries W(a)^T.  With R
-    the first e_z independent rows of B_z (``_row_basis``; the identity for
-    a tree witness) and delta = det B_R, each row (a, r, s) outside R
-    becomes delta * C(a, r, s) - sum_j g_j C(R_j, r), where C is the row on
-    the other columns (-V(a)[r, i] at psi_t[i, s]) and g = delta * B_(a,s)
-    B_R^-1 is integral over Q.  The rows of arrows into other nodes stay.
-    The result, ``matrix``, has ``size`` = L = sum over the other nodes x
-    of d_x e_x rows and columns, both in the order of M(W, V).
+    The peel starts at the sinks of the support: a node z with d_z, e_z > 0
+    goes once every arrow out of z into the support of d ends at a node
+    already gone whose block is square.  The columns psi_z meet the rows of
+    arrows a -> z, where psi_z[r, :] has the coefficients W(a)[:, s] in row
+    (a, r, s): d_z copies of one block B_z, with m_z rows (a, s) and
+    entries W(a)^T.  Otherwise they meet only the rows of arrows z -> y,
+    and y went before z with m_y = e_y, so all those rows are pivot rows of
+    y.  With R the first e_z independent rows of B_z (``_row_basis``; the
+    identity for a tree witness) and delta = det B_R, each row (a, r, s)
+    outside R becomes delta * C(a, r, s) - sum_j g_j C(R_j, r), where C is
+    the row on the other columns (-V(a)[r, i] at psi_t[i, s]) and g =
+    delta * B_(a,s) B_R^-1 is integral over Q.  Such rows exist only when
+    m_z > e_z, and then no peeled node has an arrow into z, so C lies on
+    the columns that stay.  The rows of arrows into other nodes stay.  The
+    result, ``matrix``, has ``size`` = L = sum over the nodes x left of
+    d_x e_x rows and columns, both in the order of M(W, V).
 
-    Moving the rows of R and the sink columns to the front makes M(W, V)
-    block triangular after the elimination, so det M(W, V) = sign *
-    prod_z delta_z^(d_z) * det(Schur complement), and each of the
-    d_z (m_z - e_z) rows outside R, m_z the rows of B_z, was scaled by
-    delta_z: det M(W, V) = ``scale`` * det ``matrix``(V).  The pencil
-    M(0, V0) + t M(W, V1) is t B in the sink columns, so the same
-    elimination leaves det(M(0, V0) + t M(W, V1)) = ``scale`` *
+    Moving the rows of R and the peeled columns to the front, both in peel
+    order, makes M(W, V) block triangular after the elimination, with the
+    copies of B_R on the diagonal, so det M(W, V) = sign * prod_z
+    delta_z^(d_z) * det(Schur complement), and each of the d_z (m_z - e_z)
+    rows outside R was scaled by delta_z: det M(W, V) = ``scale`` * det
+    ``matrix``(V).  The pencil M(0, V0) + t M(W, V1) is M(tW, V0 + t V1),
+    whose delta_z is t^(e_z) delta_z and whose rows outside R are t^(e_z)
+    times those of W, so det(M(0, V0) + t M(W, V1)) = ``scale`` *
     t^``zeros`` * det(``matrix``(V0, False) + t ``matrix``(V1)), with
     ``zeros`` = sum_z d_z e_z.
+
+    The peel takes every column where M(0, V0) is zero for all V0: the
+    columns of a node x left are read by V0 in the rows of some arrow
+    x -> y into the support, and those rows reach ``matrix`` unless y
+    went with a square block.
 
     ``sink_reduction`` returns None when some B_z has rank below e_z: then
     M(W, V) is singular for every V.
@@ -291,15 +302,21 @@ def sink_reduction(w: Representation, d) -> SinkReduction | None:
     d = tuple(int(x) for x in d)
     heads, tails = q.heads, q.tails
     arrows = range(q.arrow_count)
-    sinks = [z for z in range(q.node_count) if d[z] and e[z]
-             and not any(d[heads[a]] for a in arrows if tails[a] == z)]
-    # columns of M(W, V), and of the reduced matrix off the sinks
+    # m_x, the rows of B_x; a node goes once every arrow out of it into the
+    # support of d ends at a peeled node whose block is square
+    m = [sum(e[tails[a]] for a in arrows if heads[a] == x) for x in range(q.node_count)]
+    peel = []
+    while new := [z for z in range(q.node_count) if d[z] and e[z] and z not in peel
+                  and all(heads[a] in peel and m[heads[a]] == e[heads[a]]
+                          for a in arrows if tails[a] == z and d[heads[a]])]:
+        peel += new
+    # columns of M(W, V), and of the reduced matrix off the peeled nodes
     full, col = [], {}
     n = size = 0
     for x in range(q.node_count):
         full.append(n)
         n += d[x] * e[x]
-        if x not in sinks:
+        if x not in peel:
             col[x] = size
             size += d[x] * e[x]
     row_off, n = [], 0
@@ -310,13 +327,13 @@ def sink_reduction(w: Representation, d) -> SinkReduction | None:
     def vterm(coef, a, s):  # coef times the row C(a, r, s), for any r
         return coef, a, col[tails[a]] + s, e[tails[a]]
 
-    # per sink: the rows R of B_z and the reduced rows outside R
+    # per peeled node: the rows R of B_z and the reduced rows outside R
     blocks = {}
     scale = _permutation_sign(
-        [full[z] + i for z in sinks for i in range(d[z] * e[z])]
+        [full[z] + i for z in peel for i in range(d[z] * e[z])]
         + [full[x] + i for x in col for i in range(d[x] * e[x])]
     )
-    for z in sinks:
+    for z in peel:
         keys = [(a, s) for a in arrows if heads[a] == z for s in range(e[tails[a]])]
         basis = _row_basis([[reduce(w.mats[a][j][s], p) for j in range(e[z])]
                             for a, s in keys], e[z], p)
@@ -344,12 +361,12 @@ def sink_reduction(w: Representation, d) -> SinkReduction | None:
                               for j in range(e[h])]
                     rows.append((r, [vterm(-1, a, s)], [x for x in wterms if x[1]]))
                 kept.append(row_off[a] + r * e[t] + s)
-    # rows R of each copy of B_z first, in the order of the sink columns
+    # rows R of each copy of B_z first, in the order of the peeled columns
     scale *= _permutation_sign(
         [row_off[a] + r * e[tails[a]] + s
-         for z in sinks for r in range(d[z]) for a, s in blocks[z][0]] + kept
+         for z in peel for r in range(d[z]) for a, s in blocks[z][0]] + kept
     )
-    return SinkReduction(size, sum(d[z] * e[z] for z in sinks), reduce(scale, p), rows, p)
+    return SinkReduction(size, sum(d[z] * e[z] for z in peel), reduce(scale, p), rows, p)
 
 
 # ---------------------------------------------------------------------------

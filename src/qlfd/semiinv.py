@@ -26,6 +26,7 @@ from .quiver import (
     euler_matrix,
     in_out_degree,
     level_function,
+    support_subquiver,
 )
 from .repmatrix import (
     Representation,
@@ -71,9 +72,7 @@ class SchofieldHandle:
     """Evaluatable polynomial V -> det(defect matrix(W, V)) for a fixed
     witness W over an orthogonal root; homogeneous of the cached degree."""
 
-    kind = "schofield"
-
-    def __init__(self, root, witness: Representation, ambient_dims, label: str = ""):
+    def __init__(self, root, witness: Representation, ambient_dims):
         self.root = tuple(root)
         self.witness = witness
         self.quiver = witness.quiver
@@ -82,7 +81,6 @@ class SchofieldHandle:
             raise ValueError("witness root is not orthogonal to the dimension vector")
         self.weight = weight_of_schofield(self.quiver, self.root)
         self.degree: int | None = None
-        self.label = label
         # square by orthogonality
         self.degree_bound = sum(a * b for a, b in zip(self.root, self.dims))
         self.sinks = sink_reduction(witness, self.dims)
@@ -101,11 +99,12 @@ class SchofieldHandle:
         degree exactly when h(V1) != 0.
 
         The pencil runs on ``self.sinks``, the defect matrices without the
-        columns of the sinks of the support, of size L = sum over the other
-        nodes x of d_x e_x (``repmatrix.SinkReduction``).  Its coefficients
-        times the constant ``scale`` = +-prod_z det(B_z,R)^(d_z (1 + e_z -
-        m_z)), after t^``zeros`` with ``zeros`` = sum_z d_z e_z, are exactly
-        those of the full pencil.
+        columns of the nodes that the peel of ``repmatrix.SinkReduction``
+        takes (the sinks of the support first), of size L = sum over the
+        nodes x left of d_x e_x, where M(0, V0) has no zero column.  Its
+        coefficients times the constant ``scale`` = +-prod_z
+        det(B_z,R)^(d_z (1 + e_z - m_z)), after t^``zeros`` with ``zeros``
+        = sum_z d_z e_z, are exactly those of the full pencil.
         """
         red = self.sinks
         if red is None:  # some B_z has rank below e_z: h = 0
@@ -218,17 +217,9 @@ def weight_support_type(q: Quiver, w):
 
 
 def root_support_type(q: Quiver, e):
-    """Dynkin-type label of the full subquiver on the support of e."""
-    keep = [i for i, x in enumerate(e) if x]
-    keep_set = set(keep)
-    nodes = [q.nodes[i] for i in keep]
-    arrows = [
-        (a.name, a.tail, a.head)
-        for a in q.arrows
-        if q.index[a.tail] in keep_set and q.index[a.head] in keep_set
-    ]
-    sub = build_quiver(nodes, arrows, allow_cycles=True)
-    cls = classify_underlying_graph(sub)
+    """Dynkin-type label of the full subquiver on the support of e; Other
+    when that support is disconnected."""
+    cls = classify_underlying_graph(support_subquiver(q, e)[0])
     if isinstance(cls, list):
         return Classification("other")
     return cls

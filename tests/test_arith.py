@@ -972,13 +972,15 @@ def test_crt_primes_are_the_primes_below_the_default_prime():
     assert [arith._crt_prime(i) for i in range(len(expected))] == expected
 
 
-def test_det_pencil_poly_runs_the_hessenberg_pass_on_live_columns(monkeypatch):
-    # X = M1^{-1} M0 vanishes on the zero columns of M0, so the pencil is
-    # t^(n - m) times the charpoly of the m x m live block of X
+def test_det_pencil_poly_runs_the_hessenberg_pass_at_full_size(monkeypatch):
+    # a zero column of M0 is a zero column of X = M1^{-1} M0, so t^(dead)
+    # divides the pencil; the Hessenberg pass still runs at size n, over
+    # F_p and at each prime over Q
     sizes = []
     real = arith._charpoly_op
     monkeypatch.setattr(arith, "_charpoly_op", lambda apply, n, p: sizes.append(n) or real(apply, n, p))
     rng = Rng(2024)
+    pencils = []
     for trial in range(40):
         n = 1 + trial % 9
         dead = {j for j in range(n) if rng.below(2)}
@@ -990,6 +992,18 @@ def test_det_pencil_poly_runs_the_hessenberg_pass_on_live_columns(monkeypatch):
         for row in m0:
             for j in dead:
                 row[j] = 0
+        pencils.append((m0, m1, exact))
+    # a star7 handle pencil on the dense defect matrices: M(0, V0) is zero
+    # on the 42 columns of the sink
+    q, d = builtin("star7")
+    e = (0, 1, 1, 1, 1, 1, 1, 1, 6)
+    w = random_representation(q, e, P, 2001)
+    m0 = defect_matrix(zero_representation(q, e, P), random_representation(q, d, P, 2002))
+    m1 = defect_matrix(w, random_representation(q, d, P, 2003))
+    pencils.append((m0, m1, False))
+    for m0, m1, exact in pencils:
+        n = len(m0)
+        dead = sum(not any(row[j] for row in m0) for j in range(n))
         sizes.clear()
         if exact:
             f = det_pencil_poly(m0, m1, None)
@@ -998,15 +1012,14 @@ def test_det_pencil_poly_runs_the_hessenberg_pass_on_live_columns(monkeypatch):
             f = det_pencil_poly(m0, m1, P)
             points = [(t, det_mod(_pencil_at(m0, m1, t), P)) for t in range(n + 1)]
             assert f == interpolate(points, P)
-        assert poly_degree(f) == n and not any(f[:len(dead)])
-        assert sizes and set(sizes) == {n - len(dead)}
+        assert poly_degree(f) == n and not any(f[:dead])
+        assert sizes and set(sizes) == {n}
+    assert (len(m0), dead) == (49, 42)
 
 
 def _operator_oracle(m0, lu, u, p):
-    """X[live, live] u for X = M1^{-1} M0, by one full solve of M0 u."""
-    live = sorted({j for row in m0 for j, x in enumerate(row) if x})
-    w = [sum(row[j] * x for j, x in zip(live, u)) for row in m0]
-    return list(map(_lu_solve(lu, w, p).__getitem__, live))
+    """X u for X = M1^{-1} M0, by one full solve of M0 u."""
+    return _lu_solve(lu, [sum(map(mul, row, u)) for row in m0], p)
 
 
 def _sparse_invertible(rng, n, p):
@@ -1020,13 +1033,12 @@ def _sparse_invertible(rng, n, p):
 
 @pytest.mark.parametrize("p", [13, 101, P])
 def test_compiled_operator_matches_the_lu_solve_oracle(p):
-    # random sparse pencils on a random live set of columns: the compiled
-    # operator against full solves through the factors of M1, and the
-    # pencil against interpolation; some M0 blocks are singular (a live
-    # column twice another, or a zero row), and most backward closures are
-    # larger than the live set
+    # random sparse pencils with zero columns of M0: the compiled operator
+    # against full solves through the factors of M1, its image x against
+    # M1 x = M0 u, and the pencil against interpolation; some M0 are
+    # singular (a column twice another, or a zero row)
     rng = Rng(1900 + p % 1000)
-    wider = singular = 0
+    dead = singular = 0
     for trial in range(60):
         n = 1 + trial % 10
         m1 = _sparse_invertible(rng, n, p)
@@ -1041,35 +1053,19 @@ def test_compiled_operator_matches_the_lu_solve_oracle(p):
             m0[0] = [0] * n
         _, _, lu = arith._factor_mod(m1, p, True)
         op = arith._compile_operator(m0, lu, p)
-        m = op[0]
-        assert m == len({j for row in m0 for j, x in enumerate(row) if x})
         for _ in range(3):
-            u = [rng.below(p) for _ in range(m)]
-            assert arith._run_operator(op, u, p) == _operator_oracle(m0, lu, u, p)
-        wider += op[1] > m
-        live_block = [[row[j] for j in range(n) if any(r[j] for r in m0)] for row in m0]
-        singular += m > 0 and arith.rank_mod(live_block, p) < m
+            u = [rng.below(p) for _ in range(n)]
+            x = arith._run_operator(op, u, p)
+            assert x == _operator_oracle(m0, lu, u, p)
+            assert [sum(map(mul, row, x)) % p for row in m1] == [
+                sum(map(mul, row, u)) % p for row in m0
+            ]
+        dead += not all(any(row[j] for row in m0) for j in range(n))
+        singular += arith.rank_mod(m0, p) < n
         f = det_pencil_poly(m0, m1, p)
         points = [(t, det_mod(_pencil_at(m0, m1, t, p), p)) for t in range(n + 1)]
         assert f == interpolate(points, p) and poly_degree(f) == n
-    assert wider >= 15 and singular >= 15
-
-
-def test_backward_pass_runs_over_the_live_closure_only():
-    # a star7 handle pencil: n = 49, 7 live columns of M(0, V0), which read
-    # 6 more columns through U; the backward pass takes 13 steps, not 49
-    q, d = builtin("star7")
-    e = (0, 1, 1, 1, 1, 1, 1, 1, 6)
-    w = random_representation(q, e, P, 2001)
-    m0 = defect_matrix(zero_representation(q, e, P), random_representation(q, d, P, 2002))
-    m1 = defect_matrix(w, random_representation(q, d, P, 2003))
-    _, _, lu = arith._factor_mod(m1, P, True)
-    m, size, forward, backward = arith._compile_operator(m0, lu, P)
-    assert (len(m0), m, size, len(forward), len(backward)) == (49, 7, 13, 49, 13)
-    rng = Rng(2004)
-    for _ in range(3):
-        u = [rng.below(P) for _ in range(m)]
-        assert arith._run_operator((m, size, forward, backward), u, P) == _operator_oracle(m0, lu, u, P)
+    assert dead >= 15 and singular >= 15
 
 
 def test_mpoly_det_matches_exact_on_constants():

@@ -363,7 +363,7 @@ def test_verify_factorization_restricts_each_handle_by_one_pencil(
     lines = _restrictions(q, d, handles, line, p)
     ok, unit, _ = verify_factorization(lines, mults, line, p)
     assert ok and unit not in (None, 0)
-    # each pencil runs without the sink columns of its defect matrices
+    # each pencil runs without the peeled columns of its defect matrices
     assert pencils == [h.degree_bound - h.sinks.zeros for h in handles]
     assert lines == expected
     assert all(poly_degree(hl) == h.degree for hl, h in zip(lines, handles))
@@ -374,9 +374,9 @@ def test_verify_factorization_restricts_each_handle_by_one_pencil(
 def test_star7_handle_pencils_have_as_many_live_columns_as_the_degree(
     report_for, monkeypatch
 ):
-    # M(0, V0) is nonzero only in the columns of tail nodes: on star7 the
-    # Hessenberg pass of each handle pencil (49 x 49, or 7 x 7 without the
-    # sink columns) runs on deg h = 7 columns
+    # M(0, V0) is nonzero only in the columns of tail nodes: on star7 each
+    # handle pencil is 49 x 49, and its Hessenberg pass runs on the 7 x 7
+    # pencil left without the sink columns, deg h = 7
     q, d, handles, mults, line = _identity_inputs(report_for, "star7", P)
     sizes = []
     real = arith._charpoly_op

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from qlfd.arith import DEFAULT_PRIME, Rng
+from qlfd.certify import CertifyError, CertifyOptions, certify
 from qlfd.fixtures import block_handles, builtin, builtin_names
 from qlfd.quiver import build_quiver, classify_underlying_graph, euler_form, support_subquiver
 from qlfd.repmatrix import Representation, random_representation, tree_representation
@@ -21,7 +22,7 @@ from qlfd.semiinv import (
 )
 
 from mpoly import dense_pencil, degree_of, interpolate, root_from_weight, verify_weight
-from randquiver import random_real_roots
+from randquiver import is_schur, random_real_roots
 
 P = DEFAULT_PRIME
 
@@ -237,7 +238,7 @@ def test_witness_and_weight_cost_one_pencil_and_one_evaluation(monkeypatch):
     v0, v1 = _line(q, d, P, seed=6)
     h, f = sample_generic_witness(root, v0, v1, seed=5)
     assert h.degree == E7_TABLE[root][0]
-    # the one pencil runs without the sink columns: 9 of the 13 rows
+    # the one pencil runs without the peeled columns: 9 of the 13 rows
     assert values == [] and pencils == [h.sinks.size] == [h.degree_bound - h.sinks.zeros] == [9]
     assert f[-1] == evaluate(h, v1) != 0
     values.clear()
@@ -487,7 +488,7 @@ def test_level_formula_matches_degree_of_on_random_trees():
 
 
 # ---------------------------------------------------------------------------
-# The pencil without the sink columns against the dense defect matrices
+# The pencil without the peeled columns against the dense defect matrices
 
 
 def _pencil_matches_dense(q, d, e, p, rng):
@@ -565,3 +566,57 @@ def test_an_integral_elimination_over_q_divides_its_scale_back_out():
                 assert f is None or all(type(c) is int for c in f)
     assert any(s not in (1, -1) for s in scales)
     assert any(s.denominator != 1 for s in scales)
+
+
+# ---------------------------------------------------------------------------
+# The peel: no column of a handle pencil's M(0, V0) is left zero
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_every_certified_handle_pencil_has_no_zero_column(monkeypatch, exact):
+    # a node goes once its arrows into the support end at peeled nodes with
+    # square blocks, which is every node whose columns of M(0, V0) are zero,
+    # so no pencil that certify builds keeps one; over Q, certify refuses
+    # the non-Dynkin supports and those with dim Rep > 24 before any pencil
+    seen = []
+    pencil = SchofieldHandle.pencil
+    monkeypatch.setattr(
+        SchofieldHandle, "pencil", lambda h, v0, v1: seen.append((h, v0)) or pencil(h, v0, v1)
+    )
+    inputs = [builtin(name) for name in builtin_names() + ["star14", "d20-prop"]]
+    inputs += [(q, d) for i, (q, d) in enumerate(random_real_roots(2802, 300))
+               if is_schur(q, d, seed=i)]
+    for q, d in inputs:
+        try:
+            certify(q, d, CertifyOptions(exact=exact))
+        except CertifyError as err:
+            assert exact and err.stage == "exact", err
+    pencils = [h.sinks.matrix(v0, False) for h, v0 in seen if h.sinks is not None]
+    assert all(all(map(any, zip(*m0))) for m0 in pencils)
+    assert len(pencils) >= (140 if exact else 700)
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        # the all-ones roots of d7-prop and d20-prop, (0,1,1,1,1,1) and
+        # (1,1,1,1,0,1) of e6-q1 and (2,1,1,1,2) of tilde-d4-ii peel past
+        # their sinks; the arrows of E8 and star7 all point toward the
+        # central sink, whose blocks are not square, so the peel stops there
+        ("d7-prop", [2, 2, 2, 9, 9, 2]),
+        ("e6-q1", [5, 5, 5, 5, 12]),
+        ("tilde-d4-ii", [4, 4, 4, 3]),
+        ("e8-central-sink", [15, 12, 18, 15, 28, 25, 39]),
+        ("star7", [7] * 8),
+        ("d20-prop", [2] * 16 + [35, 35, 2]),
+    ],
+)
+def test_the_peel_pins_the_reduced_pencil_sizes(name, sizes):
+    # per simple of d, for a random witness and, where e has one, its tree
+    # witness
+    q, d = support_subquiver(*builtin(name))
+    got = []
+    for i, e in enumerate(perpendicular_simples(q, d)):
+        witnesses = [random_representation(q, e, P, seed=i), tree_representation(q, e, P)]
+        got.append({SchofieldHandle(e, w, d).sinks.size for w in witnesses if w is not None})
+    assert got == [{s} for s in sizes]
