@@ -230,17 +230,18 @@ def _probe_line(lfm, p: int | None, seed: int, trial: int = 0):
     singular, (None, r), r the largest rank of A(vec1) seen over F_p (None
     over Q).
 
-    Every cell of the action matrix A is a signed coordinate, so Delta is
-    homogeneous of degree N and Delta(vec1) is the leading coefficient of
-    Delta|_L: each accepted line proves deg Delta = dim Rep.
+    A(V) is the defect matrix M(V, V) less one column, and every entry of
+    M(V, V) is 0 or a signed coordinate of V, so Delta is homogeneous of
+    degree N and Delta(vec1) is the leading coefficient of Delta|_L: each
+    accepted line proves deg Delta = dim Rep.
 
-    It also proves d a Schur root.  A maps gl(d), less one diagonal
-    direction, into Rep; the identity acts as 0, so the dropped direction
-    lies in the span of the others, and with q(d) = 1,
-    rank A(V) = N + 1 - dim End V.  So Delta(vec1) != 0 makes V1 a brick,
-    and, Delta having integer coefficients, a nonzero value over F_p proves
-    Delta nonzero over Q as well.  When every sample is singular, each has
-    dim End >= N + 1 - r.
+    It also proves d a Schur root.  M(V, V) has kernel End V and, with
+    q(d) = 1, N + 1 columns, so rank M(V, V) = N + 1 - dim End V; the
+    identity lies in the kernel, so the dropped column is in the span of
+    the others and rank A(V) = rank M(V, V).  So Delta(vec1) != 0 makes
+    V1 a brick, and, Delta having integer coefficients, a nonzero value
+    over F_p proves Delta nonzero over Q as well.  When every sample is
+    singular, each has dim End >= N + 1 - r.
     """
     rng = Rng(derive_seed(seed, 40))
     rank = None if p is None else 0

@@ -1,6 +1,17 @@
 """Concrete matrix realizations over a field: representations, the defect
-matrix of the fundamental exact sequence, and the infinitesimal-action
-matrix whose determinant is the discriminant's equation.
+matrix of the fundamental exact sequence, and the action matrix whose
+determinant is the discriminant's equation.
+
+For representations W and V of a quiver the sequence
+
+    0 -> Hom(W, V) -> (+)_x Hom(W_x, V_x) -> (+)_a Hom(W_t(a), V_h(a))
+      -> Ext^1(W, V) -> 0
+
+is exact, and its middle map is the defect matrix M(W, V).  One builder,
+``defect_matrix``, gives both determinants the package needs: every
+Schofield handle c^W(V) = det M(W, V), and, at W = V, the infinitesimal
+gl(d) action at V, whose matrix A(V) is M(V, V) less one column
+(``action_matrix``).
 
 A representation assigns to each arrow a d(head) x d(tail) matrix.  The
 field is a prime field (``modulus`` an int, entries in [0, p)) or the exact
@@ -22,10 +33,6 @@ from .quiver import (
     support_subquiver,
     tits_form,
 )
-
-
-def _zeros(rows: int, cols: int):
-    return [[0] * cols for _ in range(rows)]
 
 
 class Representation:
@@ -124,8 +131,11 @@ def defect_matrix(w: Representation, v: Representation):
     their commutation defects psi_head W(a) - V(a) psi_tail along the arrows.
 
     Columns: node blocks in node order, psi_x entries row-major.  Rows: arrow
-    blocks in arrow order, target entries row-major.  Its kernel consists of
-    the morphisms W -> V; its cokernel is the space of extensions.
+    blocks in arrow order, target entries row-major.  It is the middle map
+    of the fundamental exact sequence (module docstring): its kernel
+    consists of the morphisms W -> V, its cokernel is Ext^1(W, V).  At
+    W = V it is the gl(d) action at V, and ``action_matrix`` is M(V, V)
+    less the column of one diagonal direction.
 
     Each row of arrow a takes W(a)'s entries in the psi_head block and
     V(a)'s in the psi_tail block, which are disjoint unless a is a loop, so
@@ -387,16 +397,6 @@ class RepCoordinates:
             n += self.dims[q.tails[a]] * self.dims[q.heads[a]]
         self.total = n
 
-    def index(self, arrow: int, r: int, c: int) -> int:
-        return self.offsets[arrow] + r * self.dims[self.quiver.tails[arrow]] + c
-
-    def flatten(self, v: Representation) -> list:
-        out = []
-        for m in v.mats:
-            for row in m:
-                out.extend(row)
-        return out
-
     def unflatten(self, vec, modulus: int | None) -> Representation:
         q = self.quiver
         mats = []
@@ -410,37 +410,37 @@ class RepCoordinates:
 
 
 class LinearFormMatrix:
-    """Square matrix whose entries are linear forms (with zero constant term)
-    in the representation coordinates.
+    """The action matrix A of Rep(Q, d) as a function of the coordinates:
+    A(V) is M(V, V) without its column ``dropped_column``.  Every entry of
+    M(V, V) is 0 or a signed coordinate of V, so each entry of A is a
+    linear form with zero constant term."""
 
-    Every cell here is empty or a single signed coordinate, stored sparsely
-    as (coordinate, sign) against its (row, column) position.
-    """
-
-    def __init__(self, size: int, cells, coords: RepCoordinates, dropped):
+    def __init__(self, size: int, coords: RepCoordinates, dropped_column: int):
         self.size = size
-        self.cells = cells  # dict[(row, col)] -> list[(coord, sign)]
         self.coords = coords
-        self.dropped = dropped  # (node, i, j) of the removed scalar direction
+        self.dropped_column = dropped_column
 
     def evaluate(self, vec, modulus: int | None):
-        m = _zeros(self.size, self.size)
-        for (r, c), terms in self.cells.items():
-            acc = 0
-            for k, sign in terms:
-                acc += sign * vec[k]
-            m[r][c] = acc % modulus if modulus is not None else acc
+        v = self.coords.unflatten(vec, modulus)
+        m = defect_matrix(v, v)
+        k = self.dropped_column
+        for row in m:
+            del row[k]
         return m
 
 
 def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatrix:
-    """Matrix of the infinitesimal group action on the representation space.
+    """Matrix of the infinitesimal gl(d) action on Rep(Q, d): A(V) is the
+    defect matrix M(V, V) less the column of psi[0, 0] at ``drop_node``
+    (default: the first support node), which is column sum_{x < drop} d_x^2.
 
-    Columns are indexed by the elementary-matrix directions E^{(x)}_{ij}
-    (node order, entries row-major) with the single direction E_{11} at
-    ``drop_node`` (default: first support node) removed; rows are indexed by
-    the representation coordinates.  The determinant is the discriminant's
-    equation up to a nonzero scalar.
+    Column psi_x[i, j] is the direction E^{(x)}_{ij} of gl(d), and its
+    vector field at V is + E_ij V(a) on the arrows a into x and - V(a) E_ij
+    on the arrows out of x; rows are the coordinates of Rep(Q, d), arrows in
+    order, entries row-major.  The identity of gl(d) acts as 0, so the
+    dropped column lies in the span of the others, and with q(d) = 1 the
+    matrix is square, of size N = dim Rep.  Its determinant is the
+    discriminant's equation up to a nonzero scalar.
     """
     d = tuple(int(x) for x in d)
     if not is_acyclic(q):
@@ -457,32 +457,4 @@ def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatri
         if d[drop] == 0:
             raise ValueError("dropped scalar direction must sit at a support node")
     coords = RepCoordinates(q, d)
-    size = coords.total
-    by_head = [[] for _ in range(q.node_count)]
-    by_tail = [[] for _ in range(q.node_count)]
-    for a in range(q.arrow_count):
-        by_head[q.heads[a]].append(a)
-        by_tail[q.tails[a]].append(a)
-    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    col = 0
-    for x in range(q.node_count):
-        for i in range(d[x]):
-            for j in range(d[x]):
-                if x == drop and i == 0 and j == 0:
-                    continue
-                # vector field of E^{(x)}_{ij}: + E_ij V(a) on arrows into x,
-                # - V(a) E_ij on arrows out of x
-                for a in by_head[x]:
-                    t = q.tails[a]
-                    for s in range(d[t]):
-                        row = coords.index(a, i, s)
-                        cells.setdefault((row, col), []).append((coords.index(a, j, s), 1))
-                for a in by_tail[x]:
-                    h = q.heads[a]
-                    for r in range(d[h]):
-                        row = coords.index(a, r, j)
-                        cells.setdefault((row, col), []).append((coords.index(a, r, i), -1))
-                col += 1
-    if col != size:
-        raise AssertionError("action matrix is not square despite q(d) = 1")
-    return LinearFormMatrix(size, cells, coords, (q.nodes[drop], 0, 0))
+    return LinearFormMatrix(coords.total, coords, sum(x * x for x in d[:drop]))

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from qlfd import CertifyOptions, certify
@@ -27,3 +29,13 @@ def certified(name, **kw):
 @pytest.fixture(scope="session")
 def report_for():
     return certified
+
+
+def child_env(**env):
+    """A minimal environment for a child interpreter: ``env``, and
+    PYTHONDONTWRITEBYTECODE when this process has it, so that a test run
+    told to write no bytecode leaves none under ``src``."""
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    if flag is not None:
+        env["PYTHONDONTWRITEBYTECODE"] = flag
+    return env

@@ -11,13 +11,14 @@ off one scaled value, as the oracle for the degree formula and the degrees
 read off the pencils, and ``verify_weight``, a handle's weight checked
 under the group action, as the oracle for the weight formula -eE.
 
-The last section holds helpers that only the tests use: extensions and
-direct sums, the zero representation, the pencil of a handle from the
-dense defect matrices (``dense_pencil``, the oracle for
-``SchofieldHandle.pencil``), the discriminant's value at one
-representation, the root of a weight, and the dense characteristic
-polynomial (``charpoly_mod``, the dense entry into
-``arith._charpoly_op``).
+The last section holds helpers that only the tests use: the coordinate
+of an arrow entry and the coordinate vector of a representation
+(``coord_index``, ``flatten``), extensions and direct sums, the zero
+representation, the pencil of a handle from the dense defect matrices
+(``dense_pencil``, the oracle for ``SchofieldHandle.pencil``), the
+discriminant's value at one representation, the root of a weight, and
+the dense characteristic polynomial (``charpoly_mod``, the dense entry
+into ``arith._charpoly_op``).
 
 A multivariate polynomial is a dict from exponent tuples to nonzero int
 coefficients.  ``mpoly_matrix`` turns the linear-form entries of an action
@@ -44,7 +45,6 @@ from qlfd.quiver import Quiver, euler_inverse
 from qlfd.repmatrix import (
     Representation,
     _check_pair,
-    _zeros,
     action_matrix,
     defect_matrix,
     random_representation,
@@ -129,15 +129,18 @@ def mp_det(mat, nvars: int):
 
 def mpoly_matrix(lfm):
     """The entries of a ``LinearFormMatrix`` as linear polynomials in its
-    ``coords.total`` coordinates."""
+    ``coords.total`` coordinates.  A is linear, so the coefficient of x_k
+    in each entry is that entry of A(e_k), e_k the k-th unit vector."""
     n = lfm.coords.total
     m = [[mp_zero() for _ in range(lfm.size)] for _ in range(lfm.size)]
-    for (r, c), terms in lfm.cells.items():
-        acc = mp_zero()
-        for k, sign in terms:
-            for mono, coef in mp_var(k, n).items():
-                acc[mono] = acc.get(mono, 0) + sign * coef
-        m[r][c] = {k: v for k, v in acc.items() if v}
+    for k in range(n):
+        unit = [0] * n
+        unit[k] = 1
+        mono = tuple(unit)
+        for row, values in zip(m, lfm.evaluate(unit, None)):
+            for entry, c in zip(row, values):
+                if c:
+                    entry[mono] = c
     return m
 
 
@@ -448,6 +451,21 @@ def degree_of(handle, prime: int | None, seed: int, retries: int = 4) -> int:
 # Helpers no stage calls
 
 
+def _zeros(rows: int, cols: int):
+    return [[0] * cols for _ in range(rows)]
+
+
+def coord_index(coords, arrow: int, r: int, c: int) -> int:
+    """The coordinate of entry (r, c) of ``arrow`` under the ``RepCoordinates``
+    ``coords``: arrows in order, entries row-major."""
+    return coords.offsets[arrow] + r * coords.dims[coords.quiver.tails[arrow]] + c
+
+
+def flatten(v: Representation) -> list:
+    """V's coordinate vector, the inverse of ``RepCoordinates.unflatten``."""
+    return [x for m in v.mats for row in m for x in row]
+
+
 def apply_defect(w: Representation, v: Representation, psi):
     """Image of a node-wise map tuple under the defect map: one
     d(head) x e(tail) matrix per arrow."""
@@ -524,7 +542,7 @@ def discriminant_value(q: Quiver, d, v: Representation, drop_node: str | None = 
     if v.quiver != q or v.dims != tuple(d):
         raise ValueError("representation does not live in this space")
     lfm = action_matrix(q, d, drop_node)
-    return det(lfm.evaluate(lfm.coords.flatten(v), v.modulus), v.modulus)
+    return det(lfm.evaluate(flatten(v), v.modulus), v.modulus)
 
 
 def root_from_weight(q: Quiver, w) -> tuple[int, ...]:

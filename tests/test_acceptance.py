@@ -16,7 +16,17 @@ from qlfd.roots import positive_roots
 from qlfd.semiinv import sample_generic_witness
 
 from conftest import certified
-from mpoly import mp_add, mp_const, mp_det, mp_equal_up_to_sign, mp_mul, mp_neg, mp_var, mpoly_matrix
+from mpoly import (
+    coord_index,
+    mp_add,
+    mp_const,
+    mp_det,
+    mp_equal_up_to_sign,
+    mp_mul,
+    mp_neg,
+    mp_var,
+    mpoly_matrix,
+)
 
 P = DEFAULT_PRIME
 
@@ -103,7 +113,7 @@ def test_criterion_03_star_quivers():
     det = mp_det(mpoly_matrix(lfm), nvars)
 
     def entry(a, r):
-        return mp_var(lfm.coords.index(a, r, 0), nvars)
+        return mp_var(coord_index(lfm.coords, a, r, 0), nvars)
 
     def minor(i, j):
         return mp_add(mp_mul(entry(i, 0), entry(j, 1)), mp_neg(mp_mul(entry(j, 0), entry(i, 1))))

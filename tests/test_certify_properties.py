@@ -22,6 +22,7 @@ from qlfd.repmatrix import random_representation
 from qlfd.roots import perpendicular_simples
 from qlfd.semiinv import SchofieldHandle, weight_of_schofield
 
+from conftest import child_env
 from mpoly import degree_of
 from randquiver import is_schur, random_real_roots
 
@@ -117,7 +118,7 @@ def test_repeated_cli_runs_give_byte_identical_json(argv):
         subprocess.run(
             [sys.executable, "-m", "qlfd.cli", "certify", *argv, "--format", "json"],
             capture_output=True, timeout=120,
-            env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(hash_seed)},
+            env=child_env(PYTHONPATH=str(SRC), PYTHONHASHSEED=str(hash_seed)),
         )
         for hash_seed in (0, 1)
     ]
@@ -125,20 +126,33 @@ def test_repeated_cli_runs_give_byte_identical_json(argv):
     assert outs[0].stdout == outs[1].stdout and outs[0].stdout.startswith(b'{"command"')
 
 
+def _seed_free_part(rep):
+    # only the randomized certificate sees the seed, and only unit_ratio may
+    # show it
+    table = tuple(json.dumps(c.to_dict(), sort_keys=True) for c in rep.components)
+    stats = rep.stats
+    return (rep.verdict, rep.reason, table, stats.lines_used,
+            stats.brick_endomorphism_dim, stats.brick_ext_dim)
+
+
 @pytest.mark.parametrize("name", [*builtin_names(), "cycle3"])
 def test_verdict_and_component_table_do_not_depend_on_the_seed(name):
-    # only the randomized certificate sees the seed, and only unit_ratio may
-    # show it; cycle3 (1->2, 2->3, 1->3) reads its degrees off the pencils
+    # cycle3 (1->2, 2->3, 1->3) reads its degrees off the pencils
     if name == "cycle3":
         arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")]
         q, d = build_quiver(["1", "2", "3"], arrows), (1, 1, 2)
     else:
         q, d = builtin(name)
-    seen = set()
-    for seed in range(1, 5):
-        rep = certify(q, d, CertifyOptions(seed=seed))
-        table = tuple(json.dumps(c.to_dict(), sort_keys=True) for c in rep.components)
-        stats = rep.stats
-        seen.add((rep.verdict, rep.reason, table, stats.lines_used,
-                  stats.brick_endomorphism_dim, stats.brick_ext_dim))
+    seen = {_seed_free_part(certify(q, d, CertifyOptions(seed=seed))) for seed in range(1, 5)}
     assert len(seen) == 1, seen
+
+
+def test_random_bricks_certify_alike_at_every_seed():
+    # the first random bricks, among them supports without a level function,
+    # whose degrees are read off the pencils on each seed's line
+    bricks = [(q, d) for i, (q, d) in enumerate(random_real_roots(47, 40))
+              if is_schur(q, d, seed=i)]
+    assert len(bricks) >= 20 and any(level_function(q) is None for q, _ in bricks)
+    for q, d in bricks:
+        seen = {_seed_free_part(certify(q, d, CertifyOptions(seed=seed))) for seed in (1, 2, 3)}
+        assert len(seen) == 1, (q.arrows, d, seen)

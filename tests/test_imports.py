@@ -8,6 +8,8 @@ from pathlib import Path
 from qlfd.fixtures import builtin
 from qlfd.qfile import serialize
 
+from conftest import child_env
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Imports every module of the package and runs a small modular and exact
@@ -33,7 +35,7 @@ def test_package_imports_only_the_standard_library():
     out = subprocess.run(
         [sys.executable, "-c", PROBE],
         capture_output=True, text=True, check=True, timeout=120,
-        env={"PYTHONPATH": str(SRC)},
+        env=child_env(PYTHONPATH=str(SRC)),
     )
     assert out.stdout.split() == ["qlfd"]
 
@@ -53,7 +55,7 @@ def test_cli_import_loads_no_unused_module():
     probe = f"import sys; sys.path.insert(0, {str(SRC)!r}); import qlfd.cli; print(*sys.modules)"
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, check=True, timeout=60, env={},
+        capture_output=True, text=True, check=True, timeout=60, env=child_env(),
     )
     loaded = set(out.stdout.split())
     assert "qlfd.cli" in loaded
@@ -72,7 +74,7 @@ def test_plain_certify_loads_no_unused_module(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, check=True, timeout=60, env={},
+        capture_output=True, text=True, check=True, timeout=60, env=child_env(),
     )
     code, *loaded = out.stdout.splitlines()[-1].split()
     assert code == "0" and "qlfd.certify" in loaded

@@ -1,8 +1,8 @@
 import pytest
 
 from qlfd.arith import DEFAULT_PRIME, Rng, det_mod, power, reduce
-from qlfd.fixtures import builtin
-from qlfd.quiver import build_quiver, euler_form
+from qlfd.fixtures import builtin, builtin_names
+from qlfd.quiver import build_quiver, euler_form, support
 from qlfd.repmatrix import (
     Representation,
     action_matrix,
@@ -13,9 +13,11 @@ from qlfd.repmatrix import (
 
 from mpoly import (
     apply_defect,
+    coord_index,
     direct_sum,
     discriminant_value,
     extension_middle_term,
+    flatten,
     mp_det,
     mp_mul,
     mp_var,
@@ -23,6 +25,7 @@ from mpoly import (
     scale_first_coordinates,
     zero_representation,
 )
+from randquiver import random_real_roots
 
 P = DEFAULT_PRIME
 
@@ -118,7 +121,8 @@ def test_action_matrix_a3_example():
     lfm = action_matrix(q, (1, 1, 1))
     assert lfm.size == 2
     # [[v_a, 0], [-v_b, v_b]] against coordinates (v_a, v_b)
-    assert lfm.cells == {(0, 0): [(0, 1)], (1, 0): [(1, -1)], (1, 1): [(1, 1)]}
+    assert lfm.evaluate([2, 3], None) == [[2, 0], [-3, 3]]
+    assert lfm.evaluate([2, 3], P) == [[2, 0], [P - 3, 3]]
 
 
 def test_action_matrix_requires_unit_tits_form():
@@ -133,14 +137,61 @@ def test_action_matrix_e8_size():
 
 
 def test_action_matrix_entries_are_linear_no_constant():
+    # A(0) = 0 and A(u + w) = A(u) + A(w), over F_p and over Q
     q, d = builtin("e6-q1")
     lfm = action_matrix(q, d)
-    for terms in lfm.cells.values():
-        assert terms
-        for coord, sign in terms:
-            assert 0 <= coord < lfm.coords.total and sign in (-1, 1)
-    zeros = [0] * lfm.coords.total
-    assert all(all(x == 0 for x in row) for row in lfm.evaluate(zeros, P))
+    n = lfm.coords.total
+    rng = Rng(136)
+    for p in (P, None):
+        assert lfm.evaluate([0] * n, p) == [[0] * lfm.size for _ in range(lfm.size)]
+        for _ in range(5):
+            u, w = ([rng.randint(-9, 9) for _ in range(n)] for _ in range(2))
+            total = lfm.evaluate([a + b for a, b in zip(u, w)], p)
+            parts = zip(lfm.evaluate(u, p), lfm.evaluate(w, p))
+            assert total == [[reduce(a + b, p) for a, b in zip(*rows)] for rows in parts]
+
+
+def _action_by_vector_fields(v, drop):
+    # column E^(x)_ij: the tangent vector + E_ij V(a) on each arrow a into x
+    # and - V(a) E_ij on each arrow a out of x, flattened; no column for
+    # E^(drop)_00
+    q, d, p = v.quiver, v.dims, v.modulus
+    cols = []
+    for x in range(q.node_count):
+        for i in range(d[x]):
+            for j in range(d[x]):
+                if (x, i, j) == (drop, 0, 0):
+                    continue
+                field = []
+                for a, m in enumerate(v.mats):
+                    block = [[0] * d[q.tails[a]] for _ in range(d[q.heads[a]])]
+                    if q.heads[a] == x:
+                        block[i] = list(m[j])
+                    if q.tails[a] == x:
+                        for r, row in enumerate(m):
+                            block[r][j] -= row[i]
+                    field.extend(reduce(y, p) for row in block for y in row)
+                cols.append(field)
+    return [list(row) for row in zip(*cols)]
+
+
+def test_action_matrix_is_the_defect_matrix_less_one_column():
+    # A(V) = M(V, V) without column k = sum_{x < drop} d_x^2, the column of
+    # psi[0, 0] at the dropped node, at every support node and in every field
+    cases = [(name, *builtin(name)) for name in builtin_names()]
+    cases += [(f"random{i}", q, d) for i, (q, d) in enumerate(random_real_roots(17, 20))]
+    rng = Rng(29)
+    for name, q, d in cases:
+        for drop in support(d):
+            lfm = action_matrix(q, d, q.nodes[drop])
+            k = sum(x * x for x in d[:drop])
+            for p in (P, 101, None):
+                vec = [rng.randint(-9, 9) if p is None else rng.below(p)
+                       for _ in range(lfm.coords.total)]
+                v = lfm.coords.unflatten(vec, p)
+                got = lfm.evaluate(vec, p)
+                assert got == [row[:k] + row[k + 1:] for row in defect_matrix(v, v)], (name, drop, p)
+                assert got == _action_by_vector_fields(v, drop), (name, drop, p)
 
 
 def test_canonical_eval_a3_rational():
@@ -167,7 +218,7 @@ def test_star2_action_det_is_product_of_minors():
     det = mp_det(mpoly_matrix(lfm), n)
 
     def entry(arrow_idx, r):
-        return mp_var(lfm.coords.index(arrow_idx, r, 0), n)
+        return mp_var(coord_index(lfm.coords, arrow_idx, r, 0), n)
 
     def minor(i, j):
         return mp_add(mp_mul(entry(i, 0), entry(j, 1)), mp_neg(mp_mul(entry(j, 0), entry(i, 1))))
@@ -237,7 +288,7 @@ def test_coordinates_round_trip():
     q, d = builtin("e6-q2")
     lfm = action_matrix(q, d)
     v = random_representation(q, d, P, seed=77)
-    vec = lfm.coords.flatten(v)
+    vec = flatten(v)
     assert len(vec) == lfm.coords.total == 22
     back = lfm.coords.unflatten(vec, P)
     assert back.mats == v.mats
