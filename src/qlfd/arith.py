@@ -73,9 +73,11 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=16)
 def check_prime(p: int) -> None:
     """Raise ValueError unless p is a prime below ``_MR_BOUND``, the range
-    where ``is_prime`` is exact.  Cached, so a modulus checked twice in one
-    process (the CLI's option prime, then ``CertifyOptions``) runs
-    Miller-Rabin once; a rejection is not cached."""
+    where ``is_prime`` is exact.  A prime of ``_CRT_PRIMES`` (the default
+    prime among them) passes with no test; any other runs Miller-Rabin once
+    per process, by the cache, and a rejection is not cached."""
+    if p in _CRT_PRIMES:
+        return
     if p >= _MR_BOUND:
         raise ValueError(
             f"modulus {p} is too large: primality is proven only below {_MR_BOUND}"
@@ -525,8 +527,7 @@ def poly_divmod(f, g, p: int):
         c = r[-1] * inv % p
         k = len(r) - len(g)
         q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] = (r[k + i] - c * b) % p
+        r[k:] = [(x - c * b) % p for x, b in zip(r[k:], g)]
         poly_trim(r)
         if not r:
             break

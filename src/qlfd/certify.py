@@ -41,7 +41,6 @@ from .arith import (
     _crt_prime,
     check_prime,
     derive_seed,
-    det,
     poly_degree,
     poly_deriv,
     poly_gcd,
@@ -228,7 +227,9 @@ def _probe_line(lfm, p: int | None, seed: int, trial: int = 0):
     Delta(vec1) = det A(vec1) is nonzero, as ((vec0, vec1, Delta(vec1)), N)
     with N = dim Rep = ``lfm.size``; when all 8 leading members are
     singular, (None, r), r the largest rank of A(vec1) seen over F_p (None
-    over Q).
+    over Q).  Delta(vec1) is ``lfm.det``, over F_p on A(vec1) less its
+    peeled columns (``repmatrix.SinkReduction``); there a singular leading
+    member is evaluated in full only for its rank.
 
     A(V) is the defect matrix M(V, V) less one column, and every entry of
     M(V, V) is 0 or a signed coordinate of V, so Delta is homogeneous of
@@ -249,12 +250,11 @@ def _probe_line(lfm, p: int | None, seed: int, trial: int = 0):
         stream = rng.split(trial, attempt)
         vec0 = _random_coordinate_vector(lfm, p, stream)
         vec1 = _random_coordinate_vector(lfm, p, stream)
-        a1 = lfm.evaluate(vec1, p)
-        delta1 = det(a1, p)
+        delta1 = lfm.det(vec1, p)
         if delta1:
             return (vec0, vec1, delta1), lfm.size
         if p is not None:
-            rank = max(rank, rank_mod(a1, p))
+            rank = max(rank, rank_mod(lfm.evaluate(vec1, p), p))
     return None, rank
 
 
@@ -478,8 +478,9 @@ def line_certificate(
             if line is None:
                 raise _no_line()
         vec0, vec1, delta1 = line
-        # A(vec0) has the sparsity pattern of A(vec1): it replays its plan
-        ends = (vec0, vec1, det(lfm.evaluate(vec0, p), p), delta1)
+        # the reduced A(vec0) has the sparsity pattern of the reduced A(vec1):
+        # it replays its plan
+        ends = (vec0, vec1, lfm.det(vec0, p), delta1)
         v0, v1 = (lfm.coords.unflatten(vec, p) for vec in (vec0, vec1))
         if trial:
             restrictions = [h.restrict(h.pencil(v0, v1)) for h in handles]

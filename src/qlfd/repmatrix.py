@@ -8,10 +8,12 @@ For representations W and V of a quiver the sequence
       -> Ext^1(W, V) -> 0
 
 is exact, and its middle map is the defect matrix M(W, V).  One builder,
-``defect_matrix``, gives both determinants the package needs: every
-Schofield handle c^W(V) = det M(W, V), and, at W = V, the infinitesimal
-gl(d) action at V, whose matrix A(V) is M(V, V) less one column
-(``action_matrix``).
+``sink_reduction``, gives both determinants the package needs, from M(W, V)
+less the columns of its peeled nodes: every Schofield handle
+c^W(V) = det M(W, V), through its pencil on a line, and, at W = V over
+F_p, the discriminant det A(V), where A(V), the infinitesimal gl(d) action
+at V, is M(V, V) less one column (``action_matrix``).  ``defect_matrix``
+builds the full matrix, for ranks and for A(V) itself.
 
 A representation assigns to each arrow a d(head) x d(tail) matrix.  The
 field is a prime field (``modulus`` an int, entries in [0, p)) or the exact
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Rng, _permutation_sign, power, rank_mod, reduce
+from .arith import Rng, _permutation_sign, det, power, rank_mod, reduce
 from .quiver import (
     Quiver,
     connected_components,
@@ -278,23 +280,39 @@ class SinkReduction:
     x -> y into the support, and those rows reach ``matrix`` unless y
     went with a square block.
 
+    With a ``drop`` node x, ``sink_reduction`` never peels x and leaves
+    the column of psi_x[0, 0] out of ``matrix``, so ``size`` = L - 1, and
+    out of the column order whose sign ``scale`` takes; the other columns
+    keep their order.  At W = V, with x the node ``action_matrix`` drops,
+    M(V, V) less that column is A(V), square since q(d) = 1, and the
+    elimination above is the same Schur complement: the dropped column lies
+    at a node left, among the columns that stay, so the proof holds as it
+    stands and det A(V) = ``scale`` * det ``matrix``(V) in every field.
+
     ``sink_reduction`` returns None when some B_z has rank below e_z: then
-    M(W, V) is singular for every V.
+    M(W, V), and at W = V A(V), is singular for every V.  Take the first
+    such z in peel order.  The columns of z and of the peeled nodes
+    downstream of it meet only the rows of the arrows into those nodes;
+    there the square blocks below z are invertible and come first, so the
+    copies of B_z leave those columns of rank below their number.
     """
 
-    def __init__(self, size: int, zeros: int, scale, rows, modulus: int | None):
+    def __init__(self, size: int, zeros: int, scale, rows, modulus: int | None,
+                 dropped: int | None = None):
         self.size = size
         self.zeros = zeros
         self.scale = scale
         self.rows = rows  # per row: (r, [(coef, arrow, column, stride)], [(column, W entry)])
         self.modulus = modulus
+        self.dropped = dropped  # psi_drop[0, 0]'s column among the L, left out
 
     def matrix(self, v: Representation, with_w: bool = True):
         """The reduced M(W, V), or M(0, V) with ``with_w`` False."""
-        p = self.modulus
+        p, k = self.modulus, self.dropped
+        width = self.size + (k is not None)
         out = []
         for r, vterms, wterms in self.rows:
-            row = [0] * self.size
+            row = [0] * width
             if with_w:
                 for c, x in wterms:
                     row[c] += x
@@ -302,12 +320,15 @@ class SinkReduction:
                 for x in v.mats[a][r]:
                     row[c] += coef * x
                     c += stride
+            if k is not None:
+                del row[k]
             out.append(row if p is None else [x % p for x in row])
         return out
 
 
-def sink_reduction(w: Representation, d) -> SinkReduction | None:
-    """The ``SinkReduction`` of the witness W against Rep(Q, d)."""
+def sink_reduction(w: Representation, d, drop: int | None = None) -> SinkReduction | None:
+    """The ``SinkReduction`` of the witness W against Rep(Q, d), less the
+    column of psi[0, 0] at node ``drop`` when one is given."""
     q, e, p = w.quiver, w.dims, w.modulus
     d = tuple(int(x) for x in d)
     heads, tails = q.heads, q.tails
@@ -316,7 +337,7 @@ def sink_reduction(w: Representation, d) -> SinkReduction | None:
     # support of d ends at a peeled node whose block is square
     m = [sum(e[tails[a]] for a in arrows if heads[a] == x) for x in range(q.node_count)]
     peel = []
-    while new := [z for z in range(q.node_count) if d[z] and e[z] and z not in peel
+    while new := [z for z in range(q.node_count) if d[z] and e[z] and z not in peel and z != drop
                   and all(heads[a] in peel and m[heads[a]] == e[heads[a]]
                           for a in arrows if tails[a] == z and d[heads[a]])]:
         peel += new
@@ -339,10 +360,12 @@ def sink_reduction(w: Representation, d) -> SinkReduction | None:
 
     # per peeled node: the rows R of B_z and the reduced rows outside R
     blocks = {}
-    scale = _permutation_sign(
-        [full[z] + i for z in peel for i in range(d[z] * e[z])]
-        + [full[x] + i for x in col for i in range(d[x] * e[x])]
-    )
+    cols = ([full[z] + i for z in peel for i in range(d[z] * e[z])]
+            + [full[x] + i for x in col for i in range(d[x] * e[x])])
+    if drop is not None:
+        k = full[drop]
+        cols = [c - (c > k) for c in cols if c != k]
+    scale = _permutation_sign(cols)
     for z in peel:
         keys = [(a, s) for a in arrows if heads[a] == z for s in range(e[tails[a]])]
         basis = _row_basis([[reduce(w.mats[a][j][s], p) for j in range(e[z])]
@@ -376,7 +399,9 @@ def sink_reduction(w: Representation, d) -> SinkReduction | None:
         [row_off[a] + r * e[tails[a]] + s
          for z in peel for r in range(d[z]) for a, s in blocks[z][0]] + kept
     )
-    return SinkReduction(size, sum(d[z] * e[z] for z in peel), reduce(scale, p), rows, p)
+    dropped = None if drop is None else col[drop]
+    return SinkReduction(size - (drop is not None), sum(d[z] * e[z] for z in peel),
+                         reduce(scale, p), rows, p, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +436,41 @@ class RepCoordinates:
 
 class LinearFormMatrix:
     """The action matrix A of Rep(Q, d) as a function of the coordinates:
-    A(V) is M(V, V) without its column ``dropped_column``.  Every entry of
-    M(V, V) is 0 or a signed coordinate of V, so each entry of A is a
-    linear form with zero constant term."""
+    A(V) is M(V, V) without the column of psi[0, 0] at node ``drop``.
+    Every entry of M(V, V) is 0 or a signed coordinate of V, so each entry
+    of A is a linear form with zero constant term."""
 
-    def __init__(self, size: int, coords: RepCoordinates, dropped_column: int):
+    def __init__(self, size: int, coords: RepCoordinates, drop: int):
         self.size = size
         self.coords = coords
-        self.dropped_column = dropped_column
+        self.drop = drop
 
     def evaluate(self, vec, modulus: int | None):
         v = self.coords.unflatten(vec, modulus)
         m = defect_matrix(v, v)
-        k = self.dropped_column
+        k = sum(x * x for x in self.coords.dims[:self.drop])
         for row in m:
             del row[k]
         return m
+
+    def det(self, vec, p: int | None):
+        """det A(V) over F_p, or over Q when ``p`` is None.
+
+        Over F_p it runs on the ``SinkReduction`` of M(V, V) at W = V less
+        the dropped column, and is 0 when some B_z has rank below d_z,
+        since then A(V) is singular.  Over Q the full A(V) is lifted: the
+        peel's rows outside R, scaled by det B_R, raise the Hadamard bound
+        that sets the number of CRT primes, and ``_row_basis`` runs on
+        fractions, which costs more than the few columns the peel saves on
+        the Dynkin supports that exact mode certifies.
+        """
+        if p is None:
+            return det(self.evaluate(vec, p), p)
+        v = self.coords.unflatten(vec, p)
+        red = sink_reduction(v, self.coords.dims, self.drop)
+        if red is None:
+            return 0
+        return red.scale * det(red.matrix(v), p) % p
 
 
 def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatrix:
@@ -457,4 +501,4 @@ def action_matrix(q: Quiver, d, drop_node: str | None = None) -> LinearFormMatri
         if d[drop] == 0:
             raise ValueError("dropped scalar direction must sit at a support node")
     coords = RepCoordinates(q, d)
-    return LinearFormMatrix(coords.total, coords, sum(x * x for x in d[:drop]))
+    return LinearFormMatrix(coords.total, coords, drop)

@@ -74,6 +74,23 @@ def test_prime_field_rejects_moduli_beyond_proven_range():
             check_prime(p)
 
 
+def test_check_prime_trusts_the_crt_primes(monkeypatch):
+    # the listed primes, DEFAULT_PRIME first, pass with no Miller-Rabin (the
+    # list is proven by test_crt_primes_are_the_primes_below_the_default_prime);
+    # any other prime is still tested, once
+    tested = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    arith.check_prime.cache_clear()
+    check_prime(DEFAULT_PRIME)
+    for q in arith._CRT_PRIMES:
+        check_prime(q)
+    assert tested == []
+    check_prime(2**61 - 1)
+    check_prime(2**61 - 1)
+    assert tested == [2**61 - 1]
+    arith.check_prime.cache_clear()
+
+
 def test_rng_deterministic_and_distinct():
     a = Rng(42)
     b = Rng(42)
@@ -317,6 +334,24 @@ def test_poly_gcd_examples():
     # there is no gcd over Q: the prime is required
     with pytest.raises(TypeError):
         poly_gcd([0, 1], [1])
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_poly_divmod_is_division_with_remainder(p):
+    # f = quotient * g + remainder with deg remainder < deg g, on random
+    # inputs of every relative degree, over a small field where remainders
+    # often cancel down by several degrees, and on multiples of g
+    rng = Rng(317)
+    for trial in range(200):
+        g = [rng.below(p) for _ in range(1 + trial % 6)] + [1 + rng.below(p - 1)]
+        f = arith.poly_trim([rng.below(p) for _ in range(trial % 13)])
+        if trial % 4 == 0:  # g divides f
+            f = poly_mul(g, [rng.below(p) for _ in range(trial % 5)] + [1], p)
+        quo, rem = arith.poly_divmod(f, g, p)
+        assert len(rem) < len(g) and (not rem or rem[-1])
+        back = poly_mul(quo, g, p) + [0] * len(f)
+        back = [(a + b) % p for a, b in zip(back, rem + [0] * len(back))]
+        assert arith.poly_trim(back) == arith.poly_trim(list(f))
 
 
 def _charpoly_right_looking(mat, p):

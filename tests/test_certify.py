@@ -29,7 +29,7 @@ from qlfd.certify import (
 )
 from qlfd.fixtures import builtin
 from qlfd.quiver import build_quiver, opposite_quiver
-from qlfd.repmatrix import RepCoordinates, action_matrix, tree_representation
+from qlfd.repmatrix import LinearFormMatrix, RepCoordinates, action_matrix, tree_representation
 from qlfd.semiinv import (
     DegenerateWitnessError,
     SchofieldHandle,
@@ -341,6 +341,24 @@ def _handle_values_on_line(q, d, h, line, p):
         for t in range(h.degree + 1)
     ]
     return interpolate(points, p)
+
+
+@pytest.mark.parametrize("name, exact, size", [
+    ("star7", False, 7), ("e8-central-sink", False, 82), ("e6-q1", True, 22)])
+def test_the_delta_pair_runs_without_the_peeled_columns_over_f_p(monkeypatch, name, exact, size):
+    # over F_p, Delta(vec1) and Delta(vec0) are two determinants of M(V, V)
+    # less its peeled columns and its dropped one, and a certify on a Schur
+    # root evaluates no full action matrix; over Q both are of the full A(V)
+    repmatrix = importlib.import_module("qlfd.repmatrix")
+    sizes, evaluated = [], []
+    real, evaluate = repmatrix.det, LinearFormMatrix.evaluate
+    monkeypatch.setattr(repmatrix, "det", lambda m, p: sizes.append(len(m)) or real(m, p))
+    monkeypatch.setattr(LinearFormMatrix, "evaluate",
+                        lambda lfm, vec, p: evaluated.append(p) or evaluate(lfm, vec, p))
+    rep = certify(*builtin(name), CertifyOptions(exact=exact))
+    assert rep.verdict == "linear-free-divisor" and rep.stats.lines_used == 1
+    assert sizes == [size, size]
+    assert evaluated == ([None, None] if exact else [])
 
 
 @pytest.mark.parametrize("name, p", [("e7-highroot", P), ("q3", P), ("e6-q1", None)])

@@ -1,6 +1,6 @@
 import pytest
 
-from qlfd.arith import DEFAULT_PRIME, Rng, det_mod, power, reduce
+from qlfd.arith import DEFAULT_PRIME, Rng, det, det_mod, power, reduce
 from qlfd.fixtures import builtin, builtin_names
 from qlfd.quiver import build_quiver, euler_form, support
 from qlfd.repmatrix import (
@@ -9,6 +9,7 @@ from qlfd.repmatrix import (
     defect_matrix,
     hom_ext_dims,
     random_representation,
+    sink_reduction,
 )
 
 from mpoly import (
@@ -192,6 +193,47 @@ def test_action_matrix_is_the_defect_matrix_less_one_column():
                 got = lfm.evaluate(vec, p)
                 assert got == [row[:k] + row[k + 1:] for row in defect_matrix(v, v)], (name, drop, p)
                 assert got == _action_by_vector_fields(v, drop), (name, drop, p)
+
+
+def test_action_det_is_the_det_of_the_evaluated_matrix():
+    # det A(V) equals det of the full A(V), of the same type, at every
+    # support drop node and in every field, and so does the sink peel at
+    # W = V less the dropped column, which lfm.det runs over F_p; over F_7
+    # some B_z has rank below d_z and the peel gives None, where det is 0
+    cases = [builtin(name) for name in builtin_names()] + random_real_roots(17, 20)
+    rng = Rng(30)
+    rank_deficient = 0
+    for q, d in cases:
+        for drop in support(d):
+            lfm = action_matrix(q, d, q.nodes[drop])
+            for p in (P, 101, 7, None):
+                vec = [rng.randint(-9, 9) if p is None else rng.below(p)
+                       for _ in range(lfm.coords.total)]
+                want = det(lfm.evaluate(vec, p), p)
+                got = lfm.det(vec, p)
+                assert got == want and type(got) is type(want), (q.name, d, drop, p)
+                v = lfm.coords.unflatten(vec, p)
+                red = sink_reduction(v, d, drop)
+                if red is None:
+                    assert want == 0
+                    rank_deficient += 1
+                else:
+                    assert reduce(red.scale * det(red.matrix(v), p), p) == want, (q.name, d, drop, p)
+    assert rank_deficient
+
+
+def test_the_peel_pins_the_reduced_action_matrix_sizes():
+    # star_n: N = n(n + 1) -> n, the centre's n x n block; a drop node that
+    # is a sink is never peeled, so tilde-d4-ii keeps its size
+    sizes = {f"star{n}": n for n in range(2, 21)}
+    sizes.update({"e8-central-sink": 82, "q2": 20, "q3": 20, "e7-highroot": 30, "tilde-d4-ii": 12})
+    for name, size in sizes.items():
+        q, d = builtin(name)
+        lfm = action_matrix(q, d)
+        v = random_representation(q, d, P, seed=31)
+        red = sink_reduction(v, d, lfm.drop)
+        assert red.size == size == len(red.matrix(v)), name
+        assert all(len(row) == size for row in red.matrix(v)), name
 
 
 def test_canonical_eval_a3_rational():
